@@ -32,6 +32,7 @@
 #pragma once
 
 #include <string>
+#include <utility>
 
 #include "adt/adt.hpp"
 #include "core/attribution.hpp"
@@ -46,8 +47,16 @@ struct ParsedModel {
   Semiring attacker_domain = Semiring::min_cost();
 
   /// Bundles the parts into an AugmentedAdt (validates the attribution).
-  [[nodiscard]] AugmentedAdt augmented() const {
+  [[nodiscard]] AugmentedAdt augmented() const& {
     return AugmentedAdt(adt, attribution, defender_domain, attacker_domain);
+  }
+
+  /// The same, moving the parts out instead of copying them: for a model
+  /// used once, as in parse_adt_text(text).augmented().
+  [[nodiscard]] AugmentedAdt augmented() && {
+    return AugmentedAdt(std::move(adt), std::move(attribution),
+                        std::move(defender_domain),
+                        std::move(attacker_domain));
   }
 };
 

@@ -133,22 +133,53 @@ void write_all_fd(int fd, const char* data, std::size_t n) {
   }
 }
 
-std::optional<std::string> read_line_fd(int fd, std::size_t max) {
-  std::string line;
-  char c = 0;
+namespace {
+
+/// recv() retried on EINTR; throws SocketError on failure.
+std::size_t recv_some(int fd, char* into, std::size_t n, int flags) {
   while (true) {
-    const ssize_t r = ::read(fd, &c, 1);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      throw_socket("socket read failed");
-    }
-    if (r == 0) {
+    const ssize_t r = ::recv(fd, into, n, flags);
+    if (r >= 0) return static_cast<std::size_t>(r);
+    if (errno != EINTR) throw_socket("socket read failed");
+  }
+}
+
+}  // namespace
+
+std::optional<std::string> read_line_fd(int fd, std::size_t max) {
+  // Each round peeks at what has arrived, then consumes it up to and
+  // including the first '\n' - so nothing past the line ever leaves the
+  // socket. A request header fits in the first window; longer lines
+  // (replies read by clients) double it each round.
+  std::string line;
+  std::size_t window = 256;
+  while (true) {
+    const std::size_t have = line.size();
+    line.resize(have + window);
+    char* const chunk = line.data() + have;
+    const std::size_t peeked = recv_some(fd, chunk, window, MSG_PEEK);
+    if (peeked == 0) {
+      line.resize(have);
       if (line.empty()) return std::nullopt;
       return line;  // EOF mid-line: hand back what arrived
     }
-    if (c == '\n') return line;
-    if (line.size() >= max) throw SocketError("request line too long");
-    line += c;
+    const auto* newline =
+        static_cast<const char*>(std::memchr(chunk, '\n', peeked));
+    const std::size_t content =
+        newline != nullptr ? static_cast<std::size_t>(newline - chunk) : peeked;
+    if (have + content > max) throw SocketError("request line too long");
+    const std::size_t take = newline != nullptr ? content + 1 : peeked;
+    // The peeked bytes are already in place; this read only consumes them.
+    for (std::size_t taken = 0; taken < take;) {
+      const std::size_t r = recv_some(fd, chunk + taken, take - taken, 0);
+      if (r == 0) {
+        throw SocketError("connection closed mid-line", /*disconnect=*/true);
+      }
+      taken += r;
+    }
+    line.resize(have + content);
+    if (newline != nullptr) return line;
+    window = std::min<std::size_t>(window * 2, 1u << 16);
   }
 }
 

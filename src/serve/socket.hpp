@@ -69,9 +69,13 @@ struct Endpoint {
 /// Throws SocketError; disconnect() is set when the peer went away.
 void write_all_fd(int fd, const char* data, std::size_t n);
 
-/// Reads one '\n'-terminated line (terminator consumed, not returned).
-/// Empty optional on clean EOF before any byte; EOF mid-line hands back
-/// what arrived. Throws SocketError (disconnect() for a reset peer).
+/// Reads one '\n'-terminated line from stream socket \p fd (terminator
+/// consumed, not returned) and never consumes a byte past it, so a body
+/// that follows the line stays readable - by the same or another reader.
+/// Frames the line with recv(MSG_PEEK) and one consuming recv: two
+/// syscalls for a short line. Empty optional on clean EOF before any
+/// byte; EOF mid-line hands back what arrived. Throws SocketError
+/// (disconnect() for a reset peer) and when the line exceeds \p max bytes.
 [[nodiscard]] std::optional<std::string> read_line_fd(int fd,
                                                       std::size_t max = 4096);
 

@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -9,9 +10,36 @@
 
 namespace adtp {
 
-std::string JsonWriter::quote(const std::string& s) {
-  std::string out = "\"";
-  for (char ch : s) {
+namespace {
+
+/// Room for any int64 and any shortest-round-trip double
+/// ("-2.2250738585072014e-308").
+constexpr std::size_t kNumberChars = 32;
+
+/// Writes format_double_exact(v) into [first, first + kNumberChars) and
+/// returns the end of the written text.
+char* write_double_exact(char* first, double v) {
+  char* const last = first + kNumberChars;
+  // Integral values below 1e15 print as plain integers ("90", "-0"): the
+  // shortest fixed form of such a double is exactly its digits.
+  if (v == std::floor(v) && std::abs(v) < 1e15) {
+    return std::to_chars(first, last, v, std::chars_format::fixed).ptr;
+  }
+  return std::to_chars(first, last, v).ptr;
+}
+
+}  // namespace
+
+void JsonWriter::append_quoted(std::string& out, std::string_view s) {
+  out += '"';
+  std::size_t plain = 0;  // start of the run not yet copied
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const char ch = s[i];
+    if (ch != '"' && ch != '\\' && static_cast<unsigned char>(ch) >= 0x20) {
+      continue;
+    }
+    out.append(s, plain, i - plain);
+    plain = i + 1;
     switch (ch) {
       case '"':
         out += "\\\"";
@@ -28,18 +56,15 @@ std::string JsonWriter::quote(const std::string& s) {
       case '\t':
         out += "\\t";
         break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
+      default: {
+        char buf[8];
+        std::snprintf(buf, sizeof buf, "\\u%04x", ch);
+        out += buf;
+      }
     }
   }
+  out.append(s, plain);
   out += '"';
-  return out;
 }
 
 void JsonWriter::before_value() {
@@ -69,7 +94,7 @@ JsonWriter& JsonWriter::key(const std::string& name) {
   }
   if (has_items_.back()) raw(",");
   has_items_.back() = true;
-  raw(quote(name));
+  append_quoted(out_, name);
   raw(":");
   key_pending_ = true;
   return *this;
@@ -115,20 +140,14 @@ JsonWriter& JsonWriter::end_array() {
 
 JsonWriter& JsonWriter::value(const std::string& v) {
   before_value();
-  raw(quote(v));
+  append_quoted(out_, v);
   if (stack_.empty()) done_ = true;
   return *this;
 }
 
 std::string format_double_exact(double v) {
-  if (v == std::floor(v) && std::abs(v) < 1e15) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%lld", static_cast<long long>(v));
-    return buf;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", v);
-  return buf;
+  char buf[kNumberChars];
+  return std::string(buf, write_double_exact(buf, v));
 }
 
 JsonWriter& JsonWriter::value(double v) {
@@ -138,7 +157,8 @@ JsonWriter& JsonWriter::value(double v) {
   } else if (std::isinf(v)) {
     raw(v > 0 ? "\"inf\"" : "\"-inf\"");  // JSON has no infinities
   } else {
-    raw(format_double_exact(v));
+    char buf[kNumberChars];
+    out_.append(buf, write_double_exact(buf, v));
   }
   if (stack_.empty()) done_ = true;
   return *this;
@@ -146,14 +166,16 @@ JsonWriter& JsonWriter::value(double v) {
 
 JsonWriter& JsonWriter::value(std::int64_t v) {
   before_value();
-  raw(std::to_string(v));
+  char buf[kNumberChars];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
   if (stack_.empty()) done_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::value(std::uint64_t v) {
   before_value();
-  raw(std::to_string(v));
+  char buf[kNumberChars];
+  out_.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
   if (stack_.empty()) done_ = true;
   return *this;
 }
@@ -367,13 +389,14 @@ class JsonParser {
     expect('"');
     std::string out;
     while (true) {
+      // Copy the run up to the next quote or escape in one piece.
+      std::size_t run = pos_;
+      while (run < in_.size() && in_[run] != '"' && in_[run] != '\\') ++run;
+      out.append(in_, pos_, run - pos_);
+      pos_ = run;
       if (pos_ >= in_.size()) fail("unterminated string");
       const char c = in_[pos_++];
       if (c == '"') return out;
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
       if (pos_ >= in_.size()) fail("unterminated escape");
       const char esc = in_[pos_++];
       switch (esc) {

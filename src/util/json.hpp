@@ -17,6 +17,7 @@
 
 #include <cmath>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -25,10 +26,12 @@
 namespace adtp {
 
 /// Renders a *finite* double so that strtod/stod recovers the exact same
-/// value: integers below 1e15 print bare, everything else with %.17g.
-/// Shared by the JSON writer and the ADTool XML exporter so their
-/// round-trip guarantees cannot drift apart. Infinities/NaN are the
-/// caller's job (each format has its own encoding for those).
+/// value, sign of zero included: integers below 1e15 print as their
+/// digits ("90", "-0"), everything else as the shortest round-trip form
+/// of std::to_chars ("0.1", "1e-04"). Shared by the JSON writer and the
+/// text and ADTool XML exporters so their round-trip guarantees cannot
+/// drift apart. Infinities/NaN are the caller's job (each format has its
+/// own encoding for those).
 [[nodiscard]] std::string format_double_exact(double v);
 
 class JsonWriter {
@@ -60,8 +63,8 @@ class JsonWriter {
   enum class Frame : std::uint8_t { Object, Array };
 
   void before_value();
-  void raw(const std::string& text) { out_ += text; }
-  static std::string quote(const std::string& s);
+  void raw(std::string_view text) { out_ += text; }
+  static void append_quoted(std::string& out, std::string_view s);
 
   std::string out_;
   std::vector<Frame> stack_;

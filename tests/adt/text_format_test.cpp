@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
+#include <limits>
+#include <string>
+#include <vector>
 
 #include "core/bottom_up.hpp"
 #include "core/naive.hpp"
@@ -122,6 +127,18 @@ TEST(TextFormat, RoundTripMoneyTheft) {
             naive_front(original).to_string());
 }
 
+/// Every leaf value of \p again has the bit pattern of \p original's.
+void expect_values_bit_identical(const AugmentedAdt& original,
+                                 const AugmentedAdt& again) {
+  ASSERT_EQ(again.adt().size(), original.adt().size());
+  for (NodeId id = 0; id < original.adt().size(); ++id) {
+    if (original.adt().type(id) != GateType::BasicStep) continue;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(again.value_of(id)),
+              std::bit_cast<std::uint64_t>(original.value_of(id)))
+        << original.adt().name(id) << ": " << original.value_of(id);
+  }
+}
+
 TEST(TextFormat, RoundTripRandomModels) {
   for (std::uint64_t seed = 1; seed <= 6; ++seed) {
     RandomAdtOptions options;
@@ -134,7 +151,63 @@ TEST(TextFormat, RoundTripRandomModels) {
     EXPECT_EQ(naive_front(again).to_string(),
               naive_front(original).to_string())
         << "seed " << seed;
+    expect_values_bit_identical(original, again);
   }
+  // Probability-domain values (0.05 + 0.9 u) have no short decimal form;
+  // the export must still write them so they parse back bit for bit.
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    RandomAdtOptions options;
+    options.target_nodes = 30;
+    options.share_probability = seed % 2 == 0 ? 0.2 : 0.0;
+    const AugmentedAdt original = generate_random_aadt(
+        options, seed, Semiring::probability(), Semiring::probability());
+    const AugmentedAdt again =
+        parse_adt_text(to_text_format(original)).augmented();
+    SCOPED_TRACE("probability seed " + std::to_string(seed));
+    EXPECT_EQ(again.attacker_domain().kind(), SemiringKind::Probability);
+    expect_values_bit_identical(original, again);
+    EXPECT_TRUE(naive_front(again).bit_identical_values(naive_front(original)));
+  }
+}
+
+TEST(TextFormat, ExportKeepsValuesExact) {
+  // Values a fixed number of decimals would round (1e-4 to 0), a
+  // subnormal, and large values. Integers keep their plain digits.
+  const double values[] = {1e-4, 0.1, 1.0 / 3.0, 123456.789, 5e-324,
+                           2.5e300, 999999999999999.0, 1e15, 42.0};
+  Adt adt;
+  Attribution beta;
+  std::vector<NodeId> leaves;
+  for (std::size_t i = 0; i < std::size(values); ++i) {
+    const std::string name = "a" + std::to_string(i);
+    leaves.push_back(adt.add_basic(name, Agent::Attacker));
+    beta.set(name, values[i]);
+  }
+  adt.set_root(adt.add_gate("top", GateType::Or, Agent::Attacker, leaves));
+  adt.freeze();
+  const AugmentedAdt original(adt, beta, Semiring::min_cost(),
+                              Semiring::min_cost());
+  const std::string text = to_text_format(original);
+  EXPECT_NE(text.find("a6 = attack 999999999999999\n"), std::string::npos);
+  EXPECT_NE(text.find("a8 = attack 42\n"), std::string::npos);
+  expect_values_bit_identical(original, parse_adt_text(text).augmented());
+}
+
+TEST(TextFormat, ValueTokensKeepTheStodGrammar) {
+  auto value = [](const std::string& token) {
+    return parse_adt_text("a = attack " + token + "\n").attribution.get("a");
+  };
+  EXPECT_EQ(value("+5"), 5);
+  EXPECT_EQ(value("0x10"), 16);
+  EXPECT_EQ(value("007"), 7);
+  EXPECT_EQ(value("1e-4"), 1e-4);
+  EXPECT_TRUE(std::isinf(value("inf")));
+  EXPECT_TRUE(std::isinf(value("infinity")));
+  EXPECT_EQ(value("5e-324"), std::numeric_limits<double>::denorm_min());
+  EXPECT_THROW((void)value("1e-400"), ParseError);  // underflows to 0
+  EXPECT_THROW((void)value("1e400"), ParseError);   // overflows
+  EXPECT_THROW((void)value("5-"), ParseError);      // trailing junk
+  EXPECT_THROW((void)value("nan"), AttributionError);
 }
 
 TEST(TextFormat, FileRoundTrip) {

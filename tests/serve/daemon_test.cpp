@@ -151,6 +151,40 @@ TEST(Daemon, SurvivesAClientDisconnectStorm) {
   server.stop();
 }
 
+TEST(Daemon, HostileXmlNestingGetsAReply) {
+  // 100k nested <node>s - about 3 MB, far under the 16 MiB ANALYZE cap.
+  // Every byte reaching the daemon is untrusted; a deep document must be
+  // a model like any other (parsed, analyzed, answered), not a stack
+  // overflow that takes the process down.
+  constexpr int kDepth = 100000;
+  std::string body = "<adtree>";
+  for (int i = 0; i < kDepth; ++i) {
+    body += "<node><label>n" + std::to_string(i) + "</label>";
+  }
+  body += "<parameter domainId=\"c\">3</parameter>";
+  for (int i = 0; i < kDepth; ++i) body += "</node>";
+  body += "</adtree>";
+
+  const ScratchDir dir("deep");
+  DaemonConfig config;
+  config.store_dir = dir.store();
+  config.max_connections = 2;
+  DaemonServer server(dir.socket("d"), config);
+  server.start();
+  const int fd = connect_with_retry(server.endpoint());
+  const JsonValue reply = analyze(fd, "xml", body);
+  ASSERT_TRUE(reply.at("ok").as_bool());
+  EXPECT_EQ(reply.at("nodes").as_number(), kDepth);
+  EXPECT_EQ(reply.at("front").size(), 1u);
+  // A truncated copy is a typed error reply on the same connection.
+  const std::string cut = body.substr(0, body.size() / 2);
+  const JsonValue rejected = analyze(fd, "xml", cut);
+  EXPECT_FALSE(rejected.at("ok").as_bool());
+  EXPECT_EQ(request_line(fd, "PING\n"), R"({"ok":true,"pong":true})");
+  ::close(fd);
+  server.stop();
+}
+
 TEST(Daemon, BoundsConcurrentConnectionsAtAcceptTime) {
   // Satellite fix 2: the worker pool is the connection cap. With 2
   // workers pinned by held-open connections, a third connection gets a

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <limits>
+#include <vector>
 
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace adtp {
 namespace {
@@ -42,6 +47,67 @@ TEST(Json, DoublesAndSpecials) {
   w.value(std::numeric_limits<double>::quiet_NaN());
   w.end_array();
   EXPECT_EQ(w.str(), R"([0.5,90,"inf","-inf",null])");
+}
+
+TEST(Json, DoublesFormatShortestExact) {
+  // Integers below 1e15 keep their plain digits; everything else is the
+  // shortest text that parses back to the same double.
+  EXPECT_EQ(format_double_exact(90), "90");
+  EXPECT_EQ(format_double_exact(-123), "-123");
+  EXPECT_EQ(format_double_exact(1e14), "100000000000000");
+  EXPECT_EQ(format_double_exact(999999999999999.0), "999999999999999");
+  EXPECT_EQ(format_double_exact(0.5), "0.5");
+  EXPECT_EQ(format_double_exact(0.1), "0.1");
+  EXPECT_EQ(format_double_exact(1e-4), "1e-04");
+  EXPECT_EQ(format_double_exact(1e15), "1e+15");
+}
+
+TEST(Json, NegativeZeroKeepsItsSign) {
+  EXPECT_EQ(format_double_exact(0.0), "0");
+  EXPECT_EQ(format_double_exact(-0.0), "-0");
+  JsonWriter w;
+  w.begin_array().value(-0.0).value(0.0).end_array();
+  EXPECT_EQ(w.str(), "[-0,0]");
+  const JsonValue doc = parse_json(w.str());
+  EXPECT_TRUE(std::signbit(doc.items()[0].as_number()));
+  EXPECT_FALSE(std::signbit(doc.items()[1].as_number()));
+}
+
+TEST(Json, EveryWrittenDoubleParsesBackBitIdentical) {
+  using limits = std::numeric_limits<double>;
+  std::vector<double> values = {
+      0.0, -0.0, limits::min(), -limits::min(), limits::denorm_min(),
+      -limits::denorm_min(), limits::max(), -limits::max(),
+      limits::epsilon(), 0.1, 1.0 / 3.0, 2.0 / 3.0, 9007199254740993.0};
+  // Integers around the 1e15 switch between the two notations.
+  for (double base : {1e15, -1e15}) {
+    for (int delta = -3; delta <= 3; ++delta) {
+      values.push_back(base + delta);
+      values.push_back(base + delta + 0.5);
+    }
+    values.push_back(std::nextafter(base, 0.0));
+    values.push_back(std::nextafter(base, 2 * base));
+  }
+  Rng rng(0x15EED);
+  for (int i = 0; i < 20000; ++i) {
+    const double any = std::bit_cast<double>(rng());
+    if (std::isfinite(any)) values.push_back(any);
+    // Subnormals: exponent bits zero, random sign and mantissa.
+    values.push_back(
+        std::bit_cast<double>(rng() & 0x800FFFFFFFFFFFFFULL));
+  }
+  JsonWriter w;
+  w.begin_array();
+  for (const double v : values) w.value(v);
+  w.end_array();
+  const JsonValue doc = parse_json(w.str());
+  ASSERT_EQ(doc.size(), values.size());
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const double back = doc.items()[i].as_number();
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(back),
+              std::bit_cast<std::uint64_t>(values[i]))
+        << "wrote " << format_double_exact(values[i]);
+  }
 }
 
 TEST(Json, StringEscaping) {
