@@ -23,7 +23,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/bdd_bu.hpp"
+#include "core/analyzer.hpp"
 #include "gen/catalog.hpp"
 #include "gen/random_adt.hpp"
 #include "util/json.hpp"
@@ -63,12 +63,13 @@ ScalingRow measure(const std::string& label, const AugmentedAdt& aadt,
   std::vector<double> build;
   std::vector<double> propagate;
   std::vector<double> total;
-  BddBuReport report;
+  AnalysisOptions options;
+  options.algorithm = Algorithm::BddBu;
+  options.bdd.threads = threads;
+  AnalysisResult report;
   for (std::size_t r = 0; r < repeats; ++r) {
-    BddBuOptions options;
-    options.threads = threads;
-    const double t = bench::time_call(
-        [&] { report = bdd_bu_analyze(aadt, options); });
+    const double t =
+        bench::time_call([&] { report = analyze(aadt, options); });
     build.push_back(report.build_seconds);
     propagate.push_back(report.propagate_seconds);
     total.push_back(t);

@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/bottom_up.hpp"
+#include "core/analyzer.hpp"
 #include "gen/catalog.hpp"
 #include "util/json.hpp"
 #include "util/table.hpp"
@@ -113,13 +113,14 @@ ScalingRow measure(const AugmentedAdt& aadt, unsigned threads,
                    WitnessFront* witness_out) {
   ScalingRow row;
   row.threads = threads;
-  BottomUpOptions options;
-  options.threads = threads;
+  AnalysisOptions options;
+  options.algorithm = Algorithm::BottomUp;
+  options.bottom_up.threads = threads;
   std::vector<double> seconds;
-  BottomUpReport report;
+  AnalysisResult report;
   for (std::size_t r = 0; r < repeats; ++r) {
     seconds.push_back(
-        bench::time_call([&] { report = bottom_up_analyze(aadt, options); }));
+        bench::time_call([&] { report = analyze(aadt, options); }));
     // The determinism gate covers EVERY repeat: a scheduling-dependent
     // divergence in any run must trip it, not just the surviving one.
     if (reference != nullptr &&
@@ -129,7 +130,8 @@ ScalingRow measure(const AugmentedAdt& aadt, unsigned threads,
                 << " threads (repeat " << r << ")\n";
     }
   }
-  const WitnessFront witness = bottom_up_front_witness(aadt, options);
+  const WitnessFront witness =
+      bottom_up_front_witness(aadt, options.bottom_up);
   if (witness_reference != nullptr &&
       !witnesses_identical(witness, *witness_reference)) {
     row.identical = false;

@@ -124,25 +124,28 @@ int main(int argc, char** argv) {
     row.n = n;
     row.nodes = aadt.adt().size();
 
-    const BottomUpReport bu = bottom_up_analyze(aadt);
+    AnalysisOptions bu_options;
+    bu_options.algorithm = Algorithm::BottomUp;
+    const AnalysisResult bu = analyze(aadt, bu_options);
     row.bu_seconds = bu.seconds;
     row.pf_size = bu.front.size();
     row.bu_points_per_second =
         bu.seconds > 0 ? static_cast<double>(bu.front.size()) / bu.seconds
                        : 0.0;
-    row.bu_points_examined = bu.combine_stats.points_examined;
-    row.bu_kway_combines = bu.combine_stats.kway_combines;
+    row.bu_points_examined = bu.combine.points_examined;
+    row.bu_kway_combines = bu.combine.kway_combines;
 
     Front bdd_front;
     row.bdd_seconds =
         bench::time_call([&] { bdd_front = bdd_bu_front(aadt); });
 
     if (bdd_threads > 1) {
-      BddBuOptions par;
-      par.threads = bdd_threads;
-      BddBuReport par_report;
+      AnalysisOptions par;
+      par.algorithm = Algorithm::BddBu;
+      par.bdd.threads = bdd_threads;
+      AnalysisResult par_report;
       row.bdd_par_seconds =
-          bench::time_call([&] { par_report = bdd_bu_analyze(aadt, par); });
+          bench::time_call([&] { par_report = analyze(aadt, par); });
       row.bdd_threads = par_report.threads_used;
       row.bdd_par_speedup = row.bdd_par_seconds > 0
                                 ? row.bdd_seconds / row.bdd_par_seconds

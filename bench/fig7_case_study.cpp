@@ -10,8 +10,7 @@
 
 #include "adt/transform.hpp"
 #include "bench_common.hpp"
-#include "core/bdd_bu.hpp"
-#include "core/bottom_up.hpp"
+#include "core/analyzer.hpp"
 #include "core/budget.hpp"
 #include "core/naive.hpp"
 #include "gen/catalog.hpp"
@@ -83,7 +82,9 @@ int main() {
   Front tree_front;
   const double t_bu = bench::time_call(
       [&] { tree_front = bottom_up_front(tree); });
-  const BddBuReport report = bdd_bu_analyze(dag);
+  AnalysisOptions bdd;
+  bdd.algorithm = Algorithm::BddBu;
+  const AnalysisResult report = analyze(dag, bdd);
 
   TextTable table({"analysis", "front", "time", "paper"});
   table.add_row({"Bottom-Up on unfolded tree", tree_front.to_string(),

@@ -354,10 +354,11 @@ BENCHMARK(BM_Fig4BottomUp)->Arg(4)->Arg(8)->Arg(10);
 
 void BM_BddPropagateThreads(benchmark::State& state) {
   const AugmentedAdt fig4 = catalog::fig4_exponential(14);
-  BddBuOptions options;
-  options.threads = static_cast<unsigned>(state.range(0));
+  AnalysisOptions options;
+  options.algorithm = Algorithm::BddBu;
+  options.bdd.threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
-    const BddBuReport report = bdd_bu_analyze(fig4, options);
+    const AnalysisResult report = analyze(fig4, options);
     benchmark::DoNotOptimize(report.front.size());
     state.counters["propagate_s"] = report.propagate_seconds;
     state.counters["build_s"] = report.build_seconds;

@@ -12,7 +12,7 @@
 
 #include "bdd/reorder.hpp"
 #include "bench_common.hpp"
-#include "core/bdd_bu.hpp"
+#include "core/analyzer.hpp"
 #include "gen/catalog.hpp"
 #include "gen/random_adt.hpp"
 #include "util/table.hpp"
@@ -36,14 +36,15 @@ void ablate(const std::string& label, const AugmentedAdt& aadt) {
                          bdd::OrderHeuristic::Index,
                          bdd::OrderHeuristic::Random}) {
     const Deadline deadline(g_run_cap);
-    BddBuOptions options;
-    options.order_heuristic = heuristic;
-    options.order_seed = 99;
-    options.deadline = &deadline;
-    options.cancel = &g_cancel;
-    BddBuReport report;
+    AnalysisOptions options;
+    options.algorithm = Algorithm::BddBu;
+    options.bdd.order_heuristic = heuristic;
+    options.bdd.order_seed = 99;
+    options.bdd.deadline = &deadline;
+    options.bdd.cancel = &g_cancel;
+    AnalysisResult report;
     if (const auto t = bench::time_call_capped(
-            [&] { report = bdd_bu_analyze(aadt, options); })) {
+            [&] { report = analyze(aadt, options); })) {
       table.add_row({to_string(heuristic), std::to_string(report.bdd_size),
                      format_seconds(*t), report.front.to_string()});
     } else {
@@ -58,13 +59,14 @@ void ablate(const std::string& label, const AugmentedAdt& aadt) {
   const double t_search = bench::time_call(
       [&] { search = minimize_order(aadt.adt(), initial, reorder_options); });
   const Deadline deadline(g_run_cap);
-  BddBuOptions sifted;
-  sifted.order = search.order;
-  sifted.deadline = &deadline;
-  sifted.cancel = &g_cancel;
-  BddBuReport report;
+  AnalysisOptions sifted;
+  sifted.algorithm = Algorithm::BddBu;
+  sifted.bdd.order = search.order;
+  sifted.bdd.deadline = &deadline;
+  sifted.bdd.cancel = &g_cancel;
+  AnalysisResult report;
   if (const auto t_run = bench::time_call_capped(
-          [&] { report = bdd_bu_analyze(aadt, sifted); })) {
+          [&] { report = analyze(aadt, sifted); })) {
     table.add_row({"sifted (search " + format_seconds(t_search) + ", " +
                        std::to_string(search.rebuilds) + " rebuilds)",
                    std::to_string(report.bdd_size), format_seconds(*t_run),

@@ -32,7 +32,6 @@ AnalysisResult analyze(const AugmentedAdt& aadt,
 
   AnalysisResult result;
   result.used = algorithm;
-  NodeMemoStats memo_stats;
   Stopwatch watch;
   switch (algorithm) {
     case Algorithm::Naive: {
@@ -40,7 +39,7 @@ AnalysisResult analyze(const AugmentedAdt& aadt,
       if (options.intra_model_threads != 0) {
         naive.threads = options.intra_model_threads;
       }
-      result.front = naive_front(aadt, naive);
+      result.front = naive_front(aadt, naive, &result);
       break;
     }
     case Algorithm::BottomUp: {
@@ -48,10 +47,7 @@ AnalysisResult analyze(const AugmentedAdt& aadt,
       if (options.intra_model_threads != 0) {
         bottom_up.threads = options.intra_model_threads;
       }
-      if (bottom_up.memo_stats == nullptr) bottom_up.memo_stats = &memo_stats;
-      result.front = bottom_up_front(aadt, bottom_up);
-      result.memo_hits = bottom_up.memo_stats->hits;
-      result.memo_misses = bottom_up.memo_stats->misses;
+      result.front = bottom_up_front(aadt, bottom_up, &result);
       break;
     }
     case Algorithm::BddBu: {
@@ -59,7 +55,7 @@ AnalysisResult analyze(const AugmentedAdt& aadt,
       if (options.intra_model_threads != 0) {
         bdd.threads = options.intra_model_threads;
       }
-      result.front = bdd_bu_front(aadt, bdd);
+      result.front = bdd_bu_front(aadt, bdd, &result);
       break;
     }
     case Algorithm::Hybrid: {
@@ -67,10 +63,7 @@ AnalysisResult analyze(const AugmentedAdt& aadt,
       if (options.intra_model_threads != 0) {
         hybrid.bdd.threads = options.intra_model_threads;
       }
-      if (hybrid.memo_stats == nullptr) hybrid.memo_stats = &memo_stats;
-      result.front = hybrid_front(aadt, hybrid);
-      result.memo_hits = hybrid.memo_stats->hits;
-      result.memo_misses = hybrid.memo_stats->misses;
+      result.front = hybrid_front(aadt, hybrid, &result);
       break;
     }
     case Algorithm::Auto:

@@ -12,6 +12,7 @@
 #include "core/hybrid.hpp"
 #include "core/naive.hpp"
 #include "core/pareto.hpp"
+#include "core/trace.hpp"
 
 namespace adtp {
 
@@ -45,18 +46,17 @@ struct AnalysisOptions {
   unsigned intra_model_threads = 0;
 };
 
-struct AnalysisResult {
+/// The front plus the trace of the run that computed it (memo_hits and
+/// memo_misses are zero unless a NodeFrontMemo reached the executed
+/// kernel).
+struct AnalysisResult : AnalysisTrace {
   Front front;
   Algorithm used = Algorithm::Auto;  ///< the algorithm actually executed
   double seconds = 0;                ///< wall-clock analysis time
-  /// Per-node memo counters of this run; zero unless a NodeFrontMemo was
-  /// threaded into the executed kernel (bottom-up or hybrid).
-  std::uint64_t memo_hits = 0;
-  std::uint64_t memo_misses = 0;
 };
 
 /// Computes PF(T) with the requested (or automatically selected)
-/// algorithm.
+/// algorithm, tracing the run into the result.
 [[nodiscard]] AnalysisResult analyze(const AugmentedAdt& aadt,
                                      const AnalysisOptions& options = {});
 

@@ -1,6 +1,5 @@
 #include "core/batch.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <mutex>
@@ -18,9 +17,8 @@ struct BatchContext {
   const BatchOptions& options;
   BatchReport& report;
   Deadline deadline;  ///< batch-wide; disabled when deadline_seconds <= 0
-  /// The batch scheduler; shared with items' intra-model phases when
-  /// donate_intra_model is on.
-  TaskScheduler* sched = nullptr;
+  /// The batch scheduler, shared with items' intra-model phases.
+  TaskScheduler& sched;
 
   /// Serializes completion bookkeeping and the on_item callback; also
   /// guards report.completion_order and report.callback_error.
@@ -36,11 +34,12 @@ struct BatchContext {
   std::atomic<bool> saw_cancel{false};
 
   BatchContext(std::span<const BatchJob> jobs_, const BatchOptions& options_,
-               BatchReport& report_)
+               BatchReport& report_, TaskScheduler& sched_)
       : jobs(jobs_),
         options(options_),
         report(report_),
-        deadline(options_.deadline_seconds) {}
+        deadline(options_.deadline_seconds),
+        sched(sched_) {}
 };
 
 bool batch_cancelled(const BatchContext& ctx) {
@@ -48,7 +47,7 @@ bool batch_cancelled(const BatchContext& ctx) {
 }
 
 /// Copies the job's options and threads the batch-wide guards, the
-/// slot's persistent arena, and (when sharing is on) the batch scheduler
+/// slot's persistent arena, and the batch scheduler
 /// into every per-algorithm slot that has not been explicitly set by the
 /// caller. Precedence: a job that carries its own deadline/cancel
 /// pointer keeps it for the in-flight phase (an explicit per-item guard
@@ -88,16 +87,15 @@ AnalysisOptions instrument_options(const BatchContext& ctx,
   // small items run their cheap sequential kernels untouched. An
   // explicit per-item thread or pool knob is a deliberate setting and
   // disables the injection.
-  if (ctx.sched != nullptr && ctx.sched->threads() > 1 &&
-      ctx.options.donate_intra_model && opts.intra_model_threads == 0 &&
+  if (ctx.sched.threads() > 1 && opts.intra_model_threads == 0 &&
       opts.naive.threads == 1 && opts.naive.pool == nullptr &&
       opts.bottom_up.threads == 1 && opts.bottom_up.pool == nullptr &&
       opts.bdd.threads == 1 && opts.bdd.pool == nullptr &&
       opts.hybrid.bdd.threads == 1 && opts.hybrid.bdd.pool == nullptr) {
-    opts.naive.pool = ctx.sched;
-    opts.bottom_up.pool = ctx.sched;
-    opts.bdd.pool = ctx.sched;
-    opts.hybrid.bdd.pool = ctx.sched;
+    opts.naive.pool = &ctx.sched;
+    opts.bottom_up.pool = &ctx.sched;
+    opts.bdd.pool = &ctx.sched;
+    opts.hybrid.bdd.pool = &ctx.sched;
   }
   return opts;
 }
@@ -208,21 +206,13 @@ BatchReport analyze_batch(std::span<const BatchJob> jobs,
   for (std::size_t i = 0; i < jobs.size(); ++i) report.items[i].index = i;
   report.completion_order.reserve(jobs.size());
 
-  // With scheduler sharing on, the full requested width stays: a batch
-  // of one giant job on an 8-wide scheduler runs that job's intra-model
-  // tasks on all 8 slots. Without sharing, extra slots could never see
-  // work, so the width is clamped to the job count.
-  unsigned requested = resolve_thread_knob(options.n_threads);
-  if (!options.donate_intra_model) {
-    requested = static_cast<unsigned>(std::min<std::size_t>(
-        requested, std::max<std::size_t>(1, jobs.size())));
-  }
-
+  // The full requested width stays even for fewer jobs: a batch of one
+  // giant job on an 8-wide scheduler runs that job's intra-model tasks
+  // on all 8 slots.
   Stopwatch watch;
-  TaskScheduler sched(requested);
+  TaskScheduler sched(resolve_thread_knob(options.n_threads));
   report.threads_used = sched.threads();
-  BatchContext ctx(jobs, options, report);
-  if (options.donate_intra_model) ctx.sched = &sched;
+  BatchContext ctx(jobs, options, report, sched);
 
   // One arena per scheduler slot, alive for the whole batch: combine
   // buffers recycle across every item a slot processes, not just within

@@ -7,8 +7,8 @@
 /// graph on a work-stealing TaskScheduler (util/parallel.hpp). Each item
 /// gets its own wall-clock timing and error capture - one model blowing
 /// a resource guard (LimitError) or failing validation never affects its
-/// batch neighbours. By default the items *share* the scheduler with
-/// their own intra-model phases (naive shards, bottom-up sibling folds,
+/// batch neighbours. The items *share* the scheduler with their own
+/// intra-model phases (naive shards, bottom-up sibling folds,
 /// BDD build/propagate tasks): an oversized item fans its tasks out over
 /// whatever slots are idle, and work stealing balances items against
 /// shards with no hand-tuned thread split.
@@ -95,9 +95,15 @@ struct BatchItem {
 /// plain parallel batch of old.
 struct BatchOptions {
   /// Scheduler width (0 = std::thread::hardware_concurrency(), also
-  /// overridable via the ADTP_THREADS environment variable). Clamped to
-  /// the batch size only when donate_intra_model is off - with sharing
-  /// on, surplus slots serve the items' own intra-model tasks.
+  /// overridable via the ADTP_THREADS environment variable). Never
+  /// clamped to the batch size: the scheduler is shared with every
+  /// item's intra-model phases (naive / bottom_up / bdd / hybrid.bdd
+  /// pools), so surplus slots serve an oversized item's own tasks - a
+  /// huge naive enumeration, one giant tree's sibling folds, a big DAG's
+  /// BDD build + propagate - instead of idling. Items that set
+  /// intra_model_threads (or any per-algorithm threads/pool knob)
+  /// themselves keep their own setting; results are unaffected either
+  /// way (intra-model parallelism is deterministic).
   unsigned n_threads = 0;
 
   /// Wall-clock budget for the whole batch in seconds; <= 0 means none.
@@ -126,18 +132,6 @@ struct BatchOptions {
   /// content - never enters the FrontCacheKey. Items that set their own
   /// per-algorithm memo pointer keep it.
   NodeFrontMemo* memo = nullptr;
-
-  /// When true (default), the batch scheduler is shared with every
-  /// item's intra-model phases: the per-algorithm pool pointers
-  /// (naive / bottom_up / bdd / hybrid.bdd) are set to the batch
-  /// scheduler, so an oversized item (a huge naive enumeration, one
-  /// giant tree's sibling folds, a big DAG's BDD build + propagate)
-  /// fans out over idle slots instead of straggling on one core while
-  /// the rest of the pool idles. Items that set intra_model_threads (or
-  /// any per-algorithm threads/pool knob) themselves keep their own
-  /// setting; results are unaffected either way (intra-model
-  /// parallelism is deterministic).
-  bool donate_intra_model = true;
 };
 
 /// Outcome of a whole batch run.

@@ -17,15 +17,6 @@ namespace {
 
 constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
-/// Aggregated diagnostics of one propagation, filled by the kernel (the
-/// caller cannot read per-worker arenas itself).
-struct PropagateCounters {
-  std::size_t max_front_size = 0;
-  std::size_t max_level_width = 0;
-  CombineStats combine;
-  TaskRunStats sched;
-};
-
 /// The per-domain-pair kernel of Algorithm 3 over a built BDD, generic in
 /// the point payload; instantiated once per policy pair by
 /// dispatch_domains().
@@ -41,10 +32,9 @@ struct PropagateCounters {
 template <typename P, typename Dd, typename Da>
 BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
                                bdd::Ref root, const bdd::VarOrder& order,
-                               PropagateCounters* counters,
                                const BddBuOptions& options,
-                               TaskScheduler* pool, const Dd& dd,
-                               const Da& da) {
+                               TaskScheduler* pool, AnalysisTrace* trace,
+                               const Dd& dd, const Da& da) {
   const std::size_t max_front_points = options.max_front_points;
   const Adt& adt = aadt.adt();
   const bool root_is_attack = adt.agent(adt.root()) == Agent::Attacker;
@@ -109,9 +99,10 @@ BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
       nonterms.push_back(w);
     }
   }
-  if (counters != nullptr) {
+  if (trace != nullptr) {
+    trace->bdd_size += reach.size();
     for (const std::size_t width : level_width) {
-      counters->max_level_width = std::max(counters->max_level_width, width);
+      trace->max_level_width = std::max(trace->max_level_width, width);
     }
   }
 
@@ -239,20 +230,21 @@ BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
       }
     }
     const TaskRunStats stats = pool->run(graph);
-    if (counters != nullptr) counters->sched += stats;
+    if (trace != nullptr) trace->sched += stats;
   } else {
     for (bdd::Ref w : nonterms) process_node(0, w);
   }
 
   BasicFront<P>& root_front = fronts[slot[root]];
-  if (counters != nullptr) {
-    counters->max_front_size = root_front.size();
+  if (trace != nullptr) {
+    trace->max_front_size =
+        std::max(trace->max_front_size, root_front.size());
     for (std::size_t m : max_p) {
-      counters->max_front_size = std::max(counters->max_front_size, m);
+      trace->max_front_size = std::max(trace->max_front_size, m);
     }
-    counters->combine = arena0->stats().since(arena0_before);
+    trace->combine += arena0->stats().since(arena0_before);
     for (const FrontArena<P>& a : extra_arenas) {
-      counters->combine += a.stats();
+      trace->combine += a.stats();
     }
   }
   return std::move(root_front);
@@ -261,13 +253,13 @@ BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
 template <typename P>
 BasicFront<P> propagate(const AugmentedAdt& aadt, bdd::Manager& manager,
                         bdd::Ref root, const bdd::VarOrder& order,
-                        PropagateCounters* counters,
-                        const BddBuOptions& options, TaskScheduler* pool) {
+                        const BddBuOptions& options, TaskScheduler* pool,
+                        AnalysisTrace* trace) {
   return dispatch_domains(
       aadt.defender_domain(), aadt.attacker_domain(),
       [&](const auto& dd, const auto& da) {
-        return propagate_kernel<P>(aadt, manager, root, order, counters,
-                                   options, pool, dd, da);
+        return propagate_kernel<P>(aadt, manager, root, order, options, pool,
+                                   trace, dd, da);
       });
 }
 
@@ -290,7 +282,7 @@ constexpr std::size_t kMinBddNodesForPool = 4096;
 /// itself clears options.parallel_node_floor - or right after the build,
 /// when the manager turns out large enough that task-DAG propagation
 /// pays for itself. An external scheduler (hybrid blobs, batch
-/// donation) is subject to the same floors - it exists already, but
+/// items) is subject to the same floors - it exists already, but
 /// per-node task bookkeeping on a tiny model still costs more than the
 /// sequential loop - just without the spawn cost when it does engage.
 class PoolGate {
@@ -334,63 +326,51 @@ class PoolGate {
   TaskScheduler* pool_ = nullptr;
 };
 
+/// The one BDDBU driver: variable order -> manager -> scheduler gate ->
+/// ROBDD build -> front propagation. Witness runs pass no trace.
+template <typename P>
+BasicFront<P> run_bdd_bu(const AugmentedAdt& aadt, const BddBuOptions& options,
+                         AnalysisTrace* trace) {
+  const bdd::VarOrder order = resolve_order(aadt, options);
+  bdd::Manager manager(order.num_vars(), options.node_limit);
+  PoolGate gate(aadt, options);
+  check_interrupt(options.deadline, options.cancel, "bdd_bu");
+  Stopwatch watch;
+  bdd::BuildOptions build;
+  build.pool = gate.pool();
+  if (trace != nullptr) build.stats = &trace->sched;
+  const bdd::Ref root =
+      bdd::build_structure_function(manager, aadt.adt(), order, build);
+  const double build_seconds = watch.seconds();
+  gate.after_build(manager.num_nodes());
+  watch.reset();
+  BasicFront<P> front =
+      propagate<P>(aadt, manager, root, order, options, gate.pool(), trace);
+  if (trace != nullptr) {
+    trace->build_seconds += build_seconds;
+    trace->propagate_seconds += watch.seconds();
+    trace->manager_nodes += manager.num_nodes();
+    trace->threads_used = std::max(trace->threads_used, gate.threads_used());
+  }
+  return front;
+}
+
 }  // namespace
 
-Front bdd_bu_front(const AugmentedAdt& aadt, const BddBuOptions& options) {
-  return bdd_bu_analyze(aadt, options).front;
+Front bdd_bu_front(const AugmentedAdt& aadt, const BddBuOptions& options,
+                   AnalysisTrace* trace) {
+  return run_bdd_bu<ValuePoint>(aadt, options, trace);
 }
 
 WitnessFront bdd_bu_front_witness(const AugmentedAdt& aadt,
                                   const BddBuOptions& options) {
-  const bdd::VarOrder order = resolve_order(aadt, options);
-  bdd::Manager manager(order.num_vars(), options.node_limit);
-  PoolGate gate(aadt, options);
-  check_interrupt(options.deadline, options.cancel, "bdd_bu");
-  bdd::BuildOptions build;
-  build.pool = gate.pool();
-  const bdd::Ref root =
-      bdd::build_structure_function(manager, aadt.adt(), order, build);
-  gate.after_build(manager.num_nodes());
-  return propagate<WitnessPoint>(aadt, manager, root, order, nullptr, options,
-                                 gate.pool());
-}
-
-BddBuReport bdd_bu_analyze(const AugmentedAdt& aadt,
-                           const BddBuOptions& options) {
-  const bdd::VarOrder order = resolve_order(aadt, options);
-  bdd::Manager manager(order.num_vars(), options.node_limit);
-  PoolGate gate(aadt, options);
-
-  BddBuReport report;
-  check_interrupt(options.deadline, options.cancel, "bdd_bu");
-  Stopwatch build_watch;
-  bdd::BuildOptions build;
-  build.pool = gate.pool();
-  build.stats = &report.sched;
-  const bdd::Ref root =
-      bdd::build_structure_function(manager, aadt.adt(), order, build);
-  report.build_seconds = build_watch.seconds();
-  report.bdd_size = manager.size(root);
-  report.manager_nodes = manager.num_nodes();
-  gate.after_build(manager.num_nodes());
-  report.threads_used = gate.threads_used();
-
-  PropagateCounters counters;
-  Stopwatch prop_watch;
-  report.front = propagate<ValuePoint>(aadt, manager, root, order, &counters,
-                                       options, gate.pool());
-  report.propagate_seconds = prop_watch.seconds();
-  report.max_front_size = counters.max_front_size;
-  report.combine_stats = counters.combine;
-  report.max_level_width = counters.max_level_width;
-  report.sched += counters.sched;
-  return report;
+  return run_bdd_bu<WitnessPoint>(aadt, options, nullptr);
 }
 
 Front bdd_bu_on_bdd(const AugmentedAdt& aadt, bdd::Manager& manager,
                     bdd::Ref root, const bdd::VarOrder& order) {
   const BddBuOptions options;
-  return propagate<ValuePoint>(aadt, manager, root, order, nullptr, options,
+  return propagate<ValuePoint>(aadt, manager, root, order, options, nullptr,
                                nullptr);
 }
 

@@ -34,6 +34,7 @@
 #include "bdd/order.hpp"
 #include "core/attribution.hpp"
 #include "core/pareto.hpp"
+#include "core/trace.hpp"
 #include "util/cancel.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -100,43 +101,23 @@ struct BddBuOptions {
 
   /// Optional externally-owned scheduler; when set it overrides
   /// \p threads (no pool is spawned - the external one is used once the
-  /// model clears the floors above). hybrid_analyze() shares one
+  /// model clears the floors above). hybrid_front() shares one
   /// scheduler across all its per-blob runs this way, and analyze_batch
   /// injects the batch scheduler for oversized items. Like \p arena,
   /// never part of the FrontCache key.
   TaskScheduler* pool = nullptr;
 };
 
-/// Detailed outcome of a BDDBU run, for benches and reports.
-struct BddBuReport {
-  Front front;
-  std::size_t bdd_size = 0;       ///< |W|: nodes reachable from the root
-  std::size_t manager_nodes = 0;  ///< total nodes allocated while building
-  std::size_t max_front_size = 0; ///< the p of the O(|W| p^2) bound
-  /// Front-operation counters of the propagation (staircase merges at
-  /// defense variables; combines only when blobs delegate here), summed
-  /// across every worker arena of a parallel run.
-  CombineStats combine_stats;
-  double build_seconds = 0;       ///< ADT -> ROBDD translation time
-  double propagate_seconds = 0;   ///< front propagation time
-  // Parallelism counters.
-  unsigned threads_used = 1;       ///< scheduler slots serving both phases
-  std::size_t max_level_width = 0; ///< nodes in the widest BDD level
-  TaskRunStats sched;              ///< build + propagate task-DAG counters
-};
-
 /// Algorithm 3 at the root of the ROBDD. Works for arbitrary (tree- or
-/// DAG-shaped) ADTs.
+/// DAG-shaped) ADTs. When \p trace is set, the run's counters (BDD size,
+/// phase times, merges, scheduler) are added into it (trace.hpp).
 [[nodiscard]] Front bdd_bu_front(const AugmentedAdt& aadt,
-                                 const BddBuOptions& options = {});
+                                 const BddBuOptions& options = {},
+                                 AnalysisTrace* trace = nullptr);
 
 /// As bdd_bu_front(), with witness events attached to every point.
 [[nodiscard]] WitnessFront bdd_bu_front_witness(
     const AugmentedAdt& aadt, const BddBuOptions& options = {});
-
-/// As bdd_bu_front(), returning size/time diagnostics alongside the front.
-[[nodiscard]] BddBuReport bdd_bu_analyze(const AugmentedAdt& aadt,
-                                         const BddBuOptions& options = {});
 
 /// Runs Algorithm 3 on an already-built BDD; exposed for callers that
 /// manage their own Manager (e.g. the ordering-ablation bench). Always

@@ -101,15 +101,6 @@ void compute_node(const AugmentedAdt& aadt, NodeId v,
   fronts[v] = std::move(acc);
 }
 
-/// Parallelism diagnostics of one run, filled by the parallel kernel
-/// (the caller cannot read the per-slot arenas itself).
-struct BuCounters {
-  unsigned threads_used = 1;
-  TaskRunStats sched;
-  CombineStats combine;
-  bool combine_valid = false;  ///< true iff the parallel kernel filled it
-};
-
 /// The dirty-spine plan of one memoized run: which nodes were preloaded
 /// from the NodeFrontMemo and which must be computed. Built once on the
 /// caller thread before a kernel is chosen (its size decides whether the
@@ -122,7 +113,8 @@ struct MemoPlan {
   NodeFrontMemo* memo = nullptr;
   std::vector<NodeMemoKey> keys;  ///< per NodeId; empty when memo off
   std::vector<NodeId> order;      ///< nodes to compute, topological
-  NodeMemoStats stats;
+  std::uint64_t hits = 0;         ///< gates preloaded from the memo
+  std::uint64_t misses = 0;       ///< gates looked up and not found
 
   /// Preloads memo hits into \p fronts, marks the dirty spine, and
   /// returns the topological compute order. Only nodes reachable from a
@@ -167,12 +159,12 @@ struct MemoPlan {
       if (n.type != GateType::BasicStep &&
           plan.memo->template lookup<P>(plan.keys[v], fronts[v])) {
         state[v] = kPreloaded;
-        ++plan.stats.hits;
+        ++plan.hits;
         continue;
       }
       state[v] = kCompute;
       if (n.type != GateType::BasicStep) {
-        ++plan.stats.misses;
+        ++plan.misses;
         for (NodeId c : n.children) stack.push_back(c);
       }
     }
@@ -190,10 +182,6 @@ struct MemoPlan {
     if (aadt.adt().type(v) == GateType::BasicStep) return;
     memo->template insert<P>(keys[v], front);
   }
-
-  void publish(const BottomUpOptions& options) const {
-    if (options.memo_stats != nullptr) *options.memo_stats = stats;
-  }
 };
 
 /// The sequential kernel of Algorithm 1; instantiated once per policy
@@ -203,9 +191,8 @@ struct MemoPlan {
 template <typename P, typename Dd, typename Da>
 void bottom_up_kernel(const AugmentedAdt& aadt, const BottomUpOptions& options,
                       const MemoPlan<P>& plan,
-                      std::vector<BasicFront<P>>& fronts,
-                      std::size_t* max_front_size, const Dd& dd,
-                      const Da& da) {
+                      std::vector<BasicFront<P>>& fronts, AnalysisTrace* trace,
+                      const Dd& dd, const Da& da) {
   // Value-front runs may borrow a caller-provided arena (analyze_batch
   // hands every worker thread one that persists across batch items, so
   // buffer recycling spans the batch); witness runs keep a private one.
@@ -214,12 +201,17 @@ void bottom_up_kernel(const AugmentedAdt& aadt, const BottomUpOptions& options,
   if constexpr (std::is_same_v<P, ValuePoint>) {
     if (options.arena != nullptr) arena = options.arena;
   }
+  // A borrowed arena carries earlier runs' counts: trace the delta.
+  const CombineStats before = arena->stats();
   std::size_t max_p = 0;
   for (NodeId v : plan.order) {
     compute_node(aadt, v, fronts, *arena, max_p, options, dd, da);
     plan.store(aadt, v, fronts[v]);
   }
-  if (max_front_size != nullptr) *max_front_size = max_p;
+  if (trace != nullptr) {
+    trace->combine += arena->stats().since(before);
+    trace->max_front_size = std::max(trace->max_front_size, max_p);
+  }
 }
 
 /// The parallel kernel: one task per node, edges gate -> child, so
@@ -232,10 +224,8 @@ void bottom_up_parallel_kernel(const AugmentedAdt& aadt,
                                const BottomUpOptions& options,
                                const MemoPlan<P>& plan,
                                std::vector<BasicFront<P>>& fronts,
-                               TaskScheduler& pool,
-                               std::size_t* max_front_size,
-                               BuCounters* counters, const Dd& dd,
-                               const Da& da) {
+                               TaskScheduler& pool, AnalysisTrace* trace,
+                               const Dd& dd, const Da& da) {
   const Adt& adt = aadt.adt();
   const unsigned workers = pool.threads();
   std::vector<FrontArena<P>> arenas(workers);
@@ -268,21 +258,20 @@ void bottom_up_parallel_kernel(const AugmentedAdt& aadt,
   }
   const TaskRunStats stats = pool.run(graph);
 
-  std::size_t max_p_all = 0;
-  for (std::size_t m : max_p) max_p_all = std::max(max_p_all, m);
-  if (max_front_size != nullptr) *max_front_size = max_p_all;
-  if (counters != nullptr) {
-    counters->threads_used = workers;
-    counters->sched += stats;
-    for (const FrontArena<P>& a : arenas) counters->combine += a.stats();
-    counters->combine_valid = true;
+  if (trace != nullptr) {
+    trace->threads_used = std::max(trace->threads_used, workers);
+    trace->sched += stats;
+    for (unsigned slot = 0; slot < workers; ++slot) {
+      trace->combine += arenas[slot].stats();
+      trace->max_front_size = std::max(trace->max_front_size, max_p[slot]);
+    }
   }
 }
 
 template <typename P>
-std::vector<BasicFront<P>> bottom_up_all(
-    const AugmentedAdt& aadt, const BottomUpOptions& options,
-    std::size_t* max_front_size = nullptr, BuCounters* counters = nullptr) {
+std::vector<BasicFront<P>> bottom_up_all(const AugmentedAdt& aadt,
+                                         const BottomUpOptions& options,
+                                         AnalysisTrace* trace = nullptr) {
   if (!aadt.adt().is_tree()) {
     throw ModelError(
         "bottom_up: the ADT is DAG-shaped (a node has multiple parents); "
@@ -310,50 +299,24 @@ std::vector<BasicFront<P>> bottom_up_all(
       [&](const auto& dd, const auto& da) {
         if (parallel && pool->threads() > 1) {
           bottom_up_parallel_kernel<P>(aadt, options, plan, fronts, *pool,
-                                       max_front_size, counters, dd, da);
+                                       trace, dd, da);
         } else {
-          bottom_up_kernel<P>(aadt, options, plan, fronts, max_front_size, dd,
-                              da);
+          bottom_up_kernel<P>(aadt, options, plan, fronts, trace, dd, da);
         }
       });
-  plan.publish(options);
+  if (trace != nullptr) {
+    trace->memo_hits += plan.hits;
+    trace->memo_misses += plan.misses;
+  }
   return fronts;
 }
 
 }  // namespace
 
-Front bottom_up_front(const AugmentedAdt& aadt,
-                      const BottomUpOptions& options) {
-  auto fronts = bottom_up_all<ValuePoint>(aadt, options);
+Front bottom_up_front(const AugmentedAdt& aadt, const BottomUpOptions& options,
+                      AnalysisTrace* trace) {
+  auto fronts = bottom_up_all<ValuePoint>(aadt, options, trace);
   return std::move(fronts[aadt.adt().root()]);
-}
-
-BottomUpReport bottom_up_analyze(const AugmentedAdt& aadt,
-                                 const BottomUpOptions& options) {
-  BottomUpReport report;
-  // Stats live on the arenas. The parallel kernel sums its private slot
-  // arenas; the sequential path attributes by snapshot so a batch-shared
-  // arena reports only this run's work.
-  FrontArena<ValuePoint> local_arena;
-  BottomUpOptions opts = options;
-  if (opts.arena == nullptr) opts.arena = &local_arena;
-  NodeMemoStats memo_stats;
-  if (opts.memo_stats == nullptr) opts.memo_stats = &memo_stats;
-  const CombineStats before = opts.arena->stats();
-  BuCounters counters;
-  Stopwatch watch;
-  auto fronts = bottom_up_all<ValuePoint>(aadt, opts, &report.max_front_size,
-                                          &counters);
-  report.seconds = watch.seconds();
-  report.memo_hits = opts.memo_stats->hits;
-  report.memo_misses = opts.memo_stats->misses;
-  report.combine_stats = counters.combine_valid
-                             ? counters.combine
-                             : opts.arena->stats().since(before);
-  report.threads_used = counters.threads_used;
-  report.sched = counters.sched;
-  report.front = std::move(fronts[aadt.adt().root()]);
-  return report;
 }
 
 WitnessFront bottom_up_front_witness(const AugmentedAdt& aadt,

@@ -26,6 +26,7 @@
 
 #include "core/attribution.hpp"
 #include "core/pareto.hpp"
+#include "core/trace.hpp"
 #include "util/cancel.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
@@ -33,7 +34,6 @@
 namespace adtp {
 
 class NodeFrontMemo;
-struct NodeMemoStats;
 
 /// Table II: the attacker-coordinate operator for a gate of type \p gate
 /// owned by \p agent. The defender coordinate always uses tensor_D.
@@ -89,36 +89,14 @@ struct BottomUpOptions {
   /// enters the FrontCache key. Models with Custom domains bypass it.
   /// analyze_incremental() and analyze_batch()'s shared-memo mode set it.
   NodeFrontMemo* memo = nullptr;
-
-  /// When set (and \p memo is active), receives this run's gate-level
-  /// memo hit/miss counts.
-  NodeMemoStats* memo_stats = nullptr;
-};
-
-/// Diagnostics of a Bottom-Up run, for benches and reports.
-struct BottomUpReport {
-  Front front;
-  std::size_t max_front_size = 0;  ///< largest intermediate front
-  /// Combine-path counters for this run (which merges took the sort-free
-  /// k-way path, and how many product points they examined), summed
-  /// across every slot arena of a parallel run.
-  CombineStats combine_stats;
-  double seconds = 0;  ///< wall-clock of the propagation
-  unsigned threads_used = 1;  ///< scheduler slots serving the walk
-  TaskRunStats sched;         ///< task-DAG counters (zero when sequential)
-  std::uint64_t memo_hits = 0;    ///< gate fronts replayed from the memo
-  std::uint64_t memo_misses = 0;  ///< gate fronts computed (memo active)
 };
 
 /// Algorithm 1 at the root. Requires aadt.adt().is_tree(); throws
-/// ModelError otherwise (use bdd_bu_front() or unfold_to_tree()).
+/// ModelError otherwise (use bdd_bu_front() or unfold_to_tree()). When
+/// \p trace is set, the run's counters are added into it (trace.hpp).
 [[nodiscard]] Front bottom_up_front(const AugmentedAdt& aadt,
-                                    const BottomUpOptions& options = {});
-
-/// As bottom_up_front(), returning combine-path diagnostics alongside the
-/// front.
-[[nodiscard]] BottomUpReport bottom_up_analyze(
-    const AugmentedAdt& aadt, const BottomUpOptions& options = {});
+                                    const BottomUpOptions& options = {},
+                                    AnalysisTrace* trace = nullptr);
 
 /// As bottom_up_front(), with witness events attached to every point.
 [[nodiscard]] WitnessFront bottom_up_front_witness(

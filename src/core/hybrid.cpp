@@ -23,9 +23,9 @@ struct HybridState {
   const ModuleInfo& modules;
   const Dd& dd;
   const Da& da;
-  HybridReport& report;
+  AnalysisTrace* trace;
   FrontArena<ValuePoint>* arena;
-  /// Scheduler shared by every blob run (owned by hybrid_analyze);
+  /// Scheduler shared by every blob run (owned by hybrid_front);
   /// spawned lazily at the first blob that wants more than one thread,
   /// so tree-shaped models never pay for it.
   std::optional<TaskScheduler>& blob_pool;
@@ -67,42 +67,27 @@ struct HybridState {
   Front blob_front(NodeId v) {
     // Sharing reaches into this subtree: analyze the whole sub-DAG with
     // BDDBU (Theorem 2 applies to the sub-AADT as its own model). The
-    // blob inherits the BDDBU options - including the level-parallelism
-    // threads knob - and its report counters fold into the hybrid's.
+    // blob inherits the BDDBU options - including the threads knob - and
+    // adds its own counters to the trace.
     const AugmentedAdt sub = extract_subgraph(aadt, v);
-    ++report.blob_count;
-    report.largest_blob = std::max(report.largest_blob, sub.adt().size());
-    // The blob may route some combines through the shared arena (its
-    // worker 0) and some through private worker arenas; its report sums
-    // them all, while the hybrid's final arena delta counts the shared
-    // part again. Track the shared part to subtract it once at the end.
+    if (trace != nullptr) {
+      ++trace->blob_count;
+      trace->largest_blob = std::max(trace->largest_blob, sub.adt().size());
+    }
     BddBuOptions blob_options = options.bdd;
     const unsigned requested = resolve_thread_knob(blob_options.threads);
     if (blob_options.pool == nullptr && requested > 1) {
       if (!blob_pool) blob_pool.emplace(requested);
       blob_options.pool = &*blob_pool;
     }
-    const CombineStats arena_before = arena->stats();
-    BddBuReport blob = bdd_bu_analyze(sub, blob_options);
-    blob_arena_overlap += arena->stats().since(arena_before);
-    blob_combines += blob.combine_stats;
-    report.bdd_threads_used =
-        std::max(report.bdd_threads_used, blob.threads_used);
-    report.bdd_max_level_width =
-        std::max(report.bdd_max_level_width, blob.max_level_width);
-    report.bdd_sched += blob.sched;
-    return std::move(blob.front);
+    return bdd_bu_front(sub, blob_options, trace);
   }
 
-  CombineStats blob_combines{};       ///< summed blob report counters
-  CombineStats blob_arena_overlap{};  ///< blob work that hit the shared arena
-
-  /// Per-node front memo; populated by hybrid_analyze when
-  /// options.memo is set and the model is memoizable.
+  /// Per-node front memo; populated by hybrid_front when options.memo is
+  /// set and the model is memoizable.
   NodeFrontMemo* memo = nullptr;
   std::vector<std::uint64_t> memo_subtree{};  ///< subtree content hashes
   std::uint64_t memo_context = 0;
-  NodeMemoStats memo_stats{};
 
   Front front(NodeId v) {
     // The per-blob guards live in options.bdd and are honored inside
@@ -120,10 +105,10 @@ struct HybridState {
       key = NodeMemoKey{memo_subtree[v], memo_context, 0};
       Front replayed;
       if (memo->lookup(key, replayed)) {
-        ++memo_stats.hits;
+        if (trace != nullptr) ++trace->memo_hits;
         return replayed;
       }
-      ++memo_stats.misses;
+      if (trace != nullptr) ++trace->memo_misses;
     }
 
     Front acc;
@@ -135,9 +120,15 @@ struct HybridState {
       acc = front(children[0]);
       for (std::size_t i = 1; i < children.size(); ++i) {
         const Front child = front(children[i]);
+        // Blob runs may share this arena: trace only this combine.
+        const CombineStats before = arena->stats();
         arena->combine_into(acc, child, op, dd, da);
+        if (trace != nullptr) trace->combine += arena->stats().since(before);
       }
-      ++report.tree_combines;
+      if (trace != nullptr) {
+        ++trace->tree_combines;
+        trace->max_front_size = std::max(trace->max_front_size, acc.size());
+      }
     }
     if (memo != nullptr) memo->insert(key, acc);
     return acc;
@@ -146,51 +137,28 @@ struct HybridState {
 
 }  // namespace
 
-Front hybrid_front(const AugmentedAdt& aadt, const HybridOptions& options) {
-  return hybrid_analyze(aadt, options).front;
-}
-
-HybridReport hybrid_analyze(const AugmentedAdt& aadt,
-                            const HybridOptions& options) {
+Front hybrid_front(const AugmentedAdt& aadt, const HybridOptions& options,
+                   AnalysisTrace* trace) {
   const ModuleInfo modules = compute_modules(aadt.adt());
-  HybridReport report;
   // The tree-style combines and the per-blob BDDBU runs interleave on one
   // thread, so sharing one caller-provided arena between them is safe.
   FrontArena<ValuePoint> local_arena;
   FrontArena<ValuePoint>* arena =
       options.bdd.arena != nullptr ? options.bdd.arena : &local_arena;
-  const CombineStats before = arena->stats();
-  CombineStats blob_combines;
-  CombineStats blob_arena_overlap;
   std::optional<TaskScheduler> blob_pool;
-  report.front = dispatch_domains(
+  return dispatch_domains(
       aadt.defender_domain(), aadt.attacker_domain(),
       [&](const auto& dd, const auto& da) {
-        HybridState state{aadt, options,  modules, dd,
-                          da,   report,   arena,   blob_pool};
+        HybridState state{aadt, options, modules, dd,
+                          da,   trace,   arena,   blob_pool};
         if (options.memo != nullptr && options.memo->capacity() != 0 &&
             memoizable(aadt)) {
           state.memo = options.memo;
           state.memo_subtree = subtree_value_hashes(aadt);
           state.memo_context = hybrid_memo_context(aadt, options.bdd);
         }
-        Front front = state.front(aadt.adt().root());
-        blob_combines = state.blob_combines;
-        blob_arena_overlap = state.blob_arena_overlap;
-        report.memo_hits = state.memo_stats.hits;
-        report.memo_misses = state.memo_stats.misses;
-        if (options.memo_stats != nullptr) {
-          *options.memo_stats = state.memo_stats;
-        }
-        return front;
+        return state.front(aadt.adt().root());
       });
-  // The arena delta covers the tree-style combines plus whatever blob
-  // work ran on the shared arena; the blob reports cover all blob work.
-  // Summing both and subtracting the overlap counts everything once.
-  CombineStats total = arena->stats().since(before);
-  total += blob_combines;
-  report.combine_stats = total.since(blob_arena_overlap);
-  return report;
 }
 
 }  // namespace adtp

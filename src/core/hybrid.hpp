@@ -15,11 +15,11 @@
 #include "core/attribution.hpp"
 #include "core/bdd_bu.hpp"
 #include "core/pareto.hpp"
+#include "core/trace.hpp"
 
 namespace adtp {
 
 class NodeFrontMemo;
-struct NodeMemoStats;
 
 struct HybridOptions {
   /// Options forwarded to the per-blob BDDBU runs.
@@ -32,38 +32,14 @@ struct HybridOptions {
   /// (docs/CONTRACTS.md), so this knob never enters the FrontCache key.
   /// Models with Custom domains bypass it.
   NodeFrontMemo* memo = nullptr;
-
-  /// When set (and \p memo is active), receives this run's memo
-  /// hit/miss counts.
-  NodeMemoStats* memo_stats = nullptr;
-};
-
-/// Diagnostics of a hybrid run.
-struct HybridReport {
-  Front front;
-  std::size_t blob_count = 0;      ///< sub-DAGs handed to BDDBU
-  std::size_t largest_blob = 0;    ///< node count of the largest such blob
-  std::size_t tree_combines = 0;   ///< gates combined tree-style
-  /// Front-operation counters of the whole hybrid walk: tree-style
-  /// combines plus every per-blob BDDBU run's merges (the blob reports
-  /// are folded in, whichever arenas the blobs used).
-  CombineStats combine_stats;
-  // Parallelism counters aggregated over the per-blob BDDBU runs (the
-  // blobs inherit options.bdd.threads and share one scheduler; the
-  // tree-style walk itself is sequential).
-  unsigned bdd_threads_used = 1;       ///< max workers any blob ran with
-  std::size_t bdd_max_level_width = 0; ///< widest BDD level of any blob
-  TaskRunStats bdd_sched;              ///< summed blob task-DAG counters
-  std::uint64_t memo_hits = 0;    ///< node fronts replayed from the memo
-  std::uint64_t memo_misses = 0;  ///< node fronts computed (memo active)
 };
 
 /// Computes the Pareto front of an arbitrary ADT by modular decomposition.
+/// When \p trace is set, the run's counters are added into it: the
+/// tree-style walk adds its own combines and every blob's BDDBU run adds
+/// its own (trace.hpp).
 [[nodiscard]] Front hybrid_front(const AugmentedAdt& aadt,
-                                 const HybridOptions& options = {});
-
-/// As hybrid_front(), with diagnostics.
-[[nodiscard]] HybridReport hybrid_analyze(const AugmentedAdt& aadt,
-                                          const HybridOptions& options = {});
+                                 const HybridOptions& options = {},
+                                 AnalysisTrace* trace = nullptr);
 
 }  // namespace adtp

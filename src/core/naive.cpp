@@ -148,7 +148,7 @@ class AttackValues {
 /// (~tens of microseconds), so each worker gets at least this many root
 /// evaluations (delta/alpha pairs, each a full structure-function walk).
 /// Below the floor the enumeration runs on fewer threads - possibly one -
-/// which keeps small models in a wide donated batch from paying more for
+/// which keeps small models in a wide shared batch from paying more for
 /// spawning than for enumerating.
 constexpr double kMinEvalsPerShard = 16384;
 
@@ -251,14 +251,14 @@ std::vector<FeasibleEvent> enumerate_kernel(const AugmentedAdt& aadt,
 /// is identical for every thread count.
 template <typename Dd, typename Da>
 Front front_kernel(const AugmentedAdt& aadt, const NaiveOptions& options,
-                   const Dd& dd, const Da& da) {
+                   AnalysisTrace* trace, const Dd& dd, const Da& da) {
   const std::uint64_t total = std::uint64_t{1} << aadt.adt().num_defenses();
   const unsigned threads =
       resolve_shards(options, total, aadt.adt().num_attacks());
 
   const AttackValues<Da> values(aadt, da);
   std::vector<std::vector<ValuePoint>> shards(threads);
-  run_sharded(options.pool, threads, total,
+  const TaskRunStats stats = run_sharded(options.pool, threads, total,
               [&](unsigned shard, std::uint64_t begin,
                                   std::uint64_t end) {
     // Shard memory is bounded: raw points are compacted to the running
@@ -289,6 +289,11 @@ Front front_kernel(const AugmentedAdt& aadt, const NaiveOptions& options,
   for (unsigned s = 1; s < threads; ++s) {
     detail::pareto_merge_staircases(front, shards[s], merged, dd, da);
     front.swap(merged);
+  }
+  if (trace != nullptr) {
+    trace->threads_used = std::max(trace->threads_used, threads);
+    trace->sched += stats;
+    trace->max_front_size = std::max(trace->max_front_size, front.size());
   }
   return Front::from_staircase(std::move(front));
 }
@@ -365,13 +370,14 @@ std::vector<FeasibleEvent> enumerate_feasible_events(
   });
 }
 
-Front naive_front(const AugmentedAdt& aadt, const NaiveOptions& options) {
+Front naive_front(const AugmentedAdt& aadt, const NaiveOptions& options,
+                  AnalysisTrace* trace) {
   check_limits(aadt, options);
   // Unlike enumerate_feasible_events, the front path minimizes inside the
   // shards, so both domains are needed as inlinable policies.
   return dispatch_domains(aadt.defender_domain(), aadt.attacker_domain(),
                           [&](const auto& dd, const auto& da) {
-                            return front_kernel(aadt, options, dd, da);
+                            return front_kernel(aadt, options, trace, dd, da);
                           });
 }
 

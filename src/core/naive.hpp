@@ -28,6 +28,7 @@
 
 #include "core/attribution.hpp"
 #include "core/pareto.hpp"
+#include "core/trace.hpp"
 #include "util/cancel.hpp"
 #include "util/timer.hpp"
 
@@ -81,9 +82,12 @@ struct FeasibleEvent {
 [[nodiscard]] std::vector<FeasibleEvent> enumerate_feasible_events(
     const AugmentedAdt& aadt, const NaiveOptions& options = {});
 
-/// Algorithm 2: the Pareto front min_dominance(beta-hat(S)).
+/// Algorithm 2: the Pareto front min_dominance(beta-hat(S)). When
+/// \p trace is set, the shard count, scheduler counters and front size
+/// are added into it (trace.hpp).
 [[nodiscard]] Front naive_front(const AugmentedAdt& aadt,
-                                const NaiveOptions& options = {});
+                                const NaiveOptions& options = {},
+                                AnalysisTrace* trace = nullptr);
 
 /// As naive_front(), with witness events attached to every point.
 [[nodiscard]] WitnessFront naive_front_witness(

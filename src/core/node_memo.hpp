@@ -66,13 +66,6 @@ struct NodeMemoKey {
   bool operator==(const NodeMemoKey&) const = default;
 };
 
-/// Per-run memo counters, filled by a kernel when *Options::memo_stats is
-/// set (gates only - leaf fronts are cheaper to rebuild than to look up).
-struct NodeMemoStats {
-  std::uint64_t hits = 0;
-  std::uint64_t misses = 0;
-};
-
 /// True iff fronts of \p aadt can be memoized (no Custom domain - their
 /// hooks are opaque function objects that cannot be content-hashed; same
 /// rule as cacheable()).

@@ -898,8 +898,8 @@ template <typename P, typename Dd, typename Da>
 /// recycles buffers across all items served by one worker thread (see
 /// BottomUpOptions/BddBuOptions::arena).
 /// Running totals of the combine work a FrontArena has served; benches
-/// and the per-algorithm reports read these to show which path the hot
-/// loop actually took and how effective upper-envelope pruning was.
+/// and the analysis trace (trace.hpp) read these to show which path the
+/// hot loop actually took and how effective upper-envelope pruning was.
 /// Snapshot-and-subtract to attribute work to one analysis when the arena
 /// is shared across a batch.
 struct CombineStats {
@@ -947,6 +947,8 @@ struct CombineStats {
     simd_lanes_used += other.simd_lanes_used;
     return *this;
   }
+
+  bool operator==(const CombineStats&) const = default;
 };
 
 template <typename P>

@@ -76,6 +76,8 @@ struct TaskRunStats {
                           : o.max_ready_depth;
     return *this;
   }
+
+  bool operator==(const TaskRunStats&) const = default;
 };
 
 /// An explicit task DAG: tasks are (function pointer, context, arg)
@@ -181,13 +183,14 @@ class TaskScheduler {
 /// null or single-slot and more than one shard is asked for, a temporary
 /// scheduler of \p shards slots is spawned for the call - the old
 /// one-shot run_sharded() shape. Exceptions rethrow by the smallest
-/// shard index, like the scheduler itself.
+/// shard index, like the scheduler itself. Returns the scheduler
+/// counters (zero for a single shard).
 template <typename Fn>
-void run_sharded(TaskScheduler* pool, unsigned shards, std::uint64_t total,
-                 Fn&& fn) {
+TaskRunStats run_sharded(TaskScheduler* pool, unsigned shards,
+                         std::uint64_t total, Fn&& fn) {
   if (shards <= 1) {
     fn(0u, std::uint64_t{0}, total);
-    return;
+    return {};
   }
   const std::uint64_t base = total / shards;
   const std::uint64_t rem = total % shards;
@@ -205,7 +208,7 @@ void run_sharded(TaskScheduler* pool, unsigned shards, std::uint64_t total,
   TaskGraph graph;
   graph.reserve(shards);
   for (std::uint32_t s = 0; s < shards; ++s) graph.add(body, s);
-  pool->run(graph);
+  return pool->run(graph);
 }
 
 }  // namespace adtp

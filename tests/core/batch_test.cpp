@@ -127,9 +127,8 @@ TEST(Batch, EmptyBatch) {
 
 TEST(Batch, ZeroThreadsMeansHardwareConcurrency) {
   // 0 resolves like every thread knob (hardware concurrency, or
-  // ADTP_THREADS). With scheduler sharing on - the default - the width is
-  // not clamped to the job count: surplus slots serve the items' own
-  // intra-model tasks (BatchOptions::n_threads).
+  // ADTP_THREADS). The width is not clamped to the job count: surplus
+  // slots serve the items' own intra-model tasks (BatchOptions::n_threads).
   const auto fleet = random_fleet(3, 0.0, 17);
   const BatchReport report = analyze_batch(fleet, {}, 0);
   EXPECT_EQ(report.threads_used, resolve_thread_knob(0));
@@ -454,19 +453,10 @@ TEST(BatchServing, IdleSlotsServeOversizedItemsIntraModelTasks) {
   BatchOptions batch;
   batch.n_threads = 4;
   BatchReport report = analyze_batch(jobs, batch);
-  // Sharing on: the width is NOT clamped to the job count.
+  // The width is NOT clamped to the job count.
   EXPECT_EQ(report.threads_used, 4u);
   EXPECT_GE(report.sched.tasks, 1u);  // at least the item task itself
   ASSERT_TRUE(report.items[0].ok) << report.items[0].error;
-  EXPECT_EQ(report.items[0].result.front.to_string(),
-            sequential.front.to_string());
-
-  // Sharing off: extra slots could never see work, so the width clamps
-  // to the job count and exactly one item task runs.
-  batch.donate_intra_model = false;
-  report = analyze_batch(jobs, batch);
-  EXPECT_EQ(report.threads_used, 1u);
-  EXPECT_EQ(report.sched.tasks, 1u);
   EXPECT_EQ(report.items[0].result.front.to_string(),
             sequential.front.to_string());
 
@@ -474,7 +464,6 @@ TEST(BatchServing, IdleSlotsServeOversizedItemsIntraModelTasks) {
   // own shards instead of borrowing the batch scheduler, and the result
   // is still identical.
   jobs[0].options.naive.threads = 2;
-  batch.donate_intra_model = true;
   batch.n_threads = 2;
   report = analyze_batch(jobs, batch);
   ASSERT_TRUE(report.items[0].ok) << report.items[0].error;

@@ -4,6 +4,7 @@
 
 #include "adt/structure.hpp"
 #include "bdd/build.hpp"
+#include "core/analyzer.hpp"
 #include "core/naive.hpp"
 #include "gen/catalog.hpp"
 #include "util/error.hpp"
@@ -71,7 +72,9 @@ TEST(BddBu, ExplicitOrderOption) {
 }
 
 TEST(BddBu, ReportCarriesDiagnostics) {
-  const BddBuReport report = bdd_bu_analyze(catalog::money_theft_dag());
+  AnalysisOptions options;
+  options.algorithm = Algorithm::BddBu;
+  const AnalysisResult report = analyze(catalog::money_theft_dag(), options);
   EXPECT_EQ(report.front.size(), 3u);
   EXPECT_GT(report.bdd_size, 2u);
   EXPECT_GE(report.manager_nodes, report.bdd_size);

@@ -10,12 +10,21 @@
 #include <cstdint>
 #include <limits>
 
-#include "core/bdd_bu.hpp"
+#include "core/analyzer.hpp"
 #include "gen/catalog.hpp"
 #include "gen/random_adt.hpp"
 
 namespace adtp {
 namespace {
+
+/// Runs BDDBU through analyze(), whose result carries the trace.
+AnalysisResult traced_bdd_bu(const AugmentedAdt& aadt,
+                             const BddBuOptions& bdd) {
+  AnalysisOptions options;
+  options.algorithm = Algorithm::BddBu;
+  options.bdd = bdd;
+  return analyze(aadt, options);
+}
 
 constexpr unsigned kThreadCounts[] = {2, 8};
 constexpr std::size_t kGrains[] = {1, 16, 1024,
@@ -70,7 +79,7 @@ TEST(BddGrain, DefaultGrainCollapsesTheTaskCount) {
     options.parallel_node_floor = 0;
     options.threads = 2;
     options.task_grain_points = grain;
-    const BddBuReport report = bdd_bu_analyze(aadt, options);
+    const AnalysisResult report = traced_bdd_bu(aadt, options);
     // Subtract the build-phase tasks by re-measuring them alone: run
     // sequentially instead - propagation is the only phase whose task
     // count the grain changes, so compare total counts directly.
@@ -91,15 +100,15 @@ TEST(BddGrain, GrainKeepsTheReportCountersCoherent) {
   BddBuOptions options;
   options.parallel_node_floor = 0;
   options.threads = 4;
-  const BddBuReport chunked = bdd_bu_analyze(aadt, options);
+  const AnalysisResult chunked = traced_bdd_bu(aadt, options);
   BddBuOptions fine = options;
   fine.task_grain_points = 1;
-  const BddBuReport per_node = bdd_bu_analyze(aadt, fine);
+  const AnalysisResult per_node = traced_bdd_bu(aadt, fine);
   EXPECT_TRUE(chunked.front.bit_identical_values(per_node.front));
   EXPECT_EQ(chunked.max_front_size, per_node.max_front_size);
   EXPECT_EQ(chunked.bdd_size, per_node.bdd_size);
-  EXPECT_EQ(chunked.combine_stats.staircase_merges,
-            per_node.combine_stats.staircase_merges);
+  EXPECT_EQ(chunked.combine.staircase_merges,
+            per_node.combine.staircase_merges);
 }
 
 }  // namespace

@@ -6,12 +6,22 @@
 #include <vector>
 
 #include "adt/structure.hpp"
+#include "core/analyzer.hpp"
 #include "core/node_memo.hpp"
 #include "gen/catalog.hpp"
 #include "util/error.hpp"
 
 namespace adtp {
 namespace {
+
+/// Runs bottom-up through analyze(), whose result carries the trace.
+AnalysisResult traced_bottom_up(const AugmentedAdt& aadt,
+                                const BottomUpOptions& bottom_up = {}) {
+  AnalysisOptions options;
+  options.algorithm = Algorithm::BottomUp;
+  options.bottom_up = bottom_up;
+  return analyze(aadt, options);
+}
 
 TEST(TableII, OperatorSelection) {
   EXPECT_EQ(attack_op(GateType::And, Agent::Attacker), AttackOp::Combine);
@@ -166,14 +176,14 @@ TEST(BottomUp, ParallelWalkMatchesSequentialBitForBit) {
                                  catalog::money_theft_tree(),
                                  catalog::fig4_exponential(10)};
   for (const AugmentedAdt& aadt : models) {
-    const BottomUpReport sequential = bottom_up_analyze(aadt);
+    const AnalysisResult sequential = traced_bottom_up(aadt);
     EXPECT_EQ(sequential.threads_used, 1u);
     EXPECT_EQ(sequential.sched.tasks, 0u);
     for (unsigned threads : {2u, 8u}) {
       BottomUpOptions options;
       options.threads = threads;
       options.parallel_node_floor = 0;
-      const BottomUpReport parallel = bottom_up_analyze(aadt, options);
+      const AnalysisResult parallel = traced_bottom_up(aadt, options);
       EXPECT_TRUE(
           parallel.front.bit_identical_values(sequential.front))
           << "front diverged at " << threads << " threads";
@@ -208,8 +218,8 @@ TEST(BottomUp, NodeFloorKeepsSmallTreesSequential) {
   BottomUpOptions options;
   options.threads = 8;
   options.parallel_node_floor = 1000;
-  const BottomUpReport report =
-      bottom_up_analyze(catalog::fig5_example(), options);
+  const AnalysisResult report =
+      traced_bottom_up(catalog::fig5_example(), options);
   EXPECT_EQ(report.threads_used, 1u);
   EXPECT_EQ(report.sched.tasks, 0u);
   EXPECT_EQ(report.front.to_string(), "{(0, 5), (4, 10), (12, inf)}");
@@ -249,12 +259,12 @@ TEST(BottomUp, MemoizedLeafEditBelowTheFloorStaysSequential) {
   BottomUpOptions options;
   options.threads = 4;
   options.memo = &memo;
-  const BottomUpReport warm = bottom_up_analyze(or_blocks(1.0), options);
+  const AnalysisResult warm = traced_bottom_up(or_blocks(1.0), options);
   EXPECT_EQ(warm.threads_used, 4u);
   EXPECT_EQ(warm.sched.tasks, 73u);
 
   const AugmentedAdt edited = or_blocks(0.5);
-  const BottomUpReport edit = bottom_up_analyze(edited, options);
+  const AnalysisResult edit = traced_bottom_up(edited, options);
   EXPECT_EQ(edit.memo_hits, 7u);
   EXPECT_EQ(edit.memo_misses, 2u);
   EXPECT_EQ(edit.threads_used, 1u);
@@ -267,8 +277,8 @@ TEST(BottomUp, ExternalPoolIsUsedForLargeTrees) {
   BottomUpOptions options;
   options.pool = &pool;
   options.parallel_node_floor = 0;
-  const BottomUpReport report =
-      bottom_up_analyze(catalog::fig4_exponential(8), options);
+  const AnalysisResult report =
+      traced_bottom_up(catalog::fig4_exponential(8), options);
   EXPECT_EQ(report.threads_used, 4u);
   EXPECT_EQ(report.front.size(), std::size_t{1} << 8);
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/analyzer.hpp"
 #include "core/bdd_bu.hpp"
 #include "core/bottom_up.hpp"
 #include "core/naive.hpp"
@@ -11,6 +12,13 @@
 namespace adtp {
 namespace {
 
+/// Runs hybrid through analyze(), whose result carries the trace.
+AnalysisResult traced_hybrid(const AugmentedAdt& aadt) {
+  AnalysisOptions options;
+  options.algorithm = Algorithm::Hybrid;
+  return analyze(aadt, options);
+}
+
 TEST(Hybrid, MoneyTheftDagFront) {
   EXPECT_EQ(hybrid_front(catalog::money_theft_dag()).to_string(),
             "{(0, 80), (20, 90), (50, 140)}");
@@ -19,14 +27,14 @@ TEST(Hybrid, MoneyTheftDagFront) {
 TEST(Hybrid, MoneyTheftUsesOneSmallBlob) {
   // The only shared structure is inside the online branch, so exactly one
   // blob goes to BDDBU and it is smaller than the whole model.
-  const HybridReport report = hybrid_analyze(catalog::money_theft_dag());
+  const AnalysisResult report = traced_hybrid(catalog::money_theft_dag());
   EXPECT_EQ(report.blob_count, 1u);
   EXPECT_LT(report.largest_blob, catalog::money_theft_dag().adt().size());
   EXPECT_GT(report.tree_combines, 0u);
 }
 
 TEST(Hybrid, PureTreeNeverCallsBdd) {
-  const HybridReport report = hybrid_analyze(catalog::money_theft_tree());
+  const AnalysisResult report = traced_hybrid(catalog::money_theft_tree());
   EXPECT_EQ(report.blob_count, 0u);
   EXPECT_EQ(report.front.to_string(), "{(0, 90), (30, 150), (50, 165)}");
 }
@@ -63,7 +71,7 @@ TEST(Hybrid, RootLevelSharingFallsBackToBdd) {
   const AugmentedAdt aadt(std::move(adt), std::move(beta),
                           Semiring::min_cost(), Semiring::min_cost());
 
-  const HybridReport report = hybrid_analyze(aadt);
+  const AnalysisResult report = traced_hybrid(aadt);
   EXPECT_EQ(report.blob_count, 1u);
   EXPECT_EQ(report.largest_blob, aadt.adt().size());
   EXPECT_EQ(report.front.to_string(), "{(0, 6)}");  // s + y

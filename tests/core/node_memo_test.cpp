@@ -22,6 +22,15 @@ namespace {
 
 constexpr unsigned kThreadCounts[] = {1, 2, 8};
 
+/// Runs \p algorithm against \p memo through analyze_incremental(), so
+/// the result carries this run's memo counts.
+AnalysisResult run_memoized(const AugmentedAdt& aadt, NodeFrontMemo& memo,
+                            Algorithm algorithm) {
+  AnalysisOptions options;
+  options.algorithm = algorithm;
+  return analyze_incremental(aadt, memo, options);
+}
+
 /// fig4 with one leaf's attribute value changed.
 AugmentedAdt with_tweaked_leaf(const AugmentedAdt& base, const char* leaf,
                                double value) {
@@ -130,8 +139,6 @@ TEST(MemoizedBottomUp, WarmRunIsBitIdenticalToColdAtEveryThreadCount) {
     options.threads = threads;
     options.parallel_node_floor = 0;
     options.memo = &memo;
-    NodeMemoStats stats;
-    options.memo_stats = &stats;
     EXPECT_TRUE(bottom_up_front(model, options).bit_identical_values(cold))
         << "memoized@" << threads << " threads diverged from cold";
     const WitnessFront warm_witness = bottom_up_front_witness(model, options);
@@ -145,33 +152,27 @@ TEST(MemoizedBottomUp, WarmRunIsBitIdenticalToColdAtEveryThreadCount) {
   }
   // After the first pair of runs every gate front is resident: the later
   // runs must be pure replay (single memo hit at the root, zero misses).
-  BottomUpOptions warm;
-  warm.memo = &memo;
-  NodeMemoStats stats;
-  warm.memo_stats = &stats;
-  EXPECT_TRUE(bottom_up_front(model, warm).bit_identical_values(cold));
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 0u);
+  const AnalysisResult warm = run_memoized(model, memo, Algorithm::BottomUp);
+  EXPECT_TRUE(warm.front.bit_identical_values(cold));
+  EXPECT_EQ(warm.memo_hits, 1u);
+  EXPECT_EQ(warm.memo_misses, 0u);
 }
 
 TEST(MemoizedBottomUp, LeafEditRecomputesOnlyTheDirtySpine) {
   const AugmentedAdt base = catalog::fig4_exponential(7);
   NodeFrontMemo memo;
-  BottomUpOptions options;
-  options.memo = &memo;
-  NodeMemoStats stats;
-  options.memo_stats = &stats;
-  (void)bottom_up_front(base, options);  // warm the memo
+  (void)run_memoized(base, memo, Algorithm::BottomUp);  // warm the memo
 
   const AugmentedAdt edited = with_tweaked_leaf(base, "d4", 1234.0);
-  stats = {};
-  const Front incremental = bottom_up_front(edited, options);
+  const AnalysisResult incremental =
+      run_memoized(edited, memo, Algorithm::BottomUp);
   // fig4's root folds n INH gates; a d4 edit dirties I4 and the root, so
   // the other n-1 INH fronts replay from the memo.
-  EXPECT_EQ(stats.hits, 6u);
-  EXPECT_EQ(stats.misses, 2u);  // I4 and the root
+  EXPECT_EQ(incremental.memo_hits, 6u);
+  EXPECT_EQ(incremental.memo_misses, 2u);  // I4 and the root
   BottomUpOptions cold;
-  EXPECT_TRUE(incremental.bit_identical_values(bottom_up_front(edited, cold)));
+  EXPECT_TRUE(
+      incremental.front.bit_identical_values(bottom_up_front(edited, cold)));
 }
 
 TEST(MemoizedHybrid, WarmRunIsBitIdenticalToColdOnADag) {
@@ -182,16 +183,15 @@ TEST(MemoizedHybrid, WarmRunIsBitIdenticalToColdOnADag) {
   const Front cold = hybrid_front(model, cold_options);
 
   NodeFrontMemo memo;
-  HybridOptions options;
-  options.memo = &memo;
-  NodeMemoStats stats;
-  options.memo_stats = &stats;
-  EXPECT_TRUE(hybrid_front(model, options).bit_identical_values(cold));
-  EXPECT_GT(stats.misses, 0u);
-  stats = {};
-  EXPECT_TRUE(hybrid_front(model, options).bit_identical_values(cold));
-  EXPECT_EQ(stats.hits, 1u);  // root replay
-  EXPECT_EQ(stats.misses, 0u);
+  const AnalysisResult first =
+      run_memoized(model, memo, Algorithm::Hybrid);
+  EXPECT_TRUE(first.front.bit_identical_values(cold));
+  EXPECT_GT(first.memo_misses, 0u);
+  const AnalysisResult second =
+      run_memoized(model, memo, Algorithm::Hybrid);
+  EXPECT_TRUE(second.front.bit_identical_values(cold));
+  EXPECT_EQ(second.memo_hits, 1u);  // root replay
+  EXPECT_EQ(second.memo_misses, 0u);
 }
 
 TEST(AnalyzeIncremental, ResolvesAutoAndMatchesCold) {
@@ -223,8 +223,6 @@ TEST(MemoKnobs, StayOutOfTheFrontCacheKey) {
   AnalysisOptions memoized;
   memoized.bottom_up.memo = &memo;
   memoized.hybrid.memo = &memo;
-  NodeMemoStats stats;
-  memoized.bottom_up.memo_stats = &stats;
   AnalysisOptions grained;
   grained.bdd.task_grain_points = 1;  // execution-only, like threads
   EXPECT_EQ(front_cache_key(model, plain), front_cache_key(model, memoized));
@@ -243,12 +241,9 @@ TEST(CustomDomains, BypassTheMemo) {
                            base.attacker_domain());
   EXPECT_FALSE(memoizable(model));
   NodeFrontMemo memo;
-  BottomUpOptions options;
-  options.memo = &memo;
-  NodeMemoStats stats;
-  options.memo_stats = &stats;
-  (void)bottom_up_front(model, options);
-  EXPECT_EQ(stats.hits + stats.misses, 0u);
+  const AnalysisResult result =
+      run_memoized(model, memo, Algorithm::BottomUp);
+  EXPECT_EQ(result.memo_hits + result.memo_misses, 0u);
   EXPECT_EQ(memo.stats().entries, 0u);
 }
 

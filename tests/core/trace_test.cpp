@@ -1,0 +1,128 @@
+/// The AnalysisTrace on every AnalysisResult counts each front operation
+/// exactly once: each kernel adds only its own combines, so a hybrid run
+/// on a tree traces exactly bottom-up's work, a hybrid run that is one
+/// blob traces exactly BDDBU's, and neither the thread count nor a
+/// caller-supplied arena (the batch path) changes the count.
+
+#include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
+
+#include "core/analyzer.hpp"
+#include "gen/catalog.hpp"
+#include "gen/random_adt.hpp"
+
+namespace adtp {
+namespace {
+
+AnalysisResult run(const AugmentedAdt& aadt, Algorithm algorithm,
+                   AnalysisOptions options = {}) {
+  options.algorithm = algorithm;
+  return analyze(aadt, options);
+}
+
+/// Two attacker ANDs share leaf "s" right under the root: hybrid must
+/// hand the whole model to BDDBU as one blob.
+AugmentedAdt root_level_blob() {
+  Adt adt;
+  const NodeId shared = adt.add_basic("s", Agent::Attacker);
+  const NodeId x = adt.add_basic("x", Agent::Attacker);
+  const NodeId g1 =
+      adt.add_gate("g1", GateType::And, Agent::Attacker, {shared, x});
+  const NodeId y = adt.add_basic("y", Agent::Attacker);
+  const NodeId g2 =
+      adt.add_gate("g2", GateType::And, Agent::Attacker, {shared, y});
+  adt.set_root(
+      adt.add_gate("root", GateType::Or, Agent::Attacker, {g1, g2}));
+  adt.freeze();
+  Attribution beta;
+  beta.set("s", 5);
+  beta.set("x", 3);
+  beta.set("y", 1);
+  return AugmentedAdt(std::move(adt), std::move(beta), Semiring::min_cost(),
+                      Semiring::min_cost());
+}
+
+AugmentedAdt random_dag(std::uint64_t seed) {
+  RandomAdtOptions options;
+  options.target_nodes = 40;
+  options.share_probability = 0.2;
+  options.max_defenses = 8;
+  return generate_random_aadt(options, seed, Semiring::min_cost(),
+                              Semiring::min_cost());
+}
+
+TEST(AnalysisTrace, CountsEveryCombineOnce) {
+  // (1) On a tree, hybrid's walk is bottom-up's fold, gate for gate.
+  for (const AugmentedAdt& tree :
+       {catalog::fig3_example(), catalog::fig5_example(),
+        catalog::money_theft_tree(), catalog::fig4_exponential(8)}) {
+    const AnalysisResult hybrid = run(tree, Algorithm::Hybrid);
+    EXPECT_EQ(hybrid.blob_count, 0u);
+    EXPECT_GT(hybrid.combine.kway_combines, 0u);
+    EXPECT_EQ(hybrid.combine, run(tree, Algorithm::BottomUp).combine);
+  }
+
+  // (2) A model that is one root-level blob: hybrid is one BDDBU run.
+  {
+    const AugmentedAdt blob = root_level_blob();
+    const AnalysisResult hybrid = run(blob, Algorithm::Hybrid);
+    EXPECT_EQ(hybrid.blob_count, 1u);
+    EXPECT_EQ(hybrid.largest_blob, blob.adt().size());
+    EXPECT_EQ(hybrid.tree_combines, 0u);
+    const AnalysisResult bdd = run(blob, Algorithm::BddBu);
+    EXPECT_GT(bdd.bdd_size, 2u);
+    EXPECT_EQ(hybrid.combine, bdd.combine);
+    EXPECT_EQ(hybrid.bdd_size, bdd.bdd_size);
+  }
+
+  // (3) Four threads, one task per node: per-slot arenas sum to the
+  // sequential count.
+  AnalysisOptions wide;
+  wide.bottom_up.threads = 4;
+  wide.bottom_up.parallel_node_floor = 0;
+  wide.bdd.threads = 4;
+  wide.bdd.parallel_node_floor = 0;
+  wide.bdd.task_grain_points = 1;
+  wide.hybrid.bdd = wide.bdd;
+  for (const AugmentedAdt& tree :
+       {catalog::fig5_example(), catalog::money_theft_tree(),
+        catalog::fig4_exponential(8)}) {
+    const AnalysisResult parallel = run(tree, Algorithm::BottomUp, wide);
+    EXPECT_EQ(parallel.threads_used, 4u);
+    EXPECT_EQ(parallel.combine, run(tree, Algorithm::BottomUp).combine);
+  }
+  for (const AugmentedAdt& model :
+       {catalog::money_theft_dag(), catalog::fig4_exponential(8),
+        random_dag(3)}) {
+    for (Algorithm algorithm : {Algorithm::BddBu, Algorithm::Hybrid}) {
+      const AnalysisResult parallel = run(model, algorithm, wide);
+      const AnalysisResult sequential = run(model, algorithm);
+      if (algorithm == Algorithm::BddBu || parallel.blob_count > 0) {
+        EXPECT_EQ(parallel.threads_used, 4u) << to_string(algorithm);
+      }
+      EXPECT_EQ(parallel.combine, sequential.combine) << to_string(algorithm);
+      EXPECT_EQ(parallel.bdd_size, sequential.bdd_size);
+    }
+  }
+
+  // (4) One arena carried across hybrid runs, as analyze_batch hands each
+  // slot: blob merges that land on it are counted once, not twice, and
+  // earlier runs' counts never leak in.
+  FrontArena<ValuePoint> shared_arena;
+  AnalysisOptions batch_like;
+  batch_like.hybrid.bdd.arena = &shared_arena;
+  std::size_t blobs = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const AugmentedAdt dag = random_dag(seed);
+    const AnalysisResult with_arena = run(dag, Algorithm::Hybrid, batch_like);
+    const AnalysisResult without = run(dag, Algorithm::Hybrid);
+    blobs += with_arena.blob_count;
+    EXPECT_EQ(with_arena.combine, without.combine) << "seed " << seed;
+  }
+  EXPECT_GT(blobs, 0u);
+}
+
+}  // namespace
+}  // namespace adtp

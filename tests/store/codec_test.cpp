@@ -93,6 +93,35 @@ TEST(Codec, RandomFrontsRoundTripBitExactly) {
   }
 }
 
+TEST(Codec, TraceIsNotPersisted) {
+  // The trace is per-run data: filling it changes no byte, and decoding
+  // restores the memo counts over an otherwise default trace.
+  const AnalysisResult plain = make_result({{0, 30}, {5, 12.5}});
+  AnalysisResult traced = plain;
+  traced.combine.kway_combines = 11;
+  traced.combine.points_examined = 42;
+  traced.sched.tasks = 7;
+  traced.sched.steals = 2;
+  traced.threads_used = 4;
+  traced.max_front_size = 9;
+  traced.build_seconds = 0.5;
+  traced.propagate_seconds = 0.25;
+  traced.bdd_size = 100;
+  traced.manager_nodes = 120;
+  traced.max_level_width = 8;
+  traced.blob_count = 2;
+  traced.largest_blob = 30;
+  traced.tree_combines = 5;
+  EXPECT_EQ(encode_result(traced), encode_result(plain));
+
+  const AnalysisResult out = roundtrip(traced);
+  EXPECT_TRUE(bits_equal(out.front, plain.front));
+  AnalysisTrace expected;
+  expected.memo_hits = traced.memo_hits;
+  expected.memo_misses = traced.memo_misses;
+  EXPECT_TRUE(static_cast<const AnalysisTrace&>(out) == expected);
+}
+
 TEST(Codec, EveryStrictPrefixFailsToDecode) {
   const std::vector<std::uint8_t> bytes =
       encode_result(make_result({{1, 9}, {2, 8}, {3, 7}}));
