@@ -6,6 +6,8 @@
 #include <benchmark/benchmark.h>
 
 #include <limits>
+#include <type_traits>
+#include <vector>
 
 #include "adt/structure.hpp"
 #include "bdd/build.hpp"
@@ -294,6 +296,123 @@ void BM_CombineStaircasePairKWay(benchmark::State& state) {
 }
 BENCHMARK(BM_CombineStaircasePairKWay)->Arg(64)->Arg(256)->Arg(1024);
 
+// ---- tensor_A combine shapes ---------------------------------------------
+//
+// The attacker-AND (tensor_A) combine through FrontArena::combine_into on
+// MinCost x MinCost, as the bottom-up walk calls it, on the shapes that
+// decide its cost:
+//  - root_fold: the edit_loop forest's root, 8 blocks of 32 collinear
+//    (2i, i + 1) points folded in 7 steps; products tie along diagonals,
+//    so no row is ever dropped;
+//  - all_pareto_coarse_rows / all_pareto_fine_rows: 256 x 256 products
+//    that all survive; coarse rows keep each row's products contiguous
+//    in the output, fine rows interleave every row's products;
+//  - random_120: 16 pairs of random 120-point staircases, where the row
+//    drops fire;
+//  - witness_64: one random 64 x 64 pair carrying witness bit vectors.
+
+enum class TensorShape {
+  RootFold,
+  AllParetoCoarseRows,
+  AllParetoFineRows,
+  Random120,
+  Witness64
+};
+
+Front line_staircase(int n, double def_step, double att_step,
+                     double att0 = 0.0) {
+  std::vector<ValuePoint> pts;
+  for (int i = 0; i < n; ++i) {
+    pts.push_back(ValuePoint{def_step * i, att0 + att_step * i});
+  }
+  return Front::from_staircase(std::move(pts));
+}
+
+/// n points whose coordinates both grow by random steps of 1-8.
+template <typename P>
+BasicFront<P> random_steps_staircase(Rng& rng, int n, std::size_t bit_base) {
+  std::vector<P> pts(static_cast<std::size_t>(n));
+  double def = 0;
+  double att = 0;
+  for (int i = 0; i < n; ++i) {
+    def += 1.0 + static_cast<double>(rng.below(8));
+    att += 1.0 + static_cast<double>(rng.below(8));
+    pts[i].def = def;
+    pts[i].att = att;
+    if constexpr (std::is_same_v<P, WitnessPoint>) {
+      pts[i].defense = BitVec(128);
+      pts[i].attack = BitVec(128);
+      pts[i].defense.set(bit_base + static_cast<std::size_t>(i));
+      pts[i].attack.set(bit_base + static_cast<std::size_t>(i));
+    }
+  }
+  return BasicFront<P>::from_staircase(std::move(pts));
+}
+
+/// Per iteration, runs every fold: a copy of its first front combined
+/// with each later front in turn.
+template <typename P>
+void time_tensor_folds(benchmark::State& state,
+                       const std::vector<std::vector<BasicFront<P>>>& folds) {
+  const MinCostDomain dom;
+  FrontArena<P> arena;
+  for (auto _ : state) {
+    for (const std::vector<BasicFront<P>>& fold : folds) {
+      BasicFront<P> acc = fold.front();
+      for (std::size_t i = 1; i < fold.size(); ++i) {
+        arena.combine_into(acc, fold[i], AttackOp::Combine, dom, dom);
+      }
+      benchmark::DoNotOptimize(acc);
+    }
+  }
+  state.counters["examined_per_iter"] = benchmark::Counter(
+      static_cast<double>(arena.stats().points_examined),
+      benchmark::Counter::kAvgIterations);
+}
+
+void BM_CombineTensorRows(benchmark::State& state, TensorShape shape) {
+  Rng rng(15);
+  switch (shape) {
+    case TensorShape::RootFold:
+      time_tensor_folds<ValuePoint>(
+          state, {std::vector<Front>(8, line_staircase(32, 2.0, 1.0, 1.0))});
+      break;
+    case TensorShape::AllParetoCoarseRows:
+      time_tensor_folds<ValuePoint>(
+          state, {{line_staircase(256, 256.0, 256.0),
+                   line_staircase(256, 1.0, 1.0)}});
+      break;
+    case TensorShape::AllParetoFineRows:
+      time_tensor_folds<ValuePoint>(
+          state, {{line_staircase(256, 1.0, 1.0),
+                   line_staircase(256, 256.0, 256.0)}});
+      break;
+    case TensorShape::Random120: {
+      std::vector<std::vector<Front>> pairs(16);
+      for (std::vector<Front>& pair : pairs) {
+        pair.push_back(random_steps_staircase<ValuePoint>(rng, 120, 0));
+        pair.push_back(random_steps_staircase<ValuePoint>(rng, 120, 0));
+      }
+      time_tensor_folds(state, pairs);
+      break;
+    }
+    case TensorShape::Witness64: {
+      std::vector<WitnessFront> pair;
+      pair.push_back(random_steps_staircase<WitnessPoint>(rng, 64, 0));
+      pair.push_back(random_steps_staircase<WitnessPoint>(rng, 64, 64));
+      time_tensor_folds<WitnessPoint>(state, {pair});
+      break;
+    }
+  }
+}
+BENCHMARK_CAPTURE(BM_CombineTensorRows, root_fold, TensorShape::RootFold);
+BENCHMARK_CAPTURE(BM_CombineTensorRows, all_pareto_coarse_rows,
+                  TensorShape::AllParetoCoarseRows);
+BENCHMARK_CAPTURE(BM_CombineTensorRows, all_pareto_fine_rows,
+                  TensorShape::AllParetoFineRows);
+BENCHMARK_CAPTURE(BM_CombineTensorRows, random_120, TensorShape::Random120);
+BENCHMARK_CAPTURE(BM_CombineTensorRows, witness_64, TensorShape::Witness64);
+
 // ---- sharded naive enumeration ------------------------------------------
 
 /// A 2^14-delta model kept cheap on the attack side: 14 defenses, each
@@ -503,8 +622,8 @@ void BM_CombineKWaySingleton(benchmark::State& state) {
   if (!simd_level_ready(state, level)) return;
   const ScopedSimdOverride simd(level);
   const MinCostDomain dom;
-  // Singleton x long staircase under tensor_A: the tournament collapses
-  // immediately and the whole combine runs in the vector endgame (the
+  // Singleton x long staircase under tensor_A: the one-row group goes
+  // straight to the vector endgame, so the whole combine runs there (the
   // leaf-fold shape that dominates bottom-up propagation).
   const Front single = Front::from_staircase({ValuePoint{0.0, 0.0}});
   const Front staircase =

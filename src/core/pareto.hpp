@@ -27,10 +27,11 @@
 /// whose combines are monotone w.r.t. prefer (staircase_combine_eligible -
 /// all the static built-ins) the combine step is *sort-free*: an oplus_A
 /// combine is a linear two-pointer merge of the two staircases, and a
-/// tensor_A combine is a k-way tournament over the cross product's rows
-/// (each itself a staircase) with upper-envelope row pruning. Neither
-/// materializes or sorts the product. Non-monotone/custom domains keep
-/// the materialize + sort + sweep path.
+/// tensor_A combine cuts the cross product's rows (each itself a
+/// staircase) into small groups, sweeps each group to its staircase with
+/// upper-envelope row drops, and joins the group staircases by linear
+/// merges. Neither materializes or sorts the product. Non-monotone/custom
+/// domains keep the materialize + sort + sweep path.
 
 #pragma once
 
@@ -84,8 +85,8 @@ enum class AttackOp : std::uint8_t { Combine, Choose };
 /// monotone, an AttackOp::Choose product is minimized by a linear merge
 /// of the two staircases (Choose uses the attacker's prefer alone); when
 /// the attacker combine is monotone too, every row of an AttackOp::Combine
-/// cross product is itself a staircase, so a k-way merge of the rows
-/// replaces a full sort. Gated on domains.hpp's kMonotoneCombine
+/// cross product is itself a staircase, so grouped sweeps and merges of
+/// the rows replace a full sort. Gated on domains.hpp's kMonotoneCombine
 /// marker, so DynamicDomain and the runtime Semiring always report false
 /// and take the sorting path.
 template <typename Dd, typename Da>
@@ -349,6 +350,19 @@ template <typename P, typename Dd, typename Da>
   return r;
 }
 
+/// The tensor_A product_point of \p p and \p q when its value pair
+/// (\p def, \p att) is already computed: a payload-free point is just
+/// that pair, so only witness points pay for product_point's payloads.
+template <typename P, typename Dd, typename Da>
+[[nodiscard]] P tensor_product(const P& p, const P& q, double def, double att,
+                               const Dd& dd, const Da& da) {
+  if constexpr (std::is_same_v<P, ValuePoint>) {
+    return ValuePoint{def, att};
+  } else {
+    return product_point(p, q, AttackOp::Combine, dd, da);
+  }
+}
+
 /// Upfront reservation cap for cross-product buffers: past this, growth is
 /// left to push_back's geometric policy so a pathological combine commits
 /// memory only as it actually materializes points.
@@ -372,104 +386,101 @@ void product_points(const std::vector<P>& lhs, const std::vector<P>& rhs,
   }
 }
 
-/// One pending element of the k-way merge: the product of row \p row of
-/// the smaller operand with column \p col of the larger one, keyed by its
-/// combined value pair so the tournament never touches point payloads
-/// (witness bitvecs are materialized only for kept points).
-struct KWayEntry {
-  double def = 0;
-  double att = 0;
-  std::uint32_t row = 0;
-  std::uint32_t col = 0;
-};
-
-/// The single-remaining-row bulk tail of combine_kway: once the
-/// tournament is down to one row, the rest of that row is emitted in
-/// ascending staircase order anyway, so its products are batch-computed
-/// into SoA columns (one broadcast combine per coordinate) and pushed
-/// through the same batch select kernel as the sweep - the heap drops
-/// out entirely. This is the dominant phase of the leaf folds the
-/// bottom-up algorithms live on (a singleton accumulator makes k = 1, so
-/// the *whole* combine is this endgame).
+/// The single-remaining-row bulk tail of tensor_group_sweep: once one
+/// row of a group is left, the rest of it is emitted in staircase order
+/// anyway, so its products from column \p c0 on are batch-computed into
+/// SoA columns (one broadcast combine per coordinate) and pushed through
+/// the batch select kernel of staircase_sweep_in_place. This is the
+/// dominant phase of the leaf folds the bottom-up algorithms live on (a
+/// singleton accumulator makes k = 1, so the *whole* combine is this
+/// endgame).
 ///
-/// The kept set is provably identical to popping the products one by
-/// one: the upper-envelope prune can only fire after the output tail has
-/// absorbed an attacker value at least as adverse as the row's last,
-/// which also makes every remaining product un-keepable. Only the
-/// scalar `examined` count is affected by stopping early, and it is
-/// reproduced exactly by the post-hoc walk at the bottom (the prune
-/// condition changes only when the tail changes, i.e. at kept points).
-/// Returns that scalar-parity examined count.
+/// The kept set is provably identical to the scalar sweep's: the row
+/// drop can only fire after the output tail has absorbed an attacker
+/// value at least as adverse as the row's last (\p row_tail), which also
+/// makes every remaining product un-keepable. Only the scalar `examined`
+/// count is affected by stopping early, and it is reproduced exactly by
+/// the check after each chunk (the drop condition changes only when the
+/// tail changes, i.e. at kept points). Returns that scalar-parity
+/// examined count.
 template <typename P, typename Dd, typename Da>
-std::size_t kway_endgame(const std::vector<P>& rows, const std::vector<P>& cols,
-                         bool rows_on_lhs, const KWayEntry& head,
+std::size_t kway_endgame(const P& rp, const std::vector<P>& cols,
+                         std::size_t c0, double row_tail, bool rows_on_lhs,
                          const Dd& dd, const Da& da,
-                         const simd::KernelTable& kt,
-                         const std::vector<double>& row_tails,
-                         simd::SoaScratch& s, std::vector<P>& out,
-                         std::uint64_t* simd_lanes) {
-  const std::size_t m = cols.size();
-  const std::size_t c0 = head.col;
-  const std::size_t len = m - c0;
-  const double row_tail = row_tails[head.row];
-  // Scalar parity: the prune test precedes the first pop's push.
-  if (!out.empty() && da.prefer(row_tail, out.back().att)) return 1;
-
-  const P& rp = rows[head.row];
-  s.b_def.resize(len);
-  s.b_att.resize(len);
-  for (std::size_t i = 0; i < len; ++i) {
-    s.b_def[i] = cols[c0 + i].def;
-    s.b_att[i] = cols[c0 + i].att;
+                         const simd::KernelTable& kt, simd::SoaScratch& s,
+                         std::vector<P>& out, std::uint64_t* simd_lanes) {
+  const std::size_t len = cols.size() - c0;
+  // Scalar parity: the drop test precedes the first emit.
+  if (!out.empty() && !da.strictly_prefer(out.back().att, row_tail)) {
+    return 1;
   }
-  s.p_def.resize(len);
-  s.p_att.resize(len);
+
   // product_point's operand roles: p is the lhs-side point, and here the
   // *column* points vary while the row point is broadcast - so the
   // broadcast constant sits on p's side exactly when rows came from lhs.
   const bool swapped = rows_on_lhs;
-  simd::combine_col_fn<Dd>(kt, swapped)(s.b_def.data(), len, rp.def,
-                                        s.p_def.data());
-  simd::combine_col_fn<Da>(kt, swapped)(s.b_att.data(), len, rp.att,
-                                        s.p_att.data());
-  const int da_idx = simd::pref_index(Da::kSimdPrefer);
+  const simd::CombineColFn def_col = simd::combine_col_fn<Dd>(kt, swapped);
+  const simd::CombineColFn att_col = simd::combine_col_fn<Da>(kt, swapped);
+  const simd::PushSelectFn select =
+      kt.push_select[simd::pref_index(Da::kSimdPrefer)];
   simd::PushTail tail;
   if (!out.empty()) {
     tail.has = true;
     tail.def = out.back().def;
     tail.att = out.back().att;
   }
-  s.sel.resize(len);
-  const simd::SelectResult r = kt.push_select[da_idx](
-      s.p_def.data(), s.p_att.data(), len, s.sel.data(), &tail);
-  if (simd_lanes != nullptr) {
-    *simd_lanes += r.lanes + 2 * static_cast<std::uint64_t>(len);
-  }
+  // Chunks keep the columns, products and selection in L1; the kernel
+  // carries the staircase tail from one chunk to the next.
+  constexpr std::size_t kChunk = 256;
+  const std::size_t width = std::min(len, kChunk);
+  s.b_def.resize(width);
+  s.b_att.resize(width);
+  s.p_def.resize(width);
+  s.p_att.resize(width);
+  s.sel.resize(width);
+  std::uint64_t lanes = 0;
+  std::size_t examined = len;
+  for (std::size_t base = 0; base < len; base += width) {
+    const std::size_t w = std::min(width, len - base);
+    const P* chunk = cols.data() + c0 + base;
+    for (std::size_t i = 0; i < w; ++i) {
+      s.b_def[i] = chunk[i].def;
+      s.b_att[i] = chunk[i].att;
+    }
+    def_col(s.b_def.data(), w, rp.def, s.p_def.data());
+    att_col(s.b_att.data(), w, rp.att, s.p_att.data());
+    const simd::SelectResult r =
+        select(s.p_def.data(), s.p_att.data(), w, s.sel.data(), &tail);
+    lanes += r.lanes + 2 * static_cast<std::uint64_t>(w);
 
-  const auto materialize = [&](std::uint32_t selidx) {
-    const std::size_t col = c0 + selidx;
-    const P& p = rows_on_lhs ? rp : cols[col];
-    const P& q = rows_on_lhs ? cols[col] : rp;
-    return product_point(p, q, AttackOp::Combine, dd, da);
-  };
-  std::size_t j = 0;
-  if (r.replaced_first && r.kept > 0) {
-    out.back() = materialize(s.sel[0]);
-    j = 1;
-  }
-  for (; j < r.kept; ++j) out.push_back(materialize(s.sel[j]));
+    // The kernels' combines are bit-identical to product_point's.
+    const auto materialize = [&](std::uint32_t i) {
+      return tensor_product(rows_on_lhs ? rp : chunk[i],
+                            rows_on_lhs ? chunk[i] : rp, s.p_def[i],
+                            s.p_att[i], dd, da);
+    };
+    std::size_t j = 0;
+    if (r.replaced_first && r.kept > 0) {
+      out.back() = materialize(s.sel[0]);
+      j = 1;
+    }
+    for (; j < r.kept; ++j) out.push_back(materialize(s.sel[j]));
 
-  // Scalar-parity examined count: the scalar loop pops products one at
-  // a time and stops one past the first kept product whose attacker
-  // value the row tail weakly dominates (at which point nothing later
-  // can be kept either - see the function comment).
-  for (std::size_t t = 0; t < r.kept; ++t) {
-    const std::size_t pos = s.sel[t];
-    if (da.prefer(row_tail, s.p_att[pos])) {
-      return pos + 1 < len ? pos + 2 : len;
+    // Scalar-parity examined count: the scalar sweep steps over or emits
+    // products one at a time and counts one drop after the first kept
+    // product whose attacker value the row tail weakly dominates. Kept
+    // attacker values strictly worsen and none passes the row tail, so
+    // that can only be the last kept product - and nothing after it can
+    // be kept, so the walk stops there.
+    if (r.kept > 0 &&
+        !da.strictly_prefer(s.p_att[s.sel[r.kept - 1]], row_tail)) {
+      const std::size_t pos = base + s.sel[r.kept - 1];
+      examined = pos + 1 < len ? pos + 2 : len;
+      break;
     }
   }
-  return len;
+  if (simd_lanes != nullptr) *simd_lanes += lanes;
+  return examined;
 }
 
 /// The oplus_A combine of two non-empty staircases as a two-pointer
@@ -522,29 +533,172 @@ std::size_t combine_choose_merge(const std::vector<P>& lhs,
   return visited;
 }
 
+/// One group of the tensor_A combine: the Pareto-minimal staircase of
+/// the products of rows [\p r0, \p r0 + \p n) with every column, written
+/// to \p out (empty on entry) by a threshold sweep over the rows' heads.
+/// See combine_kway for the sweep's steps and why it is exact. Returns
+/// the products examined: cursor steps, row drops and emitted heads,
+/// plus the endgame's scalar-parity count.
+template <typename P, typename Dd, typename Da>
+std::size_t tensor_group_sweep(const std::vector<P>& rows,
+                               const std::vector<P>& cols, bool rows_on_lhs,
+                               std::size_t r0, std::size_t n, const Dd& dd,
+                               const Da& da, const simd::KernelTable* kt,
+                               simd::SoaScratch* s, std::vector<P>& out,
+                               std::uint64_t* simd_lanes) {
+  // A live row: its cursor (the head's column), the head product's value
+  // pair, the attacker value of the row's last product, and the row
+  // point's own values.
+  struct Row {
+    double def;
+    double att;
+    double last;
+    double row_def;
+    double row_att;
+    std::uint32_t row;
+    std::uint32_t col;
+  };
+  const std::size_t m = cols.size();
+  const P* const col_pts = cols.data();
+  // The tensor_A product's value pair; payloads wait until a head is
+  // emitted. Operand roles follow product_point (p is the lhs side).
+  const auto load = [&](Row& r) {
+    const P& c = col_pts[r.col];
+    r.def = rows_on_lhs ? dd.combine(r.row_def, c.def)
+                        : dd.combine(c.def, r.row_def);
+    r.att = rows_on_lhs ? da.combine(r.row_att, c.att)
+                        : da.combine(c.att, r.row_att);
+  };
+  Row live[simd::kTensorGroupRows] = {};
+  for (std::size_t t = 0; t < n; ++t) {
+    Row& r = live[t];
+    r.row = static_cast<std::uint32_t>(r0 + t);
+    r.row_def = rows[r.row].def;
+    r.row_att = rows[r.row].att;
+    r.col = static_cast<std::uint32_t>(m - 1);
+    load(r);
+    r.last = r.att;
+    r.col = 0;
+    load(r);
+  }
+  // Removal shifts the later rows down, so live[] stays in row order and
+  // a first-wins scan keeps the lowest row among equal heads.
+  const auto remove = [&](std::size_t t) {
+    std::copy(live + t + 1, live + n, live + t);
+    --n;
+  };
+
+  std::size_t examined = 0;
+  while (n != 0) {
+    if constexpr (is_simd_pair_eligible_v<Dd, Da>) {
+      if (n == 1 && kt != nullptr && m - live[0].col >= simd::kMinEndgameCols) {
+        return examined + kway_endgame(rows[live[0].row], cols, live[0].col,
+                                       live[0].last, rows_on_lhs, dd, da, *kt,
+                                       *s, out, simd_lanes);
+      }
+    }
+    const bool has_tail = !out.empty();
+    const double tail = has_tail ? out.back().att : 0.0;
+    std::size_t best = 0;
+    double best_def = 0.0;
+    double best_att = 0.0;
+    for (std::size_t t = 0; t < n;) {
+      Row& r = live[t];
+      if (has_tail && !da.strictly_prefer(tail, r.att)) {
+        // 1. The tail covers the row's last product, so all of it.
+        // (Tested as "not strictly more adverse", so that step 2
+        // provably stops at the last product.)
+        if (!da.strictly_prefer(tail, r.last)) {
+          ++examined;
+          remove(t);
+          continue;
+        }
+        // 2. Step over heads the tail covers.
+        do {
+          ++examined;
+          ++r.col;
+          load(r);
+        } while (!da.strictly_prefer(tail, r.att));
+      }
+      // 3. Best defender value, then most adverse, then lowest row.
+      if (t == 0 || dd.strictly_prefer(r.def, best_def) ||
+          (dd.equivalent(r.def, best_def) &&
+           da.strictly_prefer(best_att, r.att))) {
+        best = t;
+        best_def = r.def;
+        best_att = r.att;
+      }
+      ++t;
+    }
+    if (n == 0) break;
+    Row& b = live[best];
+    const P& p = rows_on_lhs ? rows[b.row] : cols[b.col];
+    const P& q = rows_on_lhs ? cols[b.col] : rows[b.row];
+    staircase_push(out, tensor_product(p, q, best_def, best_att, dd, da), dd,
+                   da);
+    ++examined;
+    // 4. Advance the emitting row.
+    if (++b.col == m) {
+      remove(best);
+    } else {
+      load(b);
+    }
+  }
+  return examined;
+}
+
 /// Sort-free combine of two staircases (the general, non-singleton hot
 /// path). AttackOp::Choose goes to the linear combine_choose_merge above.
 ///
 /// Under AttackOp::Combine each of the k = min(|lhs|, |rhs|) rows of the
-/// cross product is itself a staircase (this is what
-/// staircase_combine_eligible certifies), so a k-way tournament merge
-/// emits the products with non-strictly worsening defender values -
-/// exactly staircase_push's precondition - and the linear dominance sweep
-/// yields the minimized front in O(|lhs||rhs| log k) worst case without
-/// materializing or sorting the product.
+/// cross product is a staircase in its own right (this is what
+/// staircase_combine_eligible certifies). The rows are cut into groups
+/// of simd::kTensorGroupRows consecutive rows; tensor_group_sweep turns
+/// each group into its Pareto staircase, and pareto_merge_staircases
+/// joins the group staircases in binary-counter order. Neither step
+/// materializes or sorts the product; witness payloads are built only
+/// for emitted heads.
 ///
-/// Upper-envelope pruning usually does far better: a row's most adverse
-/// value is its last product, and the output tail is the most adverse
-/// point kept so far with a defender value at least as good as every
-/// pending product - so once the tail is at least as adverse as a row's
-/// final value, the whole remaining row is dominated and drops out of the
-/// tournament. On staircase families (Fig. 4) this collapses the
-/// enumeration to O((|lhs| + |rhs|) log k) products examined.
+/// The sweep keeps, per live row, a cursor, the head product's value
+/// pair and the attacker value of the row's last product. Each step:
+///  1. drops every row whose last product the group's output tail
+///     already covers (an upper-envelope prune, O(1) per row);
+///  2. advances each row's cursor past heads not strictly more adverse
+///     than the tail;
+///  3. emits, through staircase_push, the head with the best defender
+///     value - on equal defender values the most adverse attacker value,
+///     on equal value pairs the lowest row;
+///  4. advances the emitting row's cursor.
+/// When one row of a group is left, kway_endgame batch-pushes the rest of
+/// it through the SIMD select kernel (the whole combine when k = 1).
 ///
-/// \p heap and \p row_tails are caller scratch (recycled by FrontArena);
-/// \p out receives the minimized staircase. Returns the number of product
-/// points actually examined (popped from the tournament, or visited by
-/// the merge).
+/// Why it is exact:
+///  - a monotone combine makes every row list its products with non-
+///    strictly worsening values for both players, so a row's first
+///    product strictly more adverse than the tail is its best-defender
+///    candidate;
+///  - every head emitted so far had the best defender value pending, so
+///    the tail's defender value is at least as good as every pending
+///    product's: steps 1-2 pass over dominated products only;
+///  - hence the tail's successor on the Pareto staircase is the best-
+///    defender product strictly more adverse than the tail, i.e. the head
+///    step 3 picks (staircase_push replaces the tail when a later head
+///    ties its defender value and is more adverse);
+///  - a staircase merge of exact group staircases is exact.
+/// Witnesses are fixed by the tie rule: the lowest row wins among equal
+/// heads, the earlier (lower-row) operand wins equal pairs in a merge,
+/// and the endgame keeps exactly what the scalar sweep would. So the kept
+/// witness is the same at every thread count and SIMD level.
+///
+/// Cost: every product is stepped over or emitted at most once and each
+/// emit scans at most G = kTensorGroupRows live rows, so the sweeps cost
+/// O(G |product|) and the merges O(|product| log (k / G)) in the worst
+/// case - with G fixed, within the O(|product| log k) of a k-way heap.
+///
+/// \p runs is caller scratch for the group staircases (recycled by
+/// FrontArena); \p out receives the minimized staircase. Returns the
+/// number of product points examined (counted as above, or the merge
+/// visits under Choose).
 ///
 /// Precondition: staircase_combine_eligible<Dd, Da>(op); both inputs are
 /// staircases under (dd, da). \p out must not alias either input; the
@@ -552,126 +706,68 @@ std::size_t combine_choose_merge(const std::vector<P>& lhs,
 template <typename P, typename Dd, typename Da>
 std::size_t combine_kway(const std::vector<P>& lhs, const std::vector<P>& rhs,
                          AttackOp op, const Dd& dd, const Da& da,
-                         std::vector<KWayEntry>& heap,
-                         std::vector<double>& row_tails, std::vector<P>& out,
-                         simd::SoaScratch* soa = nullptr,
+                         std::vector<std::vector<P>>& runs,
+                         std::vector<P>& out, simd::SoaScratch* soa = nullptr,
                          std::uint64_t* simd_lanes = nullptr) {
   out.clear();
   if (lhs.empty() || rhs.empty()) return 0;
   if (op == AttackOp::Choose) {
     return combine_choose_merge(lhs, rhs, dd, da, out);
   }
-  // Rows iterate over the smaller operand so the tournament holds
-  // min(|lhs|, |rhs|) entries; the product keeps its (lhs, rhs) operand
-  // roles either way (tensor ops are commutative on values, and witness
-  // payloads union).
+  // Rows iterate over the smaller operand, so there are fewer groups to
+  // merge; the product keeps its (lhs, rhs) operand roles either way
+  // (tensor ops are commutative on values, and witness payloads union).
   const bool rows_on_lhs = lhs.size() <= rhs.size();
   const std::vector<P>& rows = rows_on_lhs ? lhs : rhs;
   const std::vector<P>& cols = rows_on_lhs ? rhs : lhs;
   const std::size_t k = rows.size();
-  const std::size_t m = cols.size();
+  constexpr std::size_t G = simd::kTensorGroupRows;
 
-  auto entry_at = [&](std::uint32_t row, std::uint32_t col) {
-    KWayEntry e;
-    e.row = row;
-    e.col = col;
-    // The tensor_A product's value pair; payloads wait until a product
-    // is kept.
-    const P& p = rows_on_lhs ? rows[row] : cols[col];
-    const P& q = rows_on_lhs ? cols[col] : rows[row];
-    e.def = dd.combine(p.def, q.def);
-    e.att = da.combine(p.att, q.att);
-    return e;
-  };
-
-  // SIMD-eligible domain pairs vectorize the per-row setup (row tails +
-  // first tournament entries, one broadcast combine per column) and the
-  // single-remaining-row endgame inside the loop; the tournament itself
-  // is inherently serial and stays scalar.
+  // SIMD-eligible domain pairs vectorize each group's single-row endgame;
+  // the sweep itself is serial and stays scalar.
   const simd::KernelTable* kt = nullptr;
   simd::SoaScratch* s = nullptr;
   if constexpr (is_simd_pair_eligible_v<Dd, Da>) {
-    if (m < simd::kMaxSelectSpan) {
+    if (cols.size() < simd::kMaxSelectSpan) {
       kt = simd::active_kernels();
       if (kt != nullptr) s = soa != nullptr ? soa : &simd::tls_soa_scratch();
     }
   }
-
-  row_tails.resize(k);
-  heap.clear();
-  heap.reserve(k);
-  bool simd_init = false;
-  if constexpr (is_simd_pair_eligible_v<Dd, Da>) {
-    if (kt != nullptr && k >= simd::kMinKwayRows) {
-      // Here the *row* points vary while one column point is broadcast,
-      // so the broadcast sits on product_point's p side exactly when the
-      // rows came from the rhs (mirror of the endgame's roles).
-      const bool swapped = !rows_on_lhs;
-      soa_transpose(rows, s->a_def, s->a_att);
-      s->p_def.resize(k);
-      s->p_att.resize(k);
-      const simd::CombineColFn att_col =
-          simd::combine_col_fn<Da>(*kt, swapped);
-      att_col(s->a_att.data(), k, cols[m - 1].att, row_tails.data());
-      simd::combine_col_fn<Dd>(*kt, swapped)(s->a_def.data(), k, cols[0].def,
-                                             s->p_def.data());
-      att_col(s->a_att.data(), k, cols[0].att, s->p_att.data());
-      for (std::uint32_t i = 0; i < k; ++i) {
-        heap.push_back(KWayEntry{s->p_def[i], s->p_att[i], i, 0});
-      }
-      if (simd_lanes != nullptr) {
-        *simd_lanes += 3 * static_cast<std::uint64_t>(k);
-      }
-      simd_init = true;
-    }
-  }
-  if (!simd_init) {
-    for (std::uint32_t i = 0; i < k; ++i) {
-      row_tails[i] = entry_at(i, static_cast<std::uint32_t>(m - 1)).att;
-    }
-    for (std::uint32_t i = 0; i < k; ++i) heap.push_back(entry_at(i, 0));
-  }
-
-  // Min-heap under the staircase order of the value pairs. std::push_heap
-  // keeps the comparator-maximal element last, so the comparator is the
-  // inverse of FrontLess.
-  const FrontLess<Dd, Da> less{dd, da};
-  auto heap_after = [&](const KWayEntry& a, const KWayEntry& b) {
-    return less(ValuePoint{b.def, b.att}, ValuePoint{a.def, a.att});
+  const auto sweep = [&](std::size_t g, std::vector<P>& into) {
+    into.clear();
+    return tensor_group_sweep(rows, cols, rows_on_lhs, g * G,
+                              std::min(G, k - g * G), dd, da, kt, s, into,
+                              simd_lanes);
   };
-  std::make_heap(heap.begin(), heap.end(), heap_after);
+  const std::size_t groups = (k + G - 1) / G;
+  if (groups == 1) return sweep(0, out);
 
+  // runs[0, depth) is a stack of group staircases in row order, merged
+  // like a binary counter so merge inputs stay balanced; runs[depth] is
+  // the spare buffer a merge writes into. Every merge passes the lower
+  // rows' staircase first, so it wins equal pairs.
   std::size_t examined = 0;
-  while (!heap.empty()) {
-    if constexpr (is_simd_pair_eligible_v<Dd, Da>) {
-      if (kt != nullptr && heap.size() == 1 &&
-          m - heap[0].col >= simd::kMinEndgameCols) {
-        examined += kway_endgame(rows, cols, rows_on_lhs, heap[0], dd, da,
-                                 *kt, row_tails, *s, out, simd_lanes);
-        break;
-      }
-    }
-    std::pop_heap(heap.begin(), heap.end(), heap_after);
-    const KWayEntry e = heap.back();
-    heap.pop_back();
-    ++examined;
-    if (!out.empty() && da.prefer(row_tails[e.row], out.back().att)) {
-      continue;  // whole remaining row dominated by the output tail
-    }
-    // staircase_push's reject test, hoisted so dominated products are
-    // never materialized (the payload copy is the expensive part for
-    // witness points).
-    if (out.empty() || da.strictly_prefer(out.back().att, e.att)) {
-      const P& p = rows_on_lhs ? rows[e.row] : cols[e.col];
-      const P& q = rows_on_lhs ? cols[e.col] : rows[e.row];
-      staircase_push(out, product_point(p, q, AttackOp::Combine, dd, da), dd,
-                     da);
-    }
-    if (e.col + 1 < m) {
-      heap.push_back(entry_at(e.row, e.col + 1));
-      std::push_heap(heap.begin(), heap.end(), heap_after);
+  std::size_t depth = 0;
+  const auto merge_top = [&](std::vector<P>& into) {
+    pareto_merge_staircases(runs[depth - 2], runs[depth - 1], into, dd, da,
+                            soa, simd_lanes);
+    --depth;
+  };
+  for (std::size_t g = 0; g < groups; ++g) {
+    if (runs.size() < depth + 2) runs.resize(depth + 2);
+    examined += sweep(g, runs[depth]);
+    ++depth;
+    if (g + 1 == groups) break;
+    for (std::size_t x = g + 1; (x & 1) == 0; x >>= 1) {
+      merge_top(runs[depth]);
+      std::swap(runs[depth - 1], runs[depth + 1]);
     }
   }
+  while (depth > 2) {
+    merge_top(runs[depth]);
+    std::swap(runs[depth - 1], runs[depth + 1]);
+  }
+  merge_top(out);
   return examined;
 }
 
@@ -818,7 +914,8 @@ template <typename P, typename Dd, typename Da>
 }
 
 /// The sort-free staircase path of the combine step (detail::combine_kway:
-/// a linear merge under oplus_A, the k-way tournament under tensor_A).
+/// a linear merge under oplus_A, grouped threshold sweeps joined by
+/// staircase merges under tensor_A).
 /// Precondition: staircase_combine_eligible<Dd, Da>(op) - calling this
 /// with a non-monotone combine silently breaks the staircase invariant.
 template <typename P, typename Dd, typename Da>
@@ -826,11 +923,9 @@ template <typename P, typename Dd, typename Da>
                                                 const BasicFront<P>& rhs,
                                                 AttackOp op, const Dd& dd,
                                                 const Da& da) {
-  std::vector<detail::KWayEntry> heap;
-  std::vector<double> row_tails;
+  std::vector<std::vector<P>> runs;
   std::vector<P> out;
-  detail::combine_kway(lhs.points(), rhs.points(), op, dd, da, heap,
-                       row_tails, out);
+  detail::combine_kway(lhs.points(), rhs.points(), op, dd, da, runs, out);
   return BasicFront<P>::from_staircase(std::move(out));
 }
 
@@ -899,11 +994,11 @@ template <typename P, typename Dd, typename Da>
 /// BottomUpOptions/BddBuOptions::arena).
 /// Running totals of the combine work a FrontArena has served; benches
 /// and the analysis trace (trace.hpp) read these to show which path the
-/// hot loop actually took and how effective upper-envelope pruning was.
+/// hot loop actually took and how much of the product it examined.
 /// Snapshot-and-subtract to attribute work to one analysis when the arena
 /// is shared across a batch.
 struct CombineStats {
-  /// Combines on the sort-free path: tensor_A tournaments and oplus_A
+  /// Combines on the sort-free path: tensor_A grouped sweeps and oplus_A
   /// two-pointer merges alike.
   std::uint64_t kway_combines = 0;
   std::uint64_t sorted_combines = 0;  ///< combines that sorted the product
@@ -911,9 +1006,10 @@ struct CombineStats {
   /// step); already sort-free for monotone domains.
   std::uint64_t staircase_merges = 0;
   /// Product points examined: every point of the cross product on the
-  /// sorting path; on the sort-free path only the tournament pops
-  /// (tensor_A) and the merge visits (oplus_A, at most |lhs| + |rhs|) -
-  /// the gap between this and the full product is the pruning win.
+  /// sorting path; on the sort-free path the tensor_A sweep's cursor
+  /// steps, row drops and emitted heads (the same count at every SIMD
+  /// level), and the oplus_A merge visits (at most |lhs| + |rhs|). The
+  /// gap between this and the full product is the row drops' saving.
   std::uint64_t points_examined = 0;
   std::uint64_t points_kept = 0;  ///< points surviving minimization
   /// Point-elements streamed through the SIMD batch kernels (0 on the
@@ -958,17 +1054,18 @@ class FrontArena {
   ///
   /// Domain pairs certifying staircase_combine_eligible (the static
   /// built-ins) take the sort-free staircase path (linear merge under
-  /// oplus_A, k-way tournament under tensor_A), which never materializes
-  /// the cross product; unmarked domains (DynamicDomain, the runtime
-  /// Semiring) materialize, sort, and sweep.
+  /// oplus_A, grouped sweeps and merges under tensor_A), which never
+  /// materializes the cross product; unmarked domains (DynamicDomain, the
+  /// runtime Semiring) materialize, sort, and sweep.
   template <typename Dd, typename Da>
   void combine_into(BasicFront<P>& acc, const BasicFront<P>& rhs, AttackOp op,
                     const Dd& dd, const Da& da) {
     if (staircase_combine_eligible<Dd, Da>(op)) {
       stats_.points_examined += detail::combine_kway(
-          acc.points(), rhs.points(), op, dd, da, heap_, row_tails_, spare_,
-          &soa_, &stats_.simd_lanes_used);
+          acc.points(), rhs.points(), op, dd, da, runs_, spare_, &soa_,
+          &stats_.simd_lanes_used);
       ++stats_.kway_combines;
+      for (std::vector<P>& run : runs_) trim(run, spare_.size());
     } else {
       detail::product_points(acc.points(), rhs.points(), op, dd, da, scratch_);
       std::sort(scratch_.begin(), scratch_.end(),
@@ -983,7 +1080,7 @@ class FrontArena {
       }
       stats_.points_examined += scratch_.size();
       ++stats_.sorted_combines;
-      trim_scratch(spare_.size());
+      trim(scratch_, spare_.size());
     }
     stats_.points_kept += spare_.size();
     std::vector<P> recycled = acc.take_points();
@@ -1027,23 +1124,23 @@ class FrontArena {
   }
 
  private:
-  /// Bounds the cross-product buffer's *retained* capacity at a multiple
-  /// of the points the combine actually kept: an arena that served one
-  /// giant custom-domain combine must not pin that product's memory for
-  /// the rest of its (batch-long) life. The 8x / 1024-entry hysteresis
-  /// keeps steady-state recycling allocation-free.
-  void trim_scratch(std::size_t kept) {
-    const std::size_t cap = scratch_.capacity();
+  /// Bounds a combine buffer's *retained* capacity at a multiple of the
+  /// points the combine actually kept: an arena that served one giant
+  /// combine (a custom-domain cross product, or tensor_A group staircases
+  /// that mostly dominate each other) must not pin that memory for the
+  /// rest of its (batch-long) life. The 8x / 1024-entry hysteresis keeps
+  /// steady-state recycling allocation-free.
+  static void trim(std::vector<P>& buffer, std::size_t kept) {
+    const std::size_t cap = buffer.capacity();
     if (cap > 1024 && cap / 8 > kept) {
-      scratch_.clear();
-      scratch_.shrink_to_fit();
+      buffer.clear();
+      buffer.shrink_to_fit();
     }
   }
 
   std::vector<P> scratch_;  ///< cross-product / transform buffer
   std::vector<P> spare_;    ///< recycled output buffer
-  std::vector<detail::KWayEntry> heap_;  ///< k-way tournament entries
-  std::vector<double> row_tails_;        ///< per-row most adverse value
+  std::vector<std::vector<P>> runs_;  ///< tensor_A group staircases
   simd::SoaScratch soa_;  ///< SoA column view for the batch kernels
   CombineStats stats_;
 };

@@ -2,7 +2,7 @@
 /// \brief Batch (SoA) Pareto kernels with runtime CPU dispatch.
 ///
 /// The hot loops of every algorithm - dominance scans, staircase sweeps,
-/// two-staircase merges, and the k-way tournament combine - reduce to
+/// two-staircase merges, and the tensor_A combine's endgame - reduce to
 /// streaming two double columns (defender value, attacker value) through
 /// a handful of compare/combine patterns. This header defines those
 /// kernels as a table of function pointers over *structure-of-arrays*
@@ -60,8 +60,16 @@ constexpr int pref_index(SimdPrefer p) noexcept {
 inline constexpr std::size_t kMinSweepPoints = 16;
 inline constexpr std::size_t kMinMergePoints = 16;   ///< sum of both inputs
 inline constexpr std::size_t kMinDominatePoints = 8;
-inline constexpr std::size_t kMinKwayRows = 8;
 inline constexpr std::size_t kMinEndgameCols = 8;
+
+/// Rows per threshold-sweep group of the tensor_A combine
+/// (detail::combine_kway in core/pareto.hpp): each emit scans the group's
+/// live rows, and group staircases are joined by staircase merges, so
+/// larger groups trade scan work for merge levels. On bench_micro's
+/// BM_CombineTensorRows shapes, 4 ran the all-Pareto rows ~12% faster
+/// than 8 but the edit_loop root fold ~20% and the witness row ~60%
+/// slower; 16 ran the all-Pareto rows 1.3-1.4x slower than 8.
+inline constexpr std::size_t kTensorGroupRows = 8;
 
 /// Selection entries index 31 bits; spans at or above this fall back to
 /// scalar (fronts this large exceed every configured front cap anyway).

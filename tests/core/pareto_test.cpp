@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 
+#include "util/cpu.hpp"
 #include "util/rng.hpp"
 
 namespace adtp {
@@ -269,6 +270,53 @@ std::vector<ValuePoint> tied_staircase(Rng& rng, std::size_t n, const Dd& dd,
   return pts;
 }
 
+/// A random n-point staircase (n <= 48) for tensor_A trials. Both
+/// coordinates come from one small grid shared by every call plus the
+/// domain's zero (+inf for costs, 0 for probabilities), so products of
+/// two such staircases tie across rows and across row groups. There is
+/// no -inf: -inf + +inf is NaN under +.
+template <typename Dd, typename Da>
+std::vector<ValuePoint> tensor_staircase(Rng& rng, std::size_t n,
+                                         const Dd& dd, const Da& da) {
+  const auto pool = [&](double zero) {
+    std::vector<double> v{zero};
+    for (int k = 1; k <= 48; ++k) v.push_back(k / 48.0);
+    if (zero != 0.0) v.push_back(0.0);
+    // Partial Fisher-Yates: the first n entries become a random subset.
+    for (std::size_t k = 0; k < n; ++k) {
+      std::swap(v[k], v[k + rng.below(v.size() - k)]);
+    }
+    v.resize(n);
+    return v;
+  };
+  std::vector<double> def = pool(dd.zero());
+  std::vector<double> att = pool(da.zero());
+  std::sort(def.begin(), def.end(),
+            [&](double x, double y) { return dd.strictly_prefer(x, y); });
+  std::sort(att.begin(), att.end(),
+            [&](double x, double y) { return da.strictly_prefer(x, y); });
+  std::vector<ValuePoint> pts;
+  for (std::size_t k = 0; k < n; ++k) pts.push_back(ValuePoint{def[k], att[k]});
+  return pts;
+}
+
+/// Operand sizes for tensor_A trials: up to 40 points a side, and on
+/// every other trial the smaller side (the rows) is cut just below, at,
+/// just above or past the combine's row-group boundaries.
+std::pair<std::size_t, std::size_t> tensor_sizes(Rng& rng, int trial) {
+  constexpr std::size_t G = simd::kTensorGroupRows;
+  constexpr std::size_t kGroupRows[] = {G - 1, G, G + 1, 2 * G + 1};
+  std::size_t nl = rng.below(41);
+  std::size_t nr = rng.below(41);
+  if (trial % 2 == 0) {
+    std::size_t& rows = trial % 4 == 0 ? nl : nr;
+    std::size_t& cols = trial % 4 == 0 ? nr : nl;
+    rows = kGroupRows[(trial / 4) % 4];
+    cols = std::max(cols, rows + (trial % 3 == 0 ? 0 : 1));
+  }
+  return {nl, nr};
+}
+
 Front random_front(Rng& rng, std::size_t max_points, const Semiring& da) {
   std::vector<ValuePoint> pts;
   const std::size_t n = 1 + rng.below(max_points);
@@ -432,7 +480,10 @@ TEST(CombineFronts, KWaySortAndBruteForceAgreeFuzz) {
   // (empty, singleton, general). The sort path and the O(n^2) brute force
   // are the oracles; the sort-free path is the implementation under test.
   // Choose trials run the linear merge on larger staircases whose
-  // attacker values tie across the two sides and include +-inf.
+  // attacker values tie across the two sides and include +-inf. Combine
+  // trials draw staircases of up to 40 points from a shared value grid,
+  // so products tie across rows and row groups, with row counts around
+  // the group boundaries (tensor_sizes).
   Rng rng(61);
   for (int trial = 0; trial < 600; ++trial) {
     const Semiring& dsem = domain_for(trial / 3);
@@ -440,21 +491,21 @@ TEST(CombineFronts, KWaySortAndBruteForceAgreeFuzz) {
     dispatch_domains(dsem, asem, [&](const auto& dd, const auto& da) {
       const AttackOp op =
           trial % 2 == 0 ? AttackOp::Combine : AttackOp::Choose;
-      auto rand_front = [&](std::size_t max_points) {
-        const std::size_t n = rng.below(max_points + 1);  // may be empty
+      auto rand_front = [&](std::size_t n) {
         if (op == AttackOp::Choose) {
           return Front::from_staircase(tied_staircase(rng, n, dd, da));
         }
-        std::vector<ValuePoint> pts;
-        for (std::size_t i = 0; i < n; ++i) {
-          pts.push_back(ValuePoint{random_metric(rng, dsem),
-                                   random_metric(rng, asem)});
-        }
-        return Front::minimized(std::move(pts), dd, da);
+        return Front::from_staircase(tensor_staircase(rng, n, dd, da));
       };
-      const std::size_t max_points = op == AttackOp::Choose ? 40 : 12;
-      const Front lhs = rand_front(trial % 5 == 1 ? 1 : max_points);
-      const Front rhs = rand_front(trial % 5 == 3 ? 1 : max_points);
+      // Either side may be empty.
+      auto [nl, nr] = op == AttackOp::Combine
+                          ? tensor_sizes(rng, trial / 2)
+                          : std::pair<std::size_t, std::size_t>{
+                                rng.below(41), rng.below(41)};
+      if (trial % 5 == 1) nl = 1;
+      if (trial % 5 == 3) nr = 1;
+      const Front lhs = rand_front(nl);
+      const Front rhs = rand_front(nr);
       using Dd = std::decay_t<decltype(dd)>;
       using Da = std::decay_t<decltype(da)>;
       EXPECT_TRUE((staircase_combine_eligible<Dd, Da>(op)));
@@ -484,27 +535,99 @@ TEST(CombineFronts, KWaySortAndBruteForceAgreeFuzz) {
   }
 }
 
+/// n points (def_step * i, att0 + att_step * i): a straight staircase.
+std::vector<ValuePoint> line_staircase(int n, double def_step,
+                                       double att_step, double att0 = 0) {
+  std::vector<ValuePoint> pts;
+  for (int i = 0; i < n; ++i) {
+    pts.push_back(ValuePoint{def_step * i, att0 + att_step * i});
+  }
+  return pts;
+}
+
 TEST(CombineFronts, KWayMatchesSortOnLargeStaircases) {
-  // Fig. 4-style worst case: two long incomparable staircases whose
-  // product prunes heavily. Exercises the upper-envelope row dropping on
-  // sizes where a bug would have many chances to surface.
+  // Long staircases where a bug would have many chances to surface:
+  //  - Fig. 4-style incomparable staircases whose product prunes heavily
+  //    (upper-envelope row drops);
+  //  - all-Pareto products in both orientations: coarse rows keep each
+  //    row's products contiguous, fine rows interleave them all;
+  //  - collinear (2i, i + 1) blocks, as at the edit_loop forest's root,
+  //    whose products tie along diagonals across every row group.
+  const std::pair<std::vector<ValuePoint>, std::vector<ValuePoint>> shapes[] =
+      {{line_staircase(200, 1, 1), line_staircase(200, 3, 2, 1)},
+       {line_staircase(40, 50, 50), line_staircase(50, 1, 1)},
+       {line_staircase(40, 1, 1), line_staircase(50, 40, 40)},
+       {line_staircase(32, 2, 1, 1), line_staircase(32, 2, 1, 1)},
+       {line_staircase(218, 2, 1, 1), line_staircase(32, 2, 1, 1)}};
   for (const AttackOp op : {AttackOp::Combine, AttackOp::Choose}) {
-    std::vector<ValuePoint> a;
-    std::vector<ValuePoint> b;
-    for (int i = 0; i < 200; ++i) {
-      a.push_back(ValuePoint{double(i), double(i)});
-      b.push_back(ValuePoint{double(3 * i + 1), double(2 * i + 1)});
+    for (const auto& [a, b] : shapes) {
+      dispatch_domains(kCost, kCost, [&](const auto& dd, const auto& da) {
+        const Front lhs = Front::minimized(a, dd, da);
+        const Front rhs = Front::minimized(b, dd, da);
+        const Front kway = combine_fronts_kway(lhs, rhs, op, dd, da);
+        const Front sorted = combine_fronts_sorted(lhs, rhs, op, dd, da);
+        EXPECT_TRUE(kway.same_values(sorted, dd, da))
+            << to_string(op) << " " << a.size() << "x" << b.size() << ": "
+            << kway.size() << " vs " << sorted.size() << " points";
+        return 0;
+      });
     }
-    dispatch_domains(kCost, kCost, [&](const auto& dd, const auto& da) {
-      const Front lhs = Front::minimized(a, dd, da);
-      const Front rhs = Front::minimized(b, dd, da);
-      const Front kway = combine_fronts_kway(lhs, rhs, op, dd, da);
-      const Front sorted = combine_fronts_sorted(lhs, rhs, op, dd, da);
-      EXPECT_TRUE(kway.same_values(sorted, dd, da))
-          << to_string(op) << ": " << kway.size() << " vs "
-          << sorted.size() << " points";
-      return 0;
-    });
+  }
+}
+
+TEST(CombineFronts, TensorTiesKeepTheLowestRowsWitness) {
+  // Diagonal staircases: product (i, j) has value (i + j, i + j), so each
+  // front value is reached by a run of rows that spans both row groups.
+  // The kept witness must be the lowest row's (rows are the smaller
+  // operand), in either operand order, identically at every SIMD level.
+  constexpr std::size_t kRows = 2 * simd::kTensorGroupRows;
+  constexpr std::size_t kCols = kRows + 4;
+  const auto diagonal = [](std::size_t n, std::size_t bit_base) {
+    std::vector<WitnessPoint> pts;
+    for (std::size_t i = 0; i < n; ++i) {
+      WitnessPoint p;
+      p.def = static_cast<double>(i);
+      p.att = static_cast<double>(i);
+      p.defense = BitVec(64);
+      p.attack = BitVec(64);
+      p.defense.set(bit_base + i);
+      p.attack.set(bit_base + i);
+      pts.push_back(std::move(p));
+    }
+    return WitnessFront::from_staircase(std::move(pts));
+  };
+  const WitnessFront rows = diagonal(kRows, 0);
+  const WitnessFront cols = diagonal(kCols, 32);
+  std::vector<SimdLevel> levels{SimdLevel::Scalar};
+  for (SimdLevel l : {SimdLevel::Sse2, SimdLevel::Avx2}) {
+    if (simd_level_available(l)) levels.push_back(l);
+  }
+  const MinCostDomain dom;
+  for (const bool rows_first : {true, false}) {
+    const WitnessFront& lhs = rows_first ? rows : cols;
+    const WitnessFront& rhs = rows_first ? cols : rows;
+    for (const SimdLevel level : levels) {
+      ScopedSimdOverride simd(level);
+      FrontArena<WitnessPoint> arena;
+      WitnessFront acc = lhs;
+      arena.combine_into(acc, rhs, AttackOp::Combine, dom, dom);
+      ASSERT_EQ(acc.size(), kRows + kCols - 1) << to_string(level);
+      for (std::size_t v = 0; v < acc.size(); ++v) {
+        const std::size_t row = v < kCols ? 0 : v - (kCols - 1);
+        const WitnessPoint& r = rows.points()[row];
+        const WitnessPoint& c = cols.points()[v - row];
+        const WitnessPoint want =
+            rows_first
+                ? detail::product_point(r, c, AttackOp::Combine, dom, dom)
+                : detail::product_point(c, r, AttackOp::Combine, dom, dom);
+        const WitnessPoint& got = acc.points()[v];
+        EXPECT_EQ(got.def, static_cast<double>(v));
+        EXPECT_EQ(got.att, static_cast<double>(v));
+        EXPECT_TRUE(got.defense == want.defense && got.attack == want.attack)
+            << "value " << v << ": want row " << row << ", level "
+            << to_string(level) << ", rows_first " << rows_first;
+      }
+    }
   }
 }
 
@@ -517,55 +640,51 @@ TEST(CombineFronts, KWayWitnessesAreValidProducts) {
   // validity may not.
   // Choose trials use larger staircases whose attacker values tie across
   // the two sides and include +-inf, so the merge's tie rule (lhs's
-  // attack witness wins) is exercised.
+  // attack witness wins) is exercised. Combine trials use tie-heavy
+  // staircases of up to 40 points with row counts around the row-group
+  // boundaries, so equal-value products compete within and across groups.
   Rng rng(67);
   dispatch_domains(kCost, kCost, [&](const auto& dd, const auto& da) {
     for (int trial = 0; trial < 200; ++trial) {
       const AttackOp op =
           trial % 2 == 0 ? AttackOp::Combine : AttackOp::Choose;
-      const std::size_t max_points = op == AttackOp::Choose ? 24 : 6;
-      const std::size_t nl = 1 + rng.below(max_points);
-      const std::size_t nr = 1 + rng.below(max_points);
+      auto [nl, nr] = op == AttackOp::Combine
+                          ? tensor_sizes(rng, trial / 2)
+                          : std::pair<std::size_t, std::size_t>{
+                                1 + rng.below(24), 1 + rng.below(24)};
       auto rand_witness_front = [&](std::size_t n, std::size_t bit_base) {
-        std::vector<ValuePoint> values;
-        if (op == AttackOp::Choose) {
-          values = tied_staircase(rng, n, dd, da);
-        } else {
-          for (std::size_t i = 0; i < n; ++i) {
-            values.push_back(ValuePoint{static_cast<double>(rng.below(20)),
-                                        static_cast<double>(rng.below(20))});
-          }
-        }
+        const std::vector<ValuePoint> values =
+            op == AttackOp::Choose ? tied_staircase(rng, n, dd, da)
+                                   : tensor_staircase(rng, n, dd, da);
         std::vector<WitnessPoint> pts;
         for (std::size_t i = 0; i < values.size(); ++i) {
           WitnessPoint p;
           p.def = values[i].def;
           p.att = values[i].att;
-          p.defense = BitVec(64);
-          p.attack = BitVec(64);
+          p.defense = BitVec(128);
+          p.attack = BitVec(128);
           p.defense.set(bit_base + i);
           p.attack.set(bit_base + i);
           pts.push_back(std::move(p));
         }
-        return WitnessFront::minimized(std::move(pts), dd, da);
+        return WitnessFront::from_staircase(std::move(pts));
       };
-      const WitnessFront lhs = rand_witness_front(nl, 0);
-      const WitnessFront rhs = rand_witness_front(nr, 32);
+      const WitnessFront lhs = rand_witness_front(std::max<std::size_t>(nl, 1), 0);
+      const WitnessFront rhs = rand_witness_front(std::max<std::size_t>(nr, 1), 64);
 
       const WitnessFront kway = combine_fronts_kway(lhs, rhs, op, dd, da);
       const WitnessFront sorted = combine_fronts_sorted(lhs, rhs, op, dd, da);
       EXPECT_TRUE(kway.same_values(sorted, dd, da)) << "trial " << trial;
+      std::vector<WitnessPoint> products;
+      detail::product_points(lhs.points(), rhs.points(), op, dd, da,
+                             products);
       for (const WitnessPoint& r : kway.points()) {
         bool valid = false;
-        for (const WitnessPoint& p : lhs.points()) {
-          for (const WitnessPoint& q : rhs.points()) {
-            const WitnessPoint expect =
-                detail::product_point(p, q, op, dd, da);
-            valid = valid || (dd.equivalent(expect.def, r.def) &&
-                              da.equivalent(expect.att, r.att) &&
-                              expect.defense == r.defense &&
-                              expect.attack == r.attack);
-          }
+        for (const WitnessPoint& expect : products) {
+          valid = valid || (dd.equivalent(expect.def, r.def) &&
+                            da.equivalent(expect.att, r.att) &&
+                            expect.defense == r.defense &&
+                            expect.attack == r.attack);
         }
         EXPECT_TRUE(valid) << "trial " << trial
                            << ": kept point is not a valid product";

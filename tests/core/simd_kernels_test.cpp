@@ -1,5 +1,5 @@
 /// Scalar-as-oracle contract of the SIMD Pareto kernels: for every
-/// dispatch level the hardware offers, sweep / merge / k-way combine /
+/// dispatch level the hardware offers, sweep / merge / sort-free combine /
 /// dominance must produce *bit-identical* results to the scalar code -
 /// same double bits, same witness payloads, same CombineStats counters
 /// (simd_lanes_used excepted, which is a throughput diagnostic). The
@@ -224,19 +224,21 @@ TEST(SimdKernels, MergeMatchesScalarOnWitnesses) {
   expect_merge_matches_scalar<WitnessPoint>();
 }
 
-/// The k-way combine must match scalar point-for-point AND counter-for-
-/// counter: points_examined parity is what keeps the pruning telemetry
-/// trustworthy across dispatch levels.
+/// The sort-free combine must match scalar point-for-point AND counter-
+/// for-counter: points_examined parity is what keeps the pruning
+/// telemetry trustworthy across dispatch levels.
 template <typename P>
 void expect_combine_matches_scalar() {
   const auto levels = vector_levels();
   if (levels.empty()) GTEST_SKIP() << "no vector ISA detected";
   Rng rng(0xC33E);
   for_each_domain_pair([&](const auto& dd, const auto& da) {
-    // (1, 400) and (2, 300) collapse the tournament early and spend most
-    // of the combine in the vector endgame; (40, 40) never reaches it.
-    const std::size_t sizes[][2] = {{1, 400}, {2, 300}, {3, 120},
-                                    {8, 260},  {40, 40}, {200, 1}};
+    // (1, 400) and (2, 300) spend most of the combine in the vector
+    // endgame; (17, 300) and (32, 218) sweep several row groups, each
+    // ending in an endgame, and join them with staircase merges.
+    const std::size_t sizes[][2] = {{1, 400}, {2, 300},  {3, 120},
+                                    {8, 260}, {17, 300}, {32, 218},
+                                    {40, 40}, {200, 1}};
     for (AttackOp op : {AttackOp::Combine, AttackOp::Choose}) {
       for (const auto& [nl, nr] : sizes) {
         const auto lhs = BasicFront<P>::from_staircase(
