@@ -65,7 +65,7 @@ ScalingRow measure(const std::string& label, const AugmentedAdt& aadt,
   std::vector<double> total;
   AnalysisOptions options;
   options.algorithm = Algorithm::BddBu;
-  options.bdd.threads = threads;
+  options.intra_model_threads = threads;
   AnalysisResult report;
   for (std::size_t r = 0; r < repeats; ++r) {
     const double t =

@@ -115,7 +115,7 @@ ScalingRow measure(const AugmentedAdt& aadt, unsigned threads,
   row.threads = threads;
   AnalysisOptions options;
   options.algorithm = Algorithm::BottomUp;
-  options.bottom_up.threads = threads;
+  options.intra_model_threads = threads;
   std::vector<double> seconds;
   AnalysisResult report;
   for (std::size_t r = 0; r < repeats; ++r) {

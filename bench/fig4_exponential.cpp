@@ -142,7 +142,7 @@ int main(int argc, char** argv) {
     if (bdd_threads > 1) {
       AnalysisOptions par;
       par.algorithm = Algorithm::BddBu;
-      par.bdd.threads = bdd_threads;
+      par.intra_model_threads = bdd_threads;
       AnalysisResult par_report;
       row.bdd_par_seconds =
           bench::time_call([&] { par_report = analyze(aadt, par); });

@@ -232,8 +232,9 @@ int main(int argc, char** argv) {
     const AugmentedAdt variant = edited_variant(gate_model, blocks, repeats);
     const WitnessFront cold_witness = bottom_up_front_witness(variant);
     for (const unsigned t : {1u, threads}) {
+      TaskScheduler pool(t);
       BottomUpOptions bu;
-      bu.threads = t;
+      bu.pool = &pool;
       bu.memo = &gate_memo;
       if (!witnesses_identical(bottom_up_front_witness(variant, bu),
                                cold_witness)) {

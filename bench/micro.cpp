@@ -446,8 +446,11 @@ AugmentedAdt sharded_naive_model() {
 void BM_NaiveSharded(benchmark::State& state) {
   const AugmentedAdt model = sharded_naive_model();
   NaiveOptions options;
-  options.threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
+    // A scheduler per iteration: each row includes the worker spawn and
+    // join that analyze() pays when it builds one for a call.
+    TaskScheduler pool(static_cast<unsigned>(state.range(0)));
+    options.pool = &pool;
     benchmark::DoNotOptimize(naive_front(model, options));
   }
 }
@@ -475,7 +478,7 @@ void BM_BddPropagateThreads(benchmark::State& state) {
   const AugmentedAdt fig4 = catalog::fig4_exponential(14);
   AnalysisOptions options;
   options.algorithm = Algorithm::BddBu;
-  options.bdd.threads = static_cast<unsigned>(state.range(0));
+  options.intra_model_threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
     const AnalysisResult report = analyze(fig4, options);
     benchmark::DoNotOptimize(report.front.size());
@@ -491,8 +494,9 @@ void BM_BddBuildThreads(benchmark::State& state) {
   const AugmentedAdt dag = random_dag(400, 23);
   const auto order = bdd::VarOrder::defense_first(dag.adt());
   bdd::BuildOptions options;
-  options.threads = static_cast<unsigned>(state.range(0));
   for (auto _ : state) {
+    TaskScheduler pool(static_cast<unsigned>(state.range(0)));
+    options.pool = &pool;
     bdd::Manager manager(order.num_vars());
     benchmark::DoNotOptimize(
         bdd::build_structure_function(manager, dag.adt(), order, options));

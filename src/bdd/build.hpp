@@ -24,13 +24,10 @@ namespace adtp::bdd {
 
 /// Knobs of the ADT -> ROBDD translation.
 struct BuildOptions {
-  /// Worker threads for the task-DAG translation: 1 (default) runs
-  /// sequentially on the calling thread, 0 resolves to the hardware
-  /// concurrency. The produced BDD is identical for every value.
-  unsigned threads = 1;
-
-  /// Optional externally-owned scheduler (shared with the propagation
-  /// phase by core/bdd_bu.cpp); overrides \p threads when set.
+  /// Optional borrowed scheduler for the task-DAG translation (shared
+  /// with the propagation phase by core/bdd_bu.cpp): null (default) or a
+  /// single-slot pool runs sequentially on the calling thread. The
+  /// produced BDD is identical for every width.
   TaskScheduler* pool = nullptr;
 
   /// When set, the scheduler counters of the build run are accumulated

@@ -1,7 +1,10 @@
 #include "core/analyzer.hpp"
 
+#include <optional>
+
 #include "core/node_memo.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace adtp {
@@ -30,39 +33,42 @@ AnalysisResult analyze(const AugmentedAdt& aadt,
         aadt.adt().is_tree() ? Algorithm::BottomUp : Algorithm::BddBu;
   }
 
+  // The analysis's own scheduler: built only when intra_model_threads
+  // asks for more than one slot and the caller lent the kernel no pool.
+  // It starts its workers at the kernel's first run(), so a kernel whose
+  // floors keep it sequential never spawns a thread.
+  std::optional<TaskScheduler> owned;
+  auto borrow = [&](TaskScheduler*& pool) {
+    if (pool != nullptr || options.intra_model_threads <= 1) return;
+    owned.emplace(options.intra_model_threads);
+    pool = &*owned;
+  };
+
   AnalysisResult result;
   result.used = algorithm;
   Stopwatch watch;
   switch (algorithm) {
     case Algorithm::Naive: {
       NaiveOptions naive = options.naive;
-      if (options.intra_model_threads != 0) {
-        naive.threads = options.intra_model_threads;
-      }
+      borrow(naive.pool);
       result.front = naive_front(aadt, naive, &result);
       break;
     }
     case Algorithm::BottomUp: {
       BottomUpOptions bottom_up = options.bottom_up;
-      if (options.intra_model_threads != 0) {
-        bottom_up.threads = options.intra_model_threads;
-      }
+      borrow(bottom_up.pool);
       result.front = bottom_up_front(aadt, bottom_up, &result);
       break;
     }
     case Algorithm::BddBu: {
       BddBuOptions bdd = options.bdd;
-      if (options.intra_model_threads != 0) {
-        bdd.threads = options.intra_model_threads;
-      }
+      borrow(bdd.pool);
       result.front = bdd_bu_front(aadt, bdd, &result);
       break;
     }
     case Algorithm::Hybrid: {
       HybridOptions hybrid = options.hybrid;
-      if (options.intra_model_threads != 0) {
-        hybrid.bdd.threads = options.intra_model_threads;
-      }
+      borrow(hybrid.bdd.pool);
       result.front = hybrid_front(aadt, hybrid, &result);
       break;
     }

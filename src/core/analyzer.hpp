@@ -34,15 +34,17 @@ struct AnalysisOptions {
   BddBuOptions bdd;
   HybridOptions hybrid;
 
-  /// Worker threads *inside* one analysis: 0 (default) keeps every
-  /// per-algorithm setting as-is; any other value overrides the knobs of
-  /// all four intra-model parallel paths - naive.threads (the sharded
-  /// 2^|D| enumeration), bottom_up.threads (the sibling-subtree task
-  /// DAG), and bdd.threads / hybrid.bdd.threads (the task-DAG BDD
-  /// construction + propagation). Results are identical for every value,
-  /// so the FrontCache key deliberately ignores it. analyze_batch()
-  /// shares its scheduler with items' intra-model phases instead of
-  /// letting an oversized item straggle on one core.
+  /// Worker threads *inside* one analysis: 0 and 1 (default 0) run the
+  /// selected kernel sequentially; N > 1 makes analyze() build one
+  /// scheduler of N slots and lend it to the selected kernel's pool -
+  /// naive.pool (the sharded 2^|D| enumeration), bottom_up.pool (the
+  /// sibling-subtree task DAG), or bdd.pool / hybrid.bdd.pool (the
+  /// task-DAG BDD construction + propagation). A pool the caller set
+  /// wins. The scheduler starts its workers only when the kernel's floors
+  /// send it work. Results are identical for every value, so the
+  /// FrontCache key deliberately ignores it. Left at 0 in a batch job,
+  /// analyze_batch() lends the batch scheduler instead, so an oversized
+  /// item does not straggle on one core.
   unsigned intra_model_threads = 0;
 };
 

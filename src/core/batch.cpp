@@ -85,13 +85,11 @@ AnalysisOptions instrument_options(const BatchContext& ctx,
   // straggling on one - work stealing balances items against shards with
   // no hand-tuned split. Each path still applies its own work floors, so
   // small items run their cheap sequential kernels untouched. An
-  // explicit per-item thread or pool knob is a deliberate setting and
-  // disables the injection.
+  // explicit per-item intra_model_threads or pool is a deliberate
+  // setting and disables the injection.
   if (ctx.sched.threads() > 1 && opts.intra_model_threads == 0 &&
-      opts.naive.threads == 1 && opts.naive.pool == nullptr &&
-      opts.bottom_up.threads == 1 && opts.bottom_up.pool == nullptr &&
-      opts.bdd.threads == 1 && opts.bdd.pool == nullptr &&
-      opts.hybrid.bdd.threads == 1 && opts.hybrid.bdd.pool == nullptr) {
+      opts.naive.pool == nullptr && opts.bottom_up.pool == nullptr &&
+      opts.bdd.pool == nullptr && opts.hybrid.bdd.pool == nullptr) {
     opts.naive.pool = &ctx.sched;
     opts.bottom_up.pool = &ctx.sched;
     opts.bdd.pool = &ctx.sched;
@@ -210,7 +208,7 @@ BatchReport analyze_batch(std::span<const BatchJob> jobs,
   // giant job on an 8-wide scheduler runs that job's intra-model tasks
   // on all 8 slots.
   Stopwatch watch;
-  TaskScheduler sched(resolve_thread_knob(options.n_threads));
+  TaskScheduler sched(options.n_threads);
   report.threads_used = sched.threads();
   BatchContext ctx(jobs, options, report, sched);
 

@@ -96,14 +96,14 @@ struct BatchItem {
 struct BatchOptions {
   /// Scheduler width (0 = std::thread::hardware_concurrency(), also
   /// overridable via the ADTP_THREADS environment variable). Never
-  /// clamped to the batch size: the scheduler is shared with every
-  /// item's intra-model phases (naive / bottom_up / bdd / hybrid.bdd
-  /// pools), so surplus slots serve an oversized item's own tasks - a
-  /// huge naive enumeration, one giant tree's sibling folds, a big DAG's
-  /// BDD build + propagate - instead of idling. Items that set
-  /// intra_model_threads (or any per-algorithm threads/pool knob)
-  /// themselves keep their own setting; results are unaffected either
-  /// way (intra-model parallelism is deterministic).
+  /// clamped to the batch size: the scheduler is lent to every item's
+  /// intra-model phases (naive / bottom_up / bdd / hybrid.bdd pools), so
+  /// surplus slots serve an oversized item's own tasks - a huge naive
+  /// enumeration, one giant tree's sibling folds, a big DAG's BDD build
+  /// + propagate - instead of idling. Items that set intra_model_threads
+  /// (analyze() then builds the item its own scheduler) or any
+  /// per-algorithm pool themselves keep their own setting; results are
+  /// unaffected either way (intra-model parallelism is deterministic).
   unsigned n_threads = 0;
 
   /// Wall-clock budget for the whole batch in seconds; <= 0 means none.

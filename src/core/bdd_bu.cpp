@@ -1,7 +1,6 @@
 #include "core/bdd_bu.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <type_traits>
 #include <vector>
 
@@ -276,81 +275,45 @@ bdd::VarOrder resolve_order(const AugmentedAdt& aadt,
 /// up front regardless, so construction parallelizes too.
 constexpr std::size_t kMinBddNodesForPool = 4096;
 
-/// Lazily-engaged scheduler of one BDDBU run. A small ADT can still
+/// The one BDDBU driver: variable order -> manager -> ROBDD build ->
+/// front propagation. Witness runs pass no trace.
+///
+/// A multi-slot pool engages at one of two floors. A small ADT can still
 /// translate to a huge BDD (the Fig. 4 family: 43 ADT nodes, ~3 * 2^n
-/// BDD nodes), so the scheduler engages either up front - when the ADT
-/// itself clears options.parallel_node_floor - or right after the build,
-/// when the manager turns out large enough that task-DAG propagation
-/// pays for itself. An external scheduler (hybrid blobs, batch
-/// items) is subject to the same floors - it exists already, but
-/// per-node task bookkeeping on a tiny model still costs more than the
-/// sequential loop - just without the spawn cost when it does engage.
-class PoolGate {
- public:
-  PoolGate(const AugmentedAdt& aadt, const BddBuOptions& options)
-      : external_(options.pool),
-        requested_(external_ != nullptr ? external_->threads()
-                                        : resolve_thread_knob(options.threads)) {
-    if (requested_ > 1 &&
-        aadt.adt().size() >= options.parallel_node_floor) {
-      engage();
-    }
-  }
-
-  /// Called between build and propagate with the manager's node count.
-  void after_build(std::size_t manager_nodes) {
-    if (pool_ == nullptr && requested_ > 1 &&
-        manager_nodes >= kMinBddNodesForPool) {
-      engage();
-    }
-  }
-
-  [[nodiscard]] TaskScheduler* pool() noexcept { return pool_; }
-  [[nodiscard]] unsigned threads_used() const noexcept {
-    return pool_ != nullptr ? pool_->threads() : 1;
-  }
-
- private:
-  void engage() {
-    if (external_ != nullptr) {
-      pool_ = external_;
-      return;
-    }
-    storage_.emplace(requested_);
-    pool_ = &*storage_;
-  }
-
-  TaskScheduler* external_;
-  unsigned requested_;
-  std::optional<TaskScheduler> storage_;
-  TaskScheduler* pool_ = nullptr;
-};
-
-/// The one BDDBU driver: variable order -> manager -> scheduler gate ->
-/// ROBDD build -> front propagation. Witness runs pass no trace.
+/// BDD nodes), so the pool engages either up front - when the ADT itself
+/// clears options.parallel_node_floor, so the build runs on it too - or
+/// right after the build, when the manager turns out large enough that
+/// task-DAG propagation pays for itself. Below both, per-node task
+/// bookkeeping costs more than the sequential loop and the pool is
+/// never run.
 template <typename P>
 BasicFront<P> run_bdd_bu(const AugmentedAdt& aadt, const BddBuOptions& options,
                          AnalysisTrace* trace) {
   const bdd::VarOrder order = resolve_order(aadt, options);
   bdd::Manager manager(order.num_vars(), options.node_limit);
-  PoolGate gate(aadt, options);
+  TaskScheduler* const wide =
+      options.pool != nullptr && options.pool->threads() > 1 ? options.pool
+                                                             : nullptr;
+  TaskScheduler* pool =
+      aadt.adt().size() >= options.parallel_node_floor ? wide : nullptr;
   check_interrupt(options.deadline, options.cancel, "bdd_bu");
   Stopwatch watch;
   bdd::BuildOptions build;
-  build.pool = gate.pool();
+  build.pool = pool;
   if (trace != nullptr) build.stats = &trace->sched;
   const bdd::Ref root =
       bdd::build_structure_function(manager, aadt.adt(), order, build);
   const double build_seconds = watch.seconds();
-  gate.after_build(manager.num_nodes());
+  if (manager.num_nodes() >= kMinBddNodesForPool) pool = wide;
   watch.reset();
   BasicFront<P> front =
-      propagate<P>(aadt, manager, root, order, options, gate.pool(), trace);
+      propagate<P>(aadt, manager, root, order, options, pool, trace);
   if (trace != nullptr) {
     trace->build_seconds += build_seconds;
     trace->propagate_seconds += watch.seconds();
     trace->manager_nodes += manager.num_nodes();
-    trace->threads_used = std::max(trace->threads_used, gate.threads_used());
+    trace->threads_used = std::max(
+        trace->threads_used, pool != nullptr ? pool->threads() : 1u);
   }
   return front;
 }

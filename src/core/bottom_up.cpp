@@ -1,7 +1,6 @@
 #include "core/bottom_up.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <type_traits>
 
 #include "core/domains.hpp"
@@ -285,19 +284,12 @@ std::vector<BasicFront<P>> bottom_up_all(const AugmentedAdt& aadt,
   // only the dirty spine on a memoized edit; otherwise the plain walk
   // wins.
   TaskScheduler* pool = options.pool;
-  const unsigned width =
-      pool != nullptr ? pool->threads() : resolve_thread_knob(options.threads);
-  const bool parallel =
-      width > 1 && plan.order.size() >= options.parallel_node_floor;
-  std::optional<TaskScheduler> owned;
-  if (parallel && pool == nullptr) {
-    owned.emplace(width);
-    pool = &*owned;
-  }
+  const bool parallel = pool != nullptr && pool->threads() > 1 &&
+                        plan.order.size() >= options.parallel_node_floor;
   dispatch_domains(
       aadt.defender_domain(), aadt.attacker_domain(),
       [&](const auto& dd, const auto& da) {
-        if (parallel && pool->threads() > 1) {
+        if (parallel) {
           bottom_up_parallel_kernel<P>(aadt, options, plan, fronts, *pool,
                                        trace, dd, da);
         } else {

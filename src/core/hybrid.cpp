@@ -1,13 +1,10 @@
 #include "core/hybrid.hpp"
 
-#include <optional>
-
 #include "adt/modules.hpp"
 #include "adt/transform.hpp"
 #include "core/bottom_up.hpp"
 #include "core/domains.hpp"
 #include "core/node_memo.hpp"
-#include "util/parallel.hpp"
 
 namespace adtp {
 
@@ -25,10 +22,6 @@ struct HybridState {
   const Da& da;
   AnalysisTrace* trace;
   FrontArena<ValuePoint>* arena;
-  /// Scheduler shared by every blob run (owned by hybrid_front);
-  /// spawned lazily at the first blob that wants more than one thread,
-  /// so tree-shaped models never pay for it.
-  std::optional<TaskScheduler>& blob_pool;
 
   /// True iff gate \p v can be combined tree-style: every child is a
   /// single-parent module and the children's descendant sets are pairwise
@@ -66,21 +59,16 @@ struct HybridState {
 
   Front blob_front(NodeId v) {
     // Sharing reaches into this subtree: analyze the whole sub-DAG with
-    // BDDBU (Theorem 2 applies to the sub-AADT as its own model). The
-    // blob inherits the BDDBU options - including the threads knob - and
-    // adds its own counters to the trace.
+    // BDDBU (Theorem 2 applies to the sub-AADT as its own model). Every
+    // blob runs with the BDDBU options - so all blobs borrow the one
+    // options.bdd.pool, each subject to BDDBU's floors - and adds its own
+    // counters to the trace.
     const AugmentedAdt sub = extract_subgraph(aadt, v);
     if (trace != nullptr) {
       ++trace->blob_count;
       trace->largest_blob = std::max(trace->largest_blob, sub.adt().size());
     }
-    BddBuOptions blob_options = options.bdd;
-    const unsigned requested = resolve_thread_knob(blob_options.threads);
-    if (blob_options.pool == nullptr && requested > 1) {
-      if (!blob_pool) blob_pool.emplace(requested);
-      blob_options.pool = &*blob_pool;
-    }
-    return bdd_bu_front(sub, blob_options, trace);
+    return bdd_bu_front(sub, options.bdd, trace);
   }
 
   /// Per-node front memo; populated by hybrid_front when options.memo is
@@ -145,12 +133,10 @@ Front hybrid_front(const AugmentedAdt& aadt, const HybridOptions& options,
   FrontArena<ValuePoint> local_arena;
   FrontArena<ValuePoint>* arena =
       options.bdd.arena != nullptr ? options.bdd.arena : &local_arena;
-  std::optional<TaskScheduler> blob_pool;
   return dispatch_domains(
       aadt.defender_domain(), aadt.attacker_domain(),
       [&](const auto& dd, const auto& da) {
-        HybridState state{aadt, options, modules, dd,
-                          da,   trace,   arena,   blob_pool};
+        HybridState state{aadt, options, modules, dd, da, trace, arena};
         if (options.memo != nullptr && options.memo->capacity() != 0 &&
             memoizable(aadt)) {
           state.memo = options.memo;

@@ -144,23 +144,21 @@ class AttackValues {
   std::vector<double> table_;
 };
 
-/// Sharding floor: a shard must amortize its thread's create/join cost
-/// (~tens of microseconds), so each worker gets at least this many root
-/// evaluations (delta/alpha pairs, each a full structure-function walk).
-/// Below the floor the enumeration runs on fewer threads - possibly one -
-/// which keeps small models in a wide shared batch from paying more for
-/// spawning than for enumerating.
+/// Sharding floor: a shard must amortize its task's scheduling cost (and
+/// on a scheduler's first run, its worker's start), so each shard gets at
+/// least this many root evaluations (delta/alpha pairs, each a full
+/// structure-function walk). Below the floor the enumeration runs in
+/// fewer shards - possibly one - which keeps small models in a wide
+/// shared batch from paying more for scheduling than for enumerating.
 constexpr double kMinEvalsPerShard = 16384;
 
-/// The number of shards actually used: an external scheduler offers its
-/// slot count, otherwise the threads knob resolves (0 = hardware
-/// concurrency); the count is clamped so no shard is empty and no shard
-/// falls under the work floor.
+/// The number of shards actually used: the borrowed scheduler's slot
+/// count (one shard without a pool), clamped so no shard is empty and no
+/// shard falls under the work floor.
 unsigned resolve_shards(const NaiveOptions& options, std::uint64_t num_deltas,
                         std::size_t num_attacks) {
-  std::uint64_t threads = options.pool != nullptr
-                              ? options.pool->threads()
-                              : resolve_thread_knob(options.threads);
+  std::uint64_t threads =
+      options.pool != nullptr ? options.pool->threads() : 1;
   threads = std::min<std::uint64_t>(threads, std::max<std::uint64_t>(
                                                  1, num_deltas));
   // Work estimate in double: 2^(|D| + |A|) overflows uint64 only when it

@@ -9,7 +9,7 @@
 /// paper's experiments.
 ///
 /// Intra-model parallelism: the 2^|D| delta space is embarrassingly
-/// parallel, so NaiveOptions::threads shards it across a worker pool.
+/// parallel, so the enumeration shards it across NaiveOptions::pool.
 /// Results are *identical* for every thread count: the per-delta values
 /// are computed independently of the sharding, enumerate_feasible_events
 /// writes disjoint slices of one delta-ordered vector, and the front paths
@@ -50,20 +50,14 @@ struct NaiveOptions {
   /// deadline. analyze_batch() injects its batch-wide token here.
   const CancelToken* cancel = nullptr;
 
-  /// Worker threads sharding the 2^|D| delta enumeration: 1 (default)
-  /// runs sequentially on the calling thread, 0 resolves to
-  /// std::thread::hardware_concurrency(), N > 1 uses N workers (the
-  /// calling thread is one of them). Always clamped to the number of
-  /// deltas. The result is identical for every value (see the file
-  /// comment), so this knob deliberately does not participate in the
-  /// FrontCache key; analyze_batch() raises it for oversized items when
-  /// workers would otherwise sit idle.
-  unsigned threads = 1;
-
-  /// Optional externally-owned scheduler the shards run on; when set it
-  /// overrides \p threads (the shard count still honors the work floor
-  /// and delta clamp). analyze_batch() injects the batch scheduler here
-  /// for oversized items. Never part of the FrontCache key.
+  /// Optional borrowed scheduler sharding the 2^|D| delta enumeration:
+  /// null (default) runs sequentially on the calling thread; otherwise
+  /// the enumeration splits into up to pool->threads() shards, clamped
+  /// by the number of deltas and the per-shard work floor. The result is
+  /// identical for every width (see the file comment), so the pool never
+  /// enters the FrontCache key. analyze() sets it from
+  /// AnalysisOptions::intra_model_threads; analyze_batch() injects the
+  /// batch scheduler for items that ask for no width of their own.
   TaskScheduler* pool = nullptr;
 };
 

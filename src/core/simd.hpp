@@ -115,12 +115,6 @@ using MergeSelectFn = MergeResult (*)(const double* adef, const double* aatt,
                                       const double* batt, std::size_t nb,
                                       std::uint32_t* sel);
 
-/// Whether any column point dominates (def no worse AND att no less
-/// adverse than) the query point.
-using AnyDominatesFn = bool (*)(const double* def, const double* att,
-                                std::size_t n, double qdef, double qatt,
-                                std::uint64_t* lanes);
-
 /// AoS ("pairs") variants: the input is interleaved (def, att) doubles -
 /// exactly ValuePoint's layout - deinterleaved in registers, so payload-
 /// free spans skip the transpose pass entirely (the transpose costs as
@@ -148,7 +142,6 @@ struct KernelTable {
   PushSelectPairsFn push_select_pairs[2] = {};        ///< [da], AoS input
   MergeSelectFn merge_select[2][2] = {};     ///< [dd][da]
   MergeSelectPairsFn merge_select_pairs[2][2] = {};    ///< [dd][da], AoS
-  AnyDominatesFn any_dominates[2][2] = {};   ///< [dd][da]
   AnyDominatesPairsFn any_dominates_pairs[2][2] = {};  ///< [dd][da], AoS
   CombineColFn combine_add = nullptr;
   CombineColFn combine_mul = nullptr;

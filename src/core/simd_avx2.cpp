@@ -39,12 +39,6 @@ struct PackAvx2 {
   static int mask_of(V v) { return _mm256_movemask_pd(v); }
   static int lt_mask(V a, V b) { return _mm256_movemask_pd(lt_vec(a, b)); }
   static int gt_mask(V a, V b) { return _mm256_movemask_pd(gt_vec(a, b)); }
-  static int le_mask(V a, V b) {
-    return _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_LE_OQ));
-  }
-  static int ge_mask(V a, V b) {
-    return _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_GE_OQ));
-  }
   static int eq_mask(V a, V b) {
     return _mm256_movemask_pd(_mm256_cmp_pd(a, b, _CMP_EQ_OQ));
   }

@@ -12,7 +12,6 @@
 ///                           (detail::staircase_sweep_in_place, and the
 ///                           combine_kway single-row endgame)
 ///  - merge_select       <-> detail::pareto_merge_staircases
-///  - any_dominates      <-> a linear dominates() scan
 ///  - combine_*          <-> product_point's per-coordinate tensor ops
 ///
 /// The vector fast paths only ever *batch* decisions whose outcome is
@@ -52,10 +51,6 @@ struct Kern {
   template <int DIR>
   static int sp_mask(V x, V y) {
     return DIR == 0 ? PK::lt_mask(x, y) : PK::gt_mask(x, y);
-  }
-  template <int DIR>
-  static int pf_mask(V x, V y) {
-    return DIR == 0 ? PK::le_mask(x, y) : PK::ge_mask(x, y);
   }
   template <int DIR>
   static V pf_vec(V x, V y) {
@@ -466,28 +461,9 @@ struct Kern {
     return merge_core<DD, DA>(PairsCols{apts}, na, PairsCols{bpts}, nb, sel);
   }
 
-  /// Linear dominance scan: any point with defender value no worse than
-  /// the query's AND attacker value no less adverse.
-  template <int DD, int DA>
-  static bool any_dominates(const double* def, const double* att,
-                            std::size_t n, double qdef, double qatt,
-                            std::uint64_t* lanes) {
-    const V vqd = PK::set1(qdef);
-    const V vqa = PK::set1(qatt);
-    std::size_t i = 0;
-    for (; i + static_cast<std::size_t>(W) <= n; i += W) {
-      const int ok = pf_mask<DD>(PK::loadu(def + i), vqd) &
-                     pf_mask<DA>(vqa, PK::loadu(att + i));
-      if (lanes != nullptr) *lanes += W;
-      if (ok != 0) return true;
-    }
-    for (; i < n; ++i) {
-      if (pf<DD>(def[i], qdef) && pf<DA>(qatt, att[i])) return true;
-    }
-    return false;
-  }
-
-  /// Dominance scan over interleaved (def, att) pairs. The reduction is
+  /// Dominance scan over interleaved (def, att) pairs: whether any point
+  /// has a defender value no worse than the query's AND an attacker
+  /// value no less adverse. The reduction is
   /// order-insensitive, so the cheaper unordered deinterleave suffices.
   /// The main loop combines four blocks entirely in the vector domain
   /// (AND per block, OR across blocks) and extracts ONE mask per 4 * W
@@ -585,10 +561,6 @@ KernelTable make_kernel_table() {
   t.merge_select_pairs[0][1] = &K::template merge_select_pairs<0, 1>;
   t.merge_select_pairs[1][0] = &K::template merge_select_pairs<1, 0>;
   t.merge_select_pairs[1][1] = &K::template merge_select_pairs<1, 1>;
-  t.any_dominates[0][0] = &K::template any_dominates<0, 0>;
-  t.any_dominates[0][1] = &K::template any_dominates<0, 1>;
-  t.any_dominates[1][0] = &K::template any_dominates<1, 0>;
-  t.any_dominates[1][1] = &K::template any_dominates<1, 1>;
   t.any_dominates_pairs[0][0] = &K::template any_dominates_pairs<0, 0>;
   t.any_dominates_pairs[0][1] = &K::template any_dominates_pairs<0, 1>;
   t.any_dominates_pairs[1][0] = &K::template any_dominates_pairs<1, 0>;

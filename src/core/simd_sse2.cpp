@@ -35,8 +35,6 @@ struct PackSse2 {
   static int mask_of(V v) { return _mm_movemask_pd(v); }
   static int lt_mask(V a, V b) { return _mm_movemask_pd(_mm_cmplt_pd(a, b)); }
   static int gt_mask(V a, V b) { return _mm_movemask_pd(_mm_cmpgt_pd(a, b)); }
-  static int le_mask(V a, V b) { return _mm_movemask_pd(_mm_cmple_pd(a, b)); }
-  static int ge_mask(V a, V b) { return _mm_movemask_pd(_mm_cmpge_pd(a, b)); }
   static int eq_mask(V a, V b) { return _mm_movemask_pd(_mm_cmpeq_pd(a, b)); }
   static int neq_mask(V a, V b) {
     return _mm_movemask_pd(_mm_cmpneq_pd(a, b));

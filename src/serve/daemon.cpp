@@ -25,7 +25,7 @@ namespace {
 struct ParsedRequest {
   std::optional<AugmentedAdt> aadt;  ///< engaged after a successful parse
   AnalysisOptions options;
-  double deadline_override = 0;  ///< json envelope only; 0 = server default
+  double deadline = 0;  ///< json envelope only; <= 0 = server default
 };
 
 Algorithm parse_algorithm(const std::string& name) {
@@ -60,9 +60,7 @@ ParsedRequest parse_request(const std::string& format,
     if (doc.has("algorithm")) {
       req.options.algorithm = parse_algorithm(doc.at("algorithm").as_string());
     }
-    if (doc.has("deadline")) {
-      req.deadline_override = doc.at("deadline").as_number();
-    }
+    if (doc.has("deadline")) req.deadline = doc.at("deadline").as_number();
     return req;
   }
   req.aadt = model_from(format, body);
@@ -361,9 +359,12 @@ std::string DaemonServer::serve_analyze(const std::string& format,
   } release{inflight_};
 
   metrics_.requests.fetch_add(1);
-  const double budget = req.deadline_override > 0 ? req.deadline_override
-                                                  : config_.deadline_seconds;
-  const Deadline deadline(budget);
+  // A request may only shorten the server's per-analysis budget, never
+  // lift it: the server's guard is what bounds a hostile request.
+  const double server = config_.deadline_seconds;
+  const bool shorter =
+      req.deadline > 0 && (server <= 0 || req.deadline < server);
+  const Deadline deadline(shorter ? req.deadline : server);
   req.options.naive.deadline = &deadline;
   req.options.bottom_up.deadline = &deadline;
   req.options.bdd.deadline = &deadline;

@@ -10,6 +10,9 @@
 /// follower; see store/shard.hpp's multi-process model) and serves:
 ///
 ///   ANALYZE <format> <nbytes>\n<payload>   format in {text, xml, json}
+///               json wraps {"model", "format", "algorithm", "deadline"};
+///               a positive "deadline" (seconds) can only shorten the
+///               server's deadline_seconds, never extend it
 ///   STATS\n     serving + cache + store metrics as one JSON line
 ///   PING\n      liveness probe
 ///   REFRESH\n   follower: pick up the writer's committed appends now
@@ -58,14 +61,16 @@
 namespace adtp::serve {
 
 struct DaemonConfig {
-  /// Per-analysis kernel deadline (a Deadline, not a socket timeout).
+  /// Per-analysis kernel deadline (a Deadline, not a socket timeout);
+  /// <= 0 means none. A request's own "deadline" may only shorten it.
   double deadline_seconds = 10.0;
   /// Concurrent analyses admitted across all connections.
   std::size_t max_inflight = 8;
   /// Worker pool size = concurrent connections served; beyond it a new
   /// connection gets a retryable over-capacity reply and is closed.
   std::size_t max_connections = 64;
-  /// Intra-model threads per analysis (0 = kernel default).
+  /// Intra-model threads per analysis (AnalysisOptions::
+  /// intra_model_threads; 0 and 1 analyze sequentially).
   unsigned threads = 0;
   /// Memory tier capacity of the cache.
   std::size_t memory_capacity = 256;

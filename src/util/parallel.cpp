@@ -177,22 +177,20 @@ class Deque {
 }  // namespace
 
 struct TaskScheduler::Impl {
-  explicit Impl(unsigned threads) {
-    const unsigned target = resolve_thread_knob(threads);
-    deques = std::vector<Deque>(target);
-    // num_slots must be written before the first worker spawns - workers
-    // read it in find_task's steal sweep. If a spawn fails below, the
-    // unspawned slots simply keep forever-empty deques the sweep skims
-    // past; threads() reports the spawned count.
-    num_slots = target;
-    if (target > 1) {
-      workers.reserve(target - 1);
-      for (unsigned slot = 1; slot < target; ++slot) {
-        try {
-          workers.emplace_back([this, slot] { worker_loop(slot); });
-        } catch (const std::system_error&) {
-          break;  // keep whatever did spawn
-        }
+  explicit Impl(unsigned threads) : num_slots(resolve_thread_knob(threads)) {}
+
+  /// Allocates the deques and spawns the workers; run once, by the first
+  /// top-level run(). The deques exist before any worker does, so the
+  /// spawn publishes them. If a spawn fails, the unspawned slots keep
+  /// forever-empty deques the steal sweep skims past.
+  void start() {
+    deques = std::vector<Deque>(num_slots);
+    workers.reserve(num_slots - 1);
+    for (unsigned slot = 1; slot < num_slots; ++slot) {
+      try {
+        workers.emplace_back([this, slot] { worker_loop(slot); });
+      } catch (const std::system_error&) {
+        break;  // keep whatever did spawn
       }
     }
   }
@@ -439,8 +437,10 @@ struct TaskScheduler::Impl {
     batch.remaining.store(n, std::memory_order_relaxed);
 
     if (SlotBinding* nested = find_binding()) {
+      // Only a task of this scheduler nests, so it has started.
       drive(batch, nested->slot);
     } else {
+      std::call_once(started, [this] { start(); });
       // Top-level external driver: serialize on slot 0. Concurrent
       // drivers queue here instead of interleaving - a deliberate
       // constraint that keeps every runnable graph reachable from some
@@ -464,9 +464,10 @@ struct TaskScheduler::Impl {
     return stats;
   }
 
-  std::vector<Deque> deques;
-  std::vector<std::thread> workers;
-  unsigned num_slots = 1;
+  const unsigned num_slots;
+  std::once_flag started;
+  std::vector<Deque> deques;          ///< num_slots entries once started
+  std::vector<std::thread> workers;   ///< up to num_slots - 1 once started
 
   std::mutex mutex;
   std::condition_variable wake;
@@ -485,46 +486,10 @@ TaskScheduler::TaskScheduler(unsigned threads)
 
 TaskScheduler::~TaskScheduler() = default;
 
-unsigned TaskScheduler::threads() const noexcept {
-  return static_cast<unsigned>(impl_->workers.size()) + 1;
-}
+unsigned TaskScheduler::threads() const noexcept { return impl_->num_slots; }
 
 TaskRunStats TaskScheduler::run(const TaskGraph& graph) {
   return impl_->run(graph);
-}
-
-TaskRunStats TaskScheduler::parallel_for(
-    std::size_t count, std::size_t grain,
-    const std::function<void(unsigned, std::size_t)>& fn) {
-  TaskRunStats stats;
-  if (count == 0) return stats;
-  if (grain == 0) grain = 1;
-  const std::size_t chunks = (count + grain - 1) / grain;
-  if (threads() == 1 || chunks == 1) {
-    // Inline: report the slot the calling thread actually occupies so
-    // slot-indexed caller scratch stays coherent under nesting.
-    const Impl::SlotBinding* binding = impl_->find_binding();
-    const unsigned slot = binding != nullptr ? binding->slot : 0;
-    for (std::size_t i = 0; i < count; ++i) fn(slot, i);
-    stats.tasks = chunks;
-    return stats;
-  }
-  struct Body {
-    const std::function<void(unsigned, std::size_t)>* fn;
-    std::size_t count;
-    std::size_t grain;
-    void operator()(unsigned slot, std::uint32_t chunk) const {
-      const std::size_t begin = std::size_t{chunk} * grain;
-      const std::size_t end = std::min(count, begin + grain);
-      for (std::size_t i = begin; i < end; ++i) (*fn)(slot, i);
-    }
-  } body{&fn, count, grain};
-  TaskGraph graph;
-  graph.reserve(chunks);
-  for (std::size_t c = 0; c < chunks; ++c) {
-    graph.add(body, static_cast<std::uint32_t>(c));
-  }
-  return run(graph);
 }
 
 }  // namespace adtp

@@ -45,9 +45,7 @@
 #include <atomic>
 #include <cstdint>
 #include <cstddef>
-#include <functional>
 #include <memory>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -137,24 +135,30 @@ class TaskGraph {
   std::vector<std::pair<TaskId, TaskId>> edges_;
 };
 
-/// The work-stealing pool. Construction spawns threads - 1 workers (the
-/// driving thread always executes as one more slot); destruction joins
-/// them. Slot ids are dense in [0, threads()): 0 is reserved for
-/// external drivers, 1.. are the spawned workers - callers size
-/// per-slot scratch (arenas, partial results) by threads() and index it
-/// by the slot id their tasks receive.
+/// The work-stealing pool of threads() slots: the driving thread always
+/// executes as slot 0, and threads() - 1 spawned workers are slots 1..
+/// Callers size per-slot scratch (arenas, partial results) by threads()
+/// and index it by the slot id their tasks receive.
+///
+/// Construction only records the slot count: the workers (and the
+/// per-slot deques) start at the first top-level run(), exactly once
+/// even when several threads race that first run. An analysis can
+/// therefore hand every kernel a scheduler and pay for threads only
+/// when a kernel's work floors actually send tasks to it. Destruction
+/// joins whatever was started.
 class TaskScheduler {
  public:
   /// A scheduler of \p threads execution slots (0 resolves like every
-  /// other thread knob). Thread-creation failures degrade the pool
-  /// silently; threads() reports what actually runs.
+  /// other thread knob). Starts no thread.
   explicit TaskScheduler(unsigned threads);
   ~TaskScheduler();
 
   TaskScheduler(const TaskScheduler&) = delete;
   TaskScheduler& operator=(const TaskScheduler&) = delete;
 
-  /// Execution slots, the driving thread included.
+  /// Execution slots, the driving thread included; fixed at
+  /// construction. A worker that fails to spawn leaves its slot idle
+  /// (its deque stays empty), so results never depend on the spawn.
   [[nodiscard]] unsigned threads() const noexcept;
 
   /// Runs every task of \p graph respecting its dependency edges and
@@ -166,12 +170,6 @@ class TaskScheduler {
   /// throwing task is rethrown.
   TaskRunStats run(const TaskGraph& graph);
 
-  /// Convenience fan-out of the old parallel_for shape: runs fn(slot,
-  /// index) for every index in [0, count), \p grain consecutive indices
-  /// per task, as one dependency-free graph.
-  TaskRunStats parallel_for(std::size_t count, std::size_t grain,
-                            const std::function<void(unsigned, std::size_t)>& fn);
-
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
@@ -179,12 +177,11 @@ class TaskScheduler {
 
 /// Runs fn(shard, begin, end) over a contiguous partition of [0, total)
 /// into exactly \p shards pieces. Shard results must index by the shard
-/// id (stable, scheduling-independent), not the slot id. When \p pool is
-/// null or single-slot and more than one shard is asked for, a temporary
-/// scheduler of \p shards slots is spawned for the call - the old
-/// one-shot run_sharded() shape. Exceptions rethrow by the smallest
-/// shard index, like the scheduler itself. Returns the scheduler
-/// counters (zero for a single shard).
+/// id (stable, scheduling-independent), not the slot id. A single shard
+/// runs inline on the calling thread; more than one needs \p pool, which
+/// the caller borrows (the shard count need not match its width).
+/// Exceptions rethrow by the smallest shard index, like the scheduler
+/// itself. Returns the scheduler counters (zero for a single shard).
 template <typename Fn>
 TaskRunStats run_sharded(TaskScheduler* pool, unsigned shards,
                          std::uint64_t total, Fn&& fn) {
@@ -197,11 +194,6 @@ TaskRunStats run_sharded(TaskScheduler* pool, unsigned shards,
   auto bound = [base, rem](std::uint64_t s) {
     return base * s + std::min<std::uint64_t>(s, rem);
   };
-  std::optional<TaskScheduler> owned;
-  if (pool == nullptr || pool->threads() <= 1) {
-    owned.emplace(shards);
-    pool = &*owned;
-  }
   auto body = [&](unsigned, std::uint32_t s) {
     fn(static_cast<unsigned>(s), bound(s), bound(std::uint64_t{s} + 1));
   };

@@ -57,11 +57,12 @@ TEST(Analyzer, IntraModelThreadsOverridesNaiveSharding) {
   // The knob shards the naive enumeration; the result is unchanged.
   options.intra_model_threads = 4;
   EXPECT_EQ(analyze(dag, options).front.to_string(), expected);
-  // An explicit naive.threads coexists: intra_model_threads == 0 leaves
-  // the per-algorithm setting alone.
-  options.intra_model_threads = 0;
-  options.naive.threads = 3;
+  // An explicit naive.pool wins over intra_model_threads: the shards
+  // follow its width (fig4(9) has work for 16), not the knob's.
+  TaskScheduler pool(3);
+  options.naive.pool = &pool;
   EXPECT_EQ(analyze(dag, options).front.to_string(), expected);
+  EXPECT_EQ(analyze(catalog::fig4_exponential(9), options).threads_used, 3u);
 }
 
 TEST(Analyzer, AlgorithmNames) {

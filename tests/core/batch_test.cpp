@@ -460,10 +460,10 @@ TEST(BatchServing, IdleSlotsServeOversizedItemsIntraModelTasks) {
   EXPECT_EQ(report.items[0].result.front.to_string(),
             sequential.front.to_string());
 
-  // An explicit per-item thread knob is respected: the item spawns its
-  // own shards instead of borrowing the batch scheduler, and the result
-  // is still identical.
-  jobs[0].options.naive.threads = 2;
+  // An explicit per-item thread knob is respected: analyze() gives the
+  // item its own scheduler instead of lending it the batch's, and the
+  // result is still identical.
+  jobs[0].options.intra_model_threads = 2;
   batch.n_threads = 2;
   report = analyze_batch(jobs, batch);
   ASSERT_TRUE(report.items[0].ok) << report.items[0].error;

@@ -45,9 +45,10 @@ TEST(BddGrain, EveryGrainAndThreadCountIsBitIdentical) {
     const WitnessFront reference_witness = bdd_bu_front_witness(aadt, base);
 
     for (unsigned threads : kThreadCounts) {
+      TaskScheduler pool(threads);
       for (std::size_t grain : kGrains) {
         BddBuOptions options = base;
-        options.threads = threads;
+        options.pool = &pool;
         options.task_grain_points = grain;
         EXPECT_TRUE(bdd_bu_front(aadt, options).bit_identical_values(reference))
             << "seed " << seed << " grain " << grain << " @" << threads
@@ -74,10 +75,11 @@ TEST(BddGrain, DefaultGrainCollapsesTheTaskCount) {
   // ratio the estimates promise, with the front untouched.
   const AugmentedAdt aadt = catalog::fig4_exponential(10);
 
+  TaskScheduler pool(2);
   auto tasks_at = [&](std::size_t grain) {
     BddBuOptions options;
     options.parallel_node_floor = 0;
-    options.threads = 2;
+    options.pool = &pool;
     options.task_grain_points = grain;
     const AnalysisResult report = traced_bdd_bu(aadt, options);
     // Subtract the build-phase tasks by re-measuring them alone: run
@@ -97,9 +99,10 @@ TEST(BddGrain, DefaultGrainCollapsesTheTaskCount) {
 
 TEST(BddGrain, GrainKeepsTheReportCountersCoherent) {
   const AugmentedAdt aadt = catalog::fig4_exponential(8);
+  TaskScheduler pool(4);
   BddBuOptions options;
   options.parallel_node_floor = 0;
-  options.threads = 4;
+  options.pool = &pool;
   const AnalysisResult chunked = traced_bdd_bu(aadt, options);
   BddBuOptions fine = options;
   fine.task_grain_points = 1;

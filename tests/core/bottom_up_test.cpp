@@ -180,8 +180,9 @@ TEST(BottomUp, ParallelWalkMatchesSequentialBitForBit) {
     EXPECT_EQ(sequential.threads_used, 1u);
     EXPECT_EQ(sequential.sched.tasks, 0u);
     for (unsigned threads : {2u, 8u}) {
+      TaskScheduler pool(threads);
       BottomUpOptions options;
-      options.threads = threads;
+      options.pool = &pool;
       options.parallel_node_floor = 0;
       const AnalysisResult parallel = traced_bottom_up(aadt, options);
       EXPECT_TRUE(
@@ -199,8 +200,9 @@ TEST(BottomUp, ParallelWitnessesMatchSequentialBitForBit) {
   const AugmentedAdt tree = catalog::money_theft_tree();
   const WitnessFront sequential = bottom_up_front_witness(tree);
   for (unsigned threads : {2u, 8u}) {
+    TaskScheduler pool(threads);
     BottomUpOptions options;
-    options.threads = threads;
+    options.pool = &pool;
     options.parallel_node_floor = 0;
     const WitnessFront parallel = bottom_up_front_witness(tree, options);
     ASSERT_TRUE(parallel.bit_identical_values(sequential));
@@ -212,11 +214,12 @@ TEST(BottomUp, ParallelWitnessesMatchSequentialBitForBit) {
 }
 
 TEST(BottomUp, NodeFloorKeepsSmallTreesSequential) {
-  // Below the floor the walk must not spin up a scheduler even when the
-  // threads knob asks for one (the default-floor path of every analyze()
+  // Below the floor the walk must not run the scheduler even when the
+  // pool offers eight slots (the default-floor path of every analyze()
   // call on small models).
+  TaskScheduler pool(8);
   BottomUpOptions options;
-  options.threads = 8;
+  options.pool = &pool;
   options.parallel_node_floor = 1000;
   const AnalysisResult report =
       traced_bottom_up(catalog::fig5_example(), options);
@@ -253,11 +256,12 @@ AugmentedAdt or_blocks(double edited_value) {
 TEST(BottomUp, MemoizedLeafEditBelowTheFloorStaysSequential) {
   // The floor counts the nodes a run computes, not the tree's size: a
   // one-leaf edit recomputes the root, one OR and that OR's 8 leaves (10
-  // nodes), so it must not create a scheduler even at threads = 4. A cold
-  // run computes all 73 nodes and still goes parallel.
+  // nodes), so it must not run the scheduler even with four slots on
+  // offer. A cold run computes all 73 nodes and still goes parallel.
   NodeFrontMemo memo;
+  TaskScheduler pool(4);
   BottomUpOptions options;
-  options.threads = 4;
+  options.pool = &pool;
   options.memo = &memo;
   const AnalysisResult warm = traced_bottom_up(or_blocks(1.0), options);
   EXPECT_EQ(warm.threads_used, 4u);

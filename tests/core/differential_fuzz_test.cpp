@@ -147,8 +147,9 @@ TEST_P(DifferentialFuzz, AlgorithmsAgreeAcrossThreadCounts) {
   // Naive: values must be bit-identical for every thread count (the
   // per-delta computation is sharding-invariant by construction).
   for (unsigned threads : kThreadCounts) {
+    TaskScheduler pool(threads);
     NaiveOptions naive;
-    naive.threads = threads;
+    naive.pool = &pool;
     EXPECT_TRUE(bit_identical_values(naive_front(aadt, naive), oracle))
         << "naive@" << threads << " threads diverged";
   }
@@ -161,8 +162,9 @@ TEST_P(DifferentialFuzz, AlgorithmsAgreeAcrossThreadCounts) {
       << "BDDBU " << bdd_reference.to_string() << " vs naive "
       << oracle.to_string();
   for (unsigned threads : kThreadCounts) {
+    TaskScheduler pool(threads);
     BddBuOptions bdd = bdd_base;
-    bdd.threads = threads;
+    bdd.pool = &pool;
     EXPECT_TRUE(bit_identical_values(bdd_bu_front(aadt, bdd), bdd_reference))
         << "bdd@" << threads << " threads diverged";
   }
@@ -175,8 +177,9 @@ TEST_P(DifferentialFuzz, AlgorithmsAgreeAcrossThreadCounts) {
       << "hybrid " << hybrid_reference.to_string() << " vs naive "
       << oracle.to_string();
   for (unsigned threads : kThreadCounts) {
+    TaskScheduler pool(threads);
     HybridOptions hybrid = hybrid_base;
-    hybrid.bdd.threads = threads;
+    hybrid.bdd.pool = &pool;
     EXPECT_TRUE(
         bit_identical_values(hybrid_front(aadt, hybrid), hybrid_reference))
         << "hybrid@" << threads << " threads diverged";
@@ -194,8 +197,9 @@ TEST_P(DifferentialFuzz, AlgorithmsAgreeAcrossThreadCounts) {
     const WitnessFront bu_witness = bottom_up_front_witness(aadt);
     expect_witnesses_valid(aadt, bu_witness, "bottom-up");
     for (unsigned threads : kThreadCounts) {
+      TaskScheduler pool(threads);
       BottomUpOptions bu = bu_base;
-      bu.threads = threads;
+      bu.pool = &pool;
       EXPECT_TRUE(
           bit_identical_values(bottom_up_front(aadt, bu), bu_reference))
           << "bottom-up@" << threads << " threads diverged";
@@ -211,8 +215,9 @@ TEST_P(DifferentialFuzz, AlgorithmsAgreeAcrossThreadCounts) {
   const WitnessFront naive_witness = naive_front_witness(aadt, nw1);
   expect_witnesses_valid(aadt, naive_witness, "naive");
   for (unsigned threads : kThreadCounts) {
+    TaskScheduler pool(threads);
     NaiveOptions nw;
-    nw.threads = threads;
+    nw.pool = &pool;
     EXPECT_TRUE(bit_identical_witnesses(naive_front_witness(aadt, nw),
                                         naive_witness))
         << "naive witness@" << threads << " threads diverged";
@@ -221,8 +226,9 @@ TEST_P(DifferentialFuzz, AlgorithmsAgreeAcrossThreadCounts) {
   const WitnessFront bdd_witness = bdd_bu_front_witness(aadt, bdd_base);
   expect_witnesses_valid(aadt, bdd_witness, "bdd");
   for (unsigned threads : kThreadCounts) {
+    TaskScheduler pool(threads);
     BddBuOptions bdd = bdd_base;
-    bdd.threads = threads;
+    bdd.pool = &pool;
     EXPECT_TRUE(bit_identical_witnesses(bdd_bu_front_witness(aadt, bdd),
                                         bdd_witness))
         << "bdd witness@" << threads << " threads diverged";
@@ -270,8 +276,9 @@ TEST_P(SimdVsScalar, AutoDispatchMatchesForcedScalarBitForBit) {
 
   // Auto dispatch (whatever the CPU offers) at every thread count.
   for (unsigned threads : kThreadCounts) {
+    TaskScheduler pool(threads);
     NaiveOptions naive;
-    naive.threads = threads;
+    naive.pool = &pool;
     EXPECT_TRUE(bit_identical_values(naive_front(aadt, naive), scalar_naive))
         << "naive@" << threads << " threads diverged from scalar";
     EXPECT_TRUE(bit_identical_witnesses(naive_front_witness(aadt, naive),
@@ -279,7 +286,7 @@ TEST_P(SimdVsScalar, AutoDispatchMatchesForcedScalarBitForBit) {
         << "naive witness@" << threads << " threads diverged from scalar";
 
     BddBuOptions bdd = bdd_base;
-    bdd.threads = threads;
+    bdd.pool = &pool;
     EXPECT_TRUE(bit_identical_values(bdd_bu_front(aadt, bdd), scalar_bdd))
         << "bdd@" << threads << " threads diverged from scalar";
     EXPECT_TRUE(
@@ -287,16 +294,17 @@ TEST_P(SimdVsScalar, AutoDispatchMatchesForcedScalarBitForBit) {
         << "bdd witness@" << threads << " threads diverged from scalar";
 
     HybridOptions hybrid = hybrid_base;
-    hybrid.bdd.threads = threads;
+    hybrid.bdd.pool = &pool;
     EXPECT_TRUE(
         bit_identical_values(hybrid_front(aadt, hybrid), scalar_hybrid))
         << "hybrid@" << threads << " threads diverged from scalar";
   }
   if (tree) {
     for (unsigned threads : kThreadCounts) {
+      TaskScheduler pool(threads);
       BottomUpOptions bu;
       bu.parallel_node_floor = 0;
-      bu.threads = threads;
+      bu.pool = &pool;
       EXPECT_TRUE(bit_identical_values(bottom_up_front(aadt, bu), scalar_bu))
           << "bottom-up@" << threads << " threads diverged from scalar";
     }

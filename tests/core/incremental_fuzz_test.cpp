@@ -172,8 +172,9 @@ TEST_P(IncrementalFuzz, EditSequencesStayBitIdenticalToCold) {
       // witness vectors too, at every thread count.
       const WitnessFront cold_witness = bottom_up_front_witness(current);
       for (unsigned threads : kThreadCounts) {
+        TaskScheduler pool(threads);
         BottomUpOptions bu;
-        bu.threads = threads;
+        bu.pool = &pool;
         bu.parallel_node_floor = 0;
         bu.memo = &memo;
         const WitnessFront warm = bottom_up_front_witness(current, bu);

@@ -6,6 +6,7 @@
 
 #include "gen/catalog.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace adtp {
@@ -136,8 +137,9 @@ TEST(NaiveSharding, FrontIdenticalAcrossThreadCounts) {
   for (const AugmentedAdt* model : {&fig4, &dag}) {
     const Front sequential = naive_front(*model);
     for (unsigned threads : {2u, 3u, 4u, 8u}) {
+      TaskScheduler pool(threads);
       NaiveOptions options;
-      options.threads = threads;
+      options.pool = &pool;
       const Front sharded = naive_front(*model, options);
       EXPECT_TRUE(sharded.same_values(sequential,
                                       model->defender_domain(),
@@ -156,8 +158,9 @@ TEST(NaiveSharding, EventsAndWitnessesIdenticalAcrossThreadCounts) {
   // the requested thread count is actually honored.
   const AugmentedAdt fig4 = catalog::fig4_exponential(9);
   const auto sequential = enumerate_feasible_events(fig4);
+  TaskScheduler pool(5);  // deliberately not a divisor of 2^9
   NaiveOptions options;
-  options.threads = 5;  // deliberately not a divisor of 2^9
+  options.pool = &pool;
   const auto sharded = enumerate_feasible_events(fig4, options);
   ASSERT_EQ(sharded.size(), sequential.size());
   for (std::size_t i = 0; i < sequential.size(); ++i) {
@@ -186,8 +189,9 @@ TEST(NaiveSharding, EventsAndWitnessesIdenticalAcrossThreadCounts) {
 
 TEST(NaiveSharding, ThreadsZeroResolvesToHardware) {
   const AugmentedAdt fig4 = catalog::fig4_exponential(6);
+  TaskScheduler pool(0);  // hardware_concurrency
   NaiveOptions options;
-  options.threads = 0;  // hardware_concurrency
+  options.pool = &pool;
   EXPECT_TRUE(naive_front(fig4, options)
                   .same_values(naive_front(fig4), fig4.defender_domain(),
                                fig4.attacker_domain()));
@@ -197,8 +201,9 @@ TEST(NaiveSharding, MoreThreadsThanDeltasIsClamped) {
   // 2^1 = 2 deltas with 16 requested workers: shards are clamped so none
   // is empty, and the result is unchanged.
   const AugmentedAdt fig4 = catalog::fig4_exponential(1);
+  TaskScheduler pool(16);
   NaiveOptions options;
-  options.threads = 16;
+  options.pool = &pool;
   EXPECT_TRUE(naive_front(fig4, options)
                   .same_values(naive_front(fig4), fig4.defender_domain(),
                                fig4.attacker_domain()));
@@ -209,8 +214,9 @@ TEST(NaiveSharding, GuardsFireInsideShards) {
   {
     CancelToken cancel;
     cancel.cancel();
+    TaskScheduler pool(4);
     NaiveOptions options;
-    options.threads = 4;
+    options.pool = &pool;
     options.cancel = &cancel;
     EXPECT_THROW((void)naive_front(fig4, options), CancelledError);
     EXPECT_THROW((void)enumerate_feasible_events(fig4, options),
@@ -220,8 +226,9 @@ TEST(NaiveSharding, GuardsFireInsideShards) {
     const Deadline expired(1e-9);
     while (!expired.expired()) {
     }
+    TaskScheduler pool(4);
     NaiveOptions options;
-    options.threads = 4;
+    options.pool = &pool;
     options.deadline = &expired;
     EXPECT_THROW((void)naive_front(fig4, options), LimitError);
   }

@@ -135,8 +135,9 @@ TEST(MemoizedBottomUp, WarmRunIsBitIdenticalToColdAtEveryThreadCount) {
 
   NodeFrontMemo memo;
   for (unsigned threads : kThreadCounts) {
+    TaskScheduler pool(threads);
     BottomUpOptions options;
-    options.threads = threads;
+    options.pool = &pool;
     options.parallel_node_floor = 0;
     options.memo = &memo;
     EXPECT_TRUE(bottom_up_front(model, options).bit_identical_values(cold))

@@ -80,9 +80,8 @@ TEST(AnalysisTrace, CountsEveryCombineOnce) {
   // (3) Four threads, one task per node: per-slot arenas sum to the
   // sequential count.
   AnalysisOptions wide;
-  wide.bottom_up.threads = 4;
+  wide.intra_model_threads = 4;
   wide.bottom_up.parallel_node_floor = 0;
-  wide.bdd.threads = 4;
   wide.bdd.parallel_node_floor = 0;
   wide.bdd.task_grain_points = 1;
   wide.hybrid.bdd = wide.bdd;

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <memory>
@@ -17,7 +19,9 @@
 #include <vector>
 
 #include "adt/text_format.hpp"
+#include "core/analyzer.hpp"
 #include "gen/catalog.hpp"
+#include "gen/random_adt.hpp"
 #include "serve/daemon.hpp"
 #include "serve/socket.hpp"
 #include "util/json.hpp"
@@ -343,6 +347,141 @@ TEST(Daemon, FollowerRefresherThreadTrailsTheWriter) {
   EXPECT_TRUE(warm) << "the refresher never surfaced the writer's front";
   EXPECT_GE(follower.metrics().refreshes.load(), 1u);
   ::close(fd);
+}
+
+/// A JSON-envelope ANALYZE body: a text model plus per-request fields.
+std::string envelope(const std::string& model, const std::string& algorithm,
+                     double deadline) {
+  JsonWriter json;
+  json.begin_object();
+  json.key("format").value("text");
+  json.key("model").value(model);
+  json.key("algorithm").value(algorithm);
+  json.key("deadline").value(deadline);
+  json.end_object();
+  return json.str();
+}
+
+TEST(Daemon, RequestDeadlineCannotExtendTheServers) {
+  // Naive on fig4(12) runs for about 2 s in Release - far past both
+  // budgets below - so whichever deadline applies is the one that fires.
+  const std::string model = to_text_format(catalog::fig4_exponential(12));
+  const auto serve_once = [&](const char* tag, double server_deadline,
+                              double request_deadline, double* seconds) {
+    const ScratchDir dir(tag);
+    DaemonConfig config;
+    config.store_dir = dir.store();
+    config.max_connections = 2;
+    config.deadline_seconds = server_deadline;
+    DaemonServer server(dir.socket("d"), config);
+    server.start();
+    const int fd = connect_with_retry(server.endpoint());
+    const auto start = std::chrono::steady_clock::now();
+    const JsonValue reply =
+        analyze(fd, "json", envelope(model, "naive", request_deadline));
+    *seconds = std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - start)
+                   .count();
+    ::close(fd);
+    server.stop();
+    return reply;
+  };
+
+  // A request asking for more time than the server allows gets the
+  // server's budget, not its own.
+  double seconds = 0;
+  const JsonValue capped = serve_once("capped", 0.05, 1e9, &seconds);
+  ASSERT_FALSE(capped.at("ok").as_bool());
+  EXPECT_NE(capped.at("error").as_string().find("deadline expired"),
+            std::string::npos)
+      << capped.at("error").as_string();
+
+  // A request asking for less time than the server allows gets its own.
+  const JsonValue shortened = serve_once("shortened", 10.0, 0.01, &seconds);
+  ASSERT_FALSE(shortened.at("ok").as_bool());
+  EXPECT_NE(shortened.at("error").as_string().find("deadline expired"),
+            std::string::npos)
+      << shortened.at("error").as_string();
+  EXPECT_LT(seconds, 5.0) << "the request's shorter deadline was ignored";
+}
+
+TEST(Daemon, ConcurrentColdRequestsWithIntraModelThreads) {
+  // Every analysis builds its own 4-slot scheduler: four cold requests
+  // at once - two trees and two DAGs over the 64-node floors, so the
+  // bottom-up and BDDBU task DAGs engage - run four schedulers side by
+  // side, and each front must equal a sequential analysis.
+  const ScratchDir dir("intra");
+  DaemonConfig config;
+  config.store_dir = dir.store();
+  config.max_connections = 4;
+  config.max_inflight = 4;
+  config.threads = 4;
+  DaemonServer server(dir.socket("d"), config);
+  server.start();
+
+  // Seeds whose fronts have 13 and 5 (trees), 6 and 3 (DAGs) points.
+  struct Draw {
+    std::uint64_t seed;
+    bool tree;
+  };
+  std::vector<std::string> models;
+  std::vector<Algorithm> kernels;
+  for (const Draw draw : {Draw{28, true}, Draw{18, true}, Draw{24, false},
+                          Draw{9, false}}) {
+    RandomAdtOptions gen;
+    gen.target_nodes = 72;
+    gen.max_defenses = 8;
+    gen.share_probability = draw.tree ? 0.0 : 0.3;
+    const AugmentedAdt aadt = generate_random_aadt(
+        gen, draw.seed, Semiring::min_cost(), Semiring::min_cost());
+    ASSERT_GE(aadt.adt().size(), 64u) << "seed " << draw.seed;
+    ASSERT_EQ(aadt.adt().is_tree(), draw.tree) << "seed " << draw.seed;
+    // The model clears its kernel's floors: the same analysis run
+    // directly with the daemon's width fills all four slots.
+    AnalysisOptions wide;
+    wide.intra_model_threads = config.threads;
+    const AnalysisResult direct = adtp::analyze(aadt, wide);
+    EXPECT_EQ(direct.threads_used, config.threads) << "seed " << draw.seed;
+    EXPECT_GT(direct.sched.tasks, 0u) << "seed " << draw.seed;
+    kernels.push_back(direct.used);
+    models.push_back(to_text_format(aadt));
+  }
+
+  std::vector<JsonValue> replies(models.size());
+  std::atomic<std::size_t> ready{0};
+  std::vector<std::thread> clients;
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    clients.emplace_back([&, i] {
+      const int fd = connect_with_retry(server.endpoint());
+      ready.fetch_add(1);
+      while (ready.load() < models.size()) std::this_thread::yield();
+      replies[i] = analyze(fd, "text", models[i]);
+      ::close(fd);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  for (std::size_t i = 0; i < models.size(); ++i) {
+    ASSERT_TRUE(replies[i].at("ok").as_bool())
+        << replies[i].at("error").as_string();
+    EXPECT_FALSE(replies[i].at("cached").as_bool());
+    EXPECT_EQ(replies[i].at("algorithm").as_string(), to_string(kernels[i]));
+    const Front expected =
+        adtp::analyze(parse_adt_text(models[i]).augmented()).front;
+    const auto& front = replies[i].at("front").items();
+    ASSERT_EQ(front.size(), expected.size()) << "model " << i;
+    for (std::size_t p = 0; p < front.size(); ++p) {
+      EXPECT_EQ(front[p].items()[0].as_metric(), expected.points()[p].def);
+      EXPECT_EQ(front[p].items()[1].as_metric(), expected.points()[p].att);
+    }
+  }
+
+  // The STATS body, read in process: a fifth connection could race the
+  // workers still winding down the four closed ones.
+  const JsonValue stats = parse_json(server.stats_json());
+  EXPECT_EQ(stats.at("computed").as_number(), 4);
+  EXPECT_EQ(stats.at("failed").as_number(), 0);
+  server.stop();
 }
 
 }  // namespace

@@ -10,7 +10,10 @@
 #include "util/parallel.hpp"
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
+#include <filesystem>
+#include <future>
 #include <mutex>
 #include <numeric>
 #include <random>
@@ -217,14 +220,47 @@ TEST(SchedulerTest, SlotIdsAreDenseAndWithinThreads) {
   EXPECT_FALSE(bad_slot.load());
 }
 
-TEST(SchedulerTest, ParallelForCoversEveryIndexExactlyOnce) {
-  TaskScheduler sched(4);
-  constexpr std::size_t kCount = 1000;
-  std::vector<std::atomic<int>> hits(kCount);
-  sched.parallel_for(kCount, 7, [&](unsigned, std::size_t i) {
-    hits[i].fetch_add(1);
-  });
-  for (std::size_t i = 0; i < kCount; ++i) EXPECT_EQ(hits[i].load(), 1);
+/// Threads of this process, as the kernel lists them.
+std::size_t live_threads() {
+  std::size_t n = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)entry;
+    ++n;
+  }
+  return n;
+}
+
+TEST(SchedulerTest, ConstructionStartsNoThreads) {
+  // A sanitizer runtime may start a helper thread at the process's first
+  // thread creation; a parked thread of our own absorbs that up front,
+  // and staying alive it cannot race the counts below by exiting.
+  std::promise<void> release;
+  std::thread parked([done = release.get_future()] { done.wait(); });
+  // A thread an earlier test joined can stay listed for a moment after
+  // join() returns: wait until the count stops moving.
+  std::size_t before = live_threads();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    const std::size_t now = live_threads();
+    if (now == before) break;
+    before = now;
+  }
+
+  TaskScheduler sched(8);
+  EXPECT_EQ(sched.threads(), 8u);
+  EXPECT_EQ(live_threads(), before) << "construction started threads";
+
+  std::atomic<int> ran{0};
+  auto body = [&](unsigned, std::uint32_t) { ran.fetch_add(1); };
+  TaskGraph g;
+  for (int i = 0; i < 16; ++i) g.add(body);
+  sched.run(g);
+  EXPECT_EQ(ran.load(), 16);
+  EXPECT_EQ(live_threads(), before + 7) << "the first run starts 7 workers";
+
+  release.set_value();
+  parked.join();
 }
 
 TEST(SchedulerTest, RunShardedPartitionsExactly) {
@@ -336,6 +372,34 @@ TEST(SchedulerStressTest, RandomDagsFoldDeterministicallyAtEverySlotCount) {
   // multi-core CI log shows the stealing path actually ran.
   if (steals == 0) {
     GTEST_LOG_(INFO) << "no steals observed (single-core host?)";
+  }
+}
+
+TEST(SchedulerStressTest, ConcurrentFirstRunsStartWorkersOnce) {
+  // Eight external drivers race the very first run() of one scheduler:
+  // exactly one of them starts the workers and the deques, the others
+  // wait for that start, and every graph folds exactly.
+  constexpr std::uint32_t kDrivers = 8;
+  TaskScheduler baseline(1);
+  std::vector<std::vector<std::uint64_t>> expect;
+  for (std::uint32_t d = 0; d < kDrivers; ++d) {
+    expect.push_back(run_random_dag(baseline, 200 + d));
+  }
+  TaskScheduler sched(4);  // never run before the race
+  std::atomic<std::uint32_t> ready{0};
+  std::vector<std::vector<std::uint64_t>> got(kDrivers);
+  std::vector<std::thread> drivers;
+  drivers.reserve(kDrivers);
+  for (std::uint32_t d = 0; d < kDrivers; ++d) {
+    drivers.emplace_back([&, d] {
+      ready.fetch_add(1);
+      while (ready.load() < kDrivers) std::this_thread::yield();
+      got[d] = run_random_dag(sched, 200 + d);
+    });
+  }
+  for (std::thread& t : drivers) t.join();
+  for (std::uint32_t d = 0; d < kDrivers; ++d) {
+    EXPECT_EQ(got[d], expect[d]) << "driver " << d;
   }
 }
 
