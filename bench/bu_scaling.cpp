@@ -19,7 +19,6 @@
 ///
 /// CI runs this in bench-smoke; BENCH_7.json pins a reference run.
 
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -35,57 +34,6 @@
 using namespace adtp;
 
 namespace {
-
-/// Attacker-rooted AND over \p blocks blocks. Per block: two Fig. 4
-/// subtrees of depth \p n (each a cheap-to-build 2^n staircase) meet at
-/// a defender AND - an attacker-Choose cross product of two exponential
-/// staircases, the block's real work - whose front then passes through
-/// INH(main_b | defenses) into an attacker OR with a flat bypass of
-/// weight 2^(n-4). The bypass caps the attacker coordinate, truncating
-/// the block front to ~2^(n-4) points so the root fold over k blocks
-/// stays a small sequential tail while each block's interior stays an
-/// independent, expensive subtree - exactly the sibling parallelism the
-/// task DAG exploits.
-AugmentedAdt fig4_forest(std::size_t blocks, std::size_t n) {
-  Adt adt;
-  Attribution beta;
-  std::vector<NodeId> block_roots;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::string bs = std::to_string(b);
-    auto fig4 = [&](const char* side) {
-      std::vector<NodeId> gates;
-      for (std::size_t i = 1; i <= n; ++i) {
-        const std::string suffix =
-            "_" + std::string(side) + bs + "_" + std::to_string(i);
-        const NodeId d = adt.add_basic("d" + suffix, Agent::Defender);
-        const NodeId a = adt.add_basic("a" + suffix, Agent::Attacker);
-        gates.push_back(adt.add_inhibit("I" + suffix, d, a));
-        const double weight = std::ldexp(1.0, static_cast<int>(i) - 1);
-        beta.set("d" + suffix, weight);
-        beta.set("a" + suffix, weight);
-      }
-      return adt.add_gate("fig4_" + std::string(side) + bs, GateType::Or,
-                          Agent::Defender, std::move(gates));
-    };
-    const NodeId defenses = adt.add_gate(
-        "defenses_" + bs, GateType::And, Agent::Defender,
-        {fig4("l"), fig4("r")});
-    const NodeId a_main = adt.add_basic("main_" + bs, Agent::Attacker);
-    beta.set("main_" + bs, 1.0);
-    const NodeId carrier = adt.add_inhibit("carrier_" + bs, a_main, defenses);
-    const NodeId bypass = adt.add_basic("bypass_" + bs, Agent::Attacker);
-    beta.set("bypass_" + bs,
-             std::ldexp(1.0, static_cast<int>(n > 4 ? n - 4 : 1)));
-    block_roots.push_back(adt.add_gate("block" + bs, GateType::Or,
-                                       Agent::Attacker, {carrier, bypass}));
-  }
-  const NodeId root = adt.add_gate("top", GateType::And, Agent::Attacker,
-                                   std::move(block_roots));
-  adt.set_root(root);
-  adt.freeze();
-  return AugmentedAdt(std::move(adt), std::move(beta), Semiring::min_cost(),
-                      Semiring::min_cost());
-}
 
 struct ScalingRow {
   unsigned threads = 1;
@@ -195,7 +143,7 @@ int main(int argc, char** argv) {
   bench::banner("Bottom-up sibling-subtree scaling (Fig. 4 forest, one tree)");
   bench::assert_kernel_guards(catalog::fig3_example());
 
-  const AugmentedAdt forest = fig4_forest(blocks, block_n);
+  const AugmentedAdt forest = catalog::fig4_forest(blocks, block_n);
   std::cout << "model: " << blocks << " blocks x n = " << block_n << " ("
             << forest.adt().size() << " nodes)\n\n";
 

@@ -27,7 +27,6 @@
 /// CI runs this in bench-smoke; BENCH_8.json pins a reference run.
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <fstream>
 #include <iostream>
@@ -45,50 +44,6 @@
 using namespace adtp;
 
 namespace {
-
-/// The bu_scaling forest (see bench/bu_scaling.cpp for the full rationale):
-/// k independent expensive blocks under one root AND, block fronts
-/// truncated by a flat bypass so the root fold stays a small tail.
-AugmentedAdt fig4_forest(std::size_t blocks, std::size_t n) {
-  Adt adt;
-  Attribution beta;
-  std::vector<NodeId> block_roots;
-  for (std::size_t b = 0; b < blocks; ++b) {
-    const std::string bs = std::to_string(b);
-    auto fig4 = [&](const char* side) {
-      std::vector<NodeId> gates;
-      for (std::size_t i = 1; i <= n; ++i) {
-        const std::string suffix =
-            "_" + std::string(side) + bs + "_" + std::to_string(i);
-        const NodeId d = adt.add_basic("d" + suffix, Agent::Defender);
-        const NodeId a = adt.add_basic("a" + suffix, Agent::Attacker);
-        gates.push_back(adt.add_inhibit("I" + suffix, d, a));
-        const double weight = std::ldexp(1.0, static_cast<int>(i) - 1);
-        beta.set("d" + suffix, weight);
-        beta.set("a" + suffix, weight);
-      }
-      return adt.add_gate("fig4_" + std::string(side) + bs, GateType::Or,
-                          Agent::Defender, std::move(gates));
-    };
-    const NodeId defenses = adt.add_gate(
-        "defenses_" + bs, GateType::And, Agent::Defender,
-        {fig4("l"), fig4("r")});
-    const NodeId a_main = adt.add_basic("main_" + bs, Agent::Attacker);
-    beta.set("main_" + bs, 1.0);
-    const NodeId carrier = adt.add_inhibit("carrier_" + bs, a_main, defenses);
-    const NodeId bypass = adt.add_basic("bypass_" + bs, Agent::Attacker);
-    beta.set("bypass_" + bs,
-             std::ldexp(1.0, static_cast<int>(n > 4 ? n - 4 : 1)));
-    block_roots.push_back(adt.add_gate("block" + bs, GateType::Or,
-                                       Agent::Attacker, {carrier, bypass}));
-  }
-  const NodeId root = adt.add_gate("top", GateType::And, Agent::Attacker,
-                                   std::move(block_roots));
-  adt.set_root(root);
-  adt.freeze();
-  return AugmentedAdt(std::move(adt), std::move(beta), Semiring::min_cost(),
-                      Semiring::min_cost());
-}
 
 /// The edited variant of repeat \p r: one defense weight inside block
 /// r mod k tweaked to a fresh value, so every repeat recomputes a real
@@ -171,7 +126,7 @@ int main(int argc, char** argv) {
   bench::banner("Incremental recompute (subtree-front memo, Fig. 4 forest)");
   bench::assert_kernel_guards(catalog::fig3_example());
 
-  const AugmentedAdt base = fig4_forest(blocks, block_n);
+  const AugmentedAdt base = catalog::fig4_forest(blocks, block_n);
   std::cout << "model: " << blocks << " blocks x n = " << block_n << " ("
             << base.adt().size() << " nodes); one-leaf edits, "
             << repeats << " repeats\n\n";
@@ -226,7 +181,7 @@ int main(int argc, char** argv) {
   {
     const std::size_t gate_n = std::min<std::size_t>(block_n, 11);
     const AugmentedAdt gate_model =
-        gate_n == block_n ? base : fig4_forest(blocks, gate_n);
+        gate_n == block_n ? base : catalog::fig4_forest(blocks, gate_n);
     NodeFrontMemo gate_memo(memo.capacity());
     (void)analyze_incremental(gate_model, gate_memo);
     const AugmentedAdt variant = edited_variant(gate_model, blocks, repeats);

@@ -9,7 +9,9 @@
 #include <type_traits>
 #include <vector>
 
+#include "adt/adtool_xml.hpp"
 #include "adt/structure.hpp"
+#include "adt/text_format.hpp"
 #include "bdd/build.hpp"
 #include "core/analyzer.hpp"
 #include "gen/catalog.hpp"
@@ -412,6 +414,71 @@ BENCHMARK_CAPTURE(BM_CombineTensorRows, all_pareto_fine_rows,
                   TensorShape::AllParetoFineRows);
 BENCHMARK_CAPTURE(BM_CombineTensorRows, random_120, TensorShape::Random120);
 BENCHMARK_CAPTURE(BM_CombineTensorRows, witness_64, TensorShape::Witness64);
+
+// ---- model construction ---------------------------------------------------
+
+enum class ModelBuild { TextForest, XmlForest, TextRandom72, ReattributeForest };
+
+/// The construction floor under every warm request and every edit:
+///  - text_forest / xml_forest parse the 489-node Fig. 4 forest (8 blocks,
+///    n = 9) from the text format / ADTool XML and build its AugmentedAdt;
+///  - text_random72 does the same from text for a 72-node random tree;
+///  - reattribute_forest is perfbench edit_loop's per-edit rebuild: copy
+///    the base attribution, change one leaf, and build
+///    AugmentedAdt(model.adt(), beta, ...) over the previous model.
+void BM_ModelBuild(benchmark::State& state, ModelBuild what) {
+  const AugmentedAdt forest = catalog::fig4_forest(8, 9);
+  std::size_t nodes = forest.adt().size();
+  switch (what) {
+    case ModelBuild::TextForest:
+    case ModelBuild::TextRandom72: {
+      const AugmentedAdt model =
+          what == ModelBuild::TextForest ? forest : random_tree(72, 2);
+      nodes = model.adt().size();
+      const std::string text = to_text_format(model);
+      for (auto _ : state) {
+        benchmark::DoNotOptimize(parse_adt_text(text).augmented());
+      }
+      break;
+    }
+    case ModelBuild::XmlForest: {
+      const std::string xml =
+          export_adtool_xml(forest.adt(), forest.attribution());
+      for (auto _ : state) {
+        AdtoolImport imported = import_adtool_xml(xml);
+        benchmark::DoNotOptimize(
+            AugmentedAdt(std::move(imported.adt),
+                         std::move(imported.attribution),
+                         Semiring::min_cost(), Semiring::min_cost()));
+      }
+      break;
+    }
+    case ModelBuild::ReattributeForest: {
+      const Adt& adt = forest.adt();
+      std::vector<std::string> leaves;
+      for (NodeId id : adt.attack_steps()) leaves.push_back(adt.name(id));
+      for (NodeId id : adt.defense_steps()) leaves.push_back(adt.name(id));
+      const Attribution base = forest.attribution();
+      AugmentedAdt model = forest;
+      Rng rng(17);
+      for (auto _ : state) {
+        Attribution beta = base;
+        beta.set(leaves[rng.below(leaves.size())],
+                 static_cast<double>(1 + rng.below(512)));
+        model = AugmentedAdt(model.adt(), std::move(beta),
+                             model.defender_domain(), model.attacker_domain());
+      }
+      benchmark::DoNotOptimize(model);
+      break;
+    }
+  }
+  state.counters["nodes"] = static_cast<double>(nodes);
+}
+BENCHMARK_CAPTURE(BM_ModelBuild, text_forest, ModelBuild::TextForest);
+BENCHMARK_CAPTURE(BM_ModelBuild, xml_forest, ModelBuild::XmlForest);
+BENCHMARK_CAPTURE(BM_ModelBuild, text_random72, ModelBuild::TextRandom72);
+BENCHMARK_CAPTURE(BM_ModelBuild, reattribute_forest,
+                  ModelBuild::ReattributeForest);
 
 // ---- sharded naive enumeration ------------------------------------------
 

@@ -22,12 +22,12 @@ void Adt::mutate_guard() {
   // the frozen state so stale caches can never be observed.
   if (frozen_) {
     frozen_ = false;
-    parents_.clear();
+    parent_offsets_.clear();
+    parent_ids_.clear();
     topo_.clear();
     attack_steps_.clear();
     defense_steps_.clear();
-    attack_index_.clear();
-    defense_index_.clear();
+    leaf_index_.clear();
   }
 }
 
@@ -44,9 +44,6 @@ NodeId Adt::add_node(Node node) {
   if (node.name.empty()) {
     throw ModelError("Adt: node names must be non-empty");
   }
-  if (by_name_.contains(node.name)) {
-    throw ModelError("Adt: duplicate node name '" + node.name + "'");
-  }
   for (NodeId c : node.children) {
     if (c >= nodes_.size()) {
       throw ModelError("Adt: child id " + std::to_string(c) +
@@ -55,7 +52,9 @@ NodeId Adt::add_node(Node node) {
     }
   }
   const NodeId id = static_cast<NodeId>(nodes_.size());
-  by_name_.emplace(node.name, id);
+  if (by_name_.insert(node.name, id, name_of()) != id) {
+    throw ModelError("Adt: duplicate node name '" + node.name + "'");
+  }
   nodes_.push_back(std::move(node));
   if (!root_explicit_) root_ = id;
   return id;
@@ -204,11 +203,20 @@ void Adt::validate() const {
 
 void Adt::compute_derived() {
   const std::size_t n = nodes_.size();
-  parents_.assign(n, {});
+  // Parents as CSR: count each child's in-edges, prefix-sum them into
+  // offsets, then place parents by ascending id.
+  parent_offsets_.assign(n + 1, 0);
+  for (const Node& node : nodes_) {
+    for (NodeId c : node.children) ++parent_offsets_[c + 1];
+  }
+  for (std::size_t v = 0; v < n; ++v) {
+    parent_offsets_[v + 1] += parent_offsets_[v];
+  }
+  parent_ids_.resize(parent_offsets_[n]);
+  std::vector<std::size_t> cursor(parent_offsets_.begin(),
+                                  parent_offsets_.end() - 1);
   for (NodeId id = 0; id < n; ++id) {
-    for (NodeId c : nodes_[id].children) {
-      parents_[c].push_back(id);
-    }
+    for (NodeId c : nodes_[id].children) parent_ids_[cursor[c]++] = id;
   }
 
   // Children always have smaller ids than their parents (enforced at
@@ -218,16 +226,14 @@ void Adt::compute_derived() {
 
   attack_steps_.clear();
   defense_steps_.clear();
+  leaf_index_.assign(n, kNoNode);
   for (NodeId id = 0; id < n; ++id) {
     const Node& node = nodes_[id];
     if (node.type != GateType::BasicStep) continue;
-    if (node.agent == Agent::Attacker) {
-      attack_index_[id] = attack_steps_.size();
-      attack_steps_.push_back(id);
-    } else {
-      defense_index_[id] = defense_steps_.size();
-      defense_steps_.push_back(id);
-    }
+    std::vector<NodeId>& steps =
+        node.agent == Agent::Attacker ? attack_steps_ : defense_steps_;
+    leaf_index_[id] = static_cast<NodeId>(steps.size());
+    steps.push_back(id);
   }
 }
 
@@ -260,9 +266,9 @@ NodeId Adt::trigger_child(NodeId inh) const {
 }
 
 std::optional<NodeId> Adt::find(std::string_view name) const {
-  auto it = by_name_.find(std::string(name));
-  if (it == by_name_.end()) return std::nullopt;
-  return it->second;
+  const NodeId id = by_name_.find(name, name_of());
+  if (id == NameIndex::kAbsent) return std::nullopt;
+  return id;
 }
 
 NodeId Adt::at(std::string_view name) const {
@@ -273,12 +279,13 @@ NodeId Adt::at(std::string_view name) const {
   return *id;
 }
 
-const std::vector<NodeId>& Adt::parents(NodeId id) const {
+std::span<const NodeId> Adt::parents(NodeId id) const {
   check_frozen();
-  if (id >= parents_.size()) {
+  if (id >= nodes_.size()) {
     throw ModelError("Adt: node id " + std::to_string(id) + " out of range");
   }
-  return parents_[id];
+  return {parent_ids_.data() + parent_offsets_[id],
+          parent_ids_.data() + parent_offsets_[id + 1]};
 }
 
 const std::vector<NodeId>& Adt::topological_order() const {
@@ -298,29 +305,29 @@ const std::vector<NodeId>& Adt::defense_steps() const {
 
 std::size_t Adt::attack_index(NodeId id) const {
   check_frozen();
-  auto it = attack_index_.find(id);
-  if (it == attack_index_.end()) {
-    throw ModelError("Adt: " + describe(node(id), id) +
+  const Node& n = node(id);
+  if (n.type != GateType::BasicStep || n.agent != Agent::Attacker) {
+    throw ModelError("Adt: " + describe(n, id) +
                      " is not a basic attack step");
   }
-  return it->second;
+  return leaf_index_[id];
 }
 
 std::size_t Adt::defense_index(NodeId id) const {
   check_frozen();
-  auto it = defense_index_.find(id);
-  if (it == defense_index_.end()) {
-    throw ModelError("Adt: " + describe(node(id), id) +
+  const Node& n = node(id);
+  if (n.type != GateType::BasicStep || n.agent != Agent::Defender) {
+    throw ModelError("Adt: " + describe(n, id) +
                      " is not a basic defense step");
   }
-  return it->second;
+  return leaf_index_[id];
 }
 
 bool Adt::is_tree() const {
   check_frozen();
   for (NodeId id = 0; id < nodes_.size(); ++id) {
     if (id == root_) continue;
-    if (parents_[id].size() != 1) return false;
+    if (parents(id).size() != 1) return false;
   }
   return true;
 }
@@ -349,7 +356,7 @@ AdtStats Adt::stats() const {
         ++s.inh_gates;
         break;
     }
-    if (id != root_ && parents_[id].size() > 1) ++s.shared_nodes;
+    if (id != root_ && parents(id).size() > 1) ++s.shared_nodes;
   }
   s.tree_shaped = (s.shared_nodes == 0);
   return s;

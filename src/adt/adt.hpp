@@ -8,6 +8,13 @@
 /// (parents, topological order, leaf indices); structural queries on an
 /// unfrozen Adt throw ModelError.
 ///
+/// Storage is flat: each name lives once, in its Node, and an
+/// open-addressing NameIndex of NodeIds finds it; the parents of all
+/// nodes share one CSR array pair, and one per-node vector holds every
+/// leaf's dense index. Copying a frozen Adt allocates once per vector,
+/// per gate's child list and per name too long for std::string's inline
+/// buffer.
+///
 /// Terminology used throughout the library:
 ///  - BAS / attack steps: leaves owned by the attacker, indexed
 ///    0..num_attacks()-1 in ascending NodeId order; an attack vector
@@ -18,13 +25,14 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "adt/node.hpp"
 #include "util/error.hpp"
+#include "util/name_index.hpp"
 
 namespace adtp {
 
@@ -106,8 +114,9 @@ class Adt {
   // ---- derived structure (computed by freeze()) -----------------------
 
   /// Parents of each node (nodes listing it as a child, each counted once
-  /// per edge; an INH with the same node as both children is invalid).
-  [[nodiscard]] const std::vector<NodeId>& parents(NodeId id) const;
+  /// per edge, in ascending parent id; an INH with the same node as both
+  /// children is invalid).
+  [[nodiscard]] std::span<const NodeId> parents(NodeId id) const;
 
   /// All node ids in a topological order (children before parents).
   [[nodiscard]] const std::vector<NodeId>& topological_order() const;
@@ -145,20 +154,27 @@ class Adt {
   NodeId add_node(Node node);
   void validate() const;
   void compute_derived();
+  /// by_name_'s view of the names: NodeId -> nodes_[id].name.
+  [[nodiscard]] auto name_of() const noexcept {
+    return [this](NodeId id) -> std::string_view { return nodes_[id].name; };
+  }
 
   std::vector<Node> nodes_;
-  std::unordered_map<std::string, NodeId> by_name_;
+  NameIndex by_name_;  ///< NodeIds by nodes_[id].name
   NodeId root_ = kNoNode;
   bool root_explicit_ = false;
   bool frozen_ = false;
 
   // Derived (valid while frozen_).
-  std::vector<std::vector<NodeId>> parents_;
+  /// parents(v) is parent_ids_[parent_offsets_[v] .. parent_offsets_[v+1]).
+  std::vector<std::size_t> parent_offsets_;
+  std::vector<NodeId> parent_ids_;
   std::vector<NodeId> topo_;
   std::vector<NodeId> attack_steps_;
   std::vector<NodeId> defense_steps_;
-  std::unordered_map<NodeId, std::size_t> attack_index_;
-  std::unordered_map<NodeId, std::size_t> defense_index_;
+  /// A leaf's position in attack_steps_ or defense_steps_ (by its
+  /// agent); kNoNode for gates.
+  std::vector<NodeId> leaf_index_;
 };
 
 }  // namespace adtp

@@ -1,52 +1,100 @@
 #include "core/attribution.hpp"
 
 #include <cmath>
+#include <limits>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace adtp {
 
 void Attribution::set(std::string name, double value) {
-  values_[std::move(name)] = value;
-}
-
-double Attribution::get(const std::string& name) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) {
-    throw AttributionError("Attribution: no value assigned to '" + name +
-                           "'");
+  const auto id = static_cast<std::uint32_t>(entries_.size());
+  const std::uint32_t at = index_.insert(name, id, name_of());
+  if (at != id) {
+    entries_[at].second = value;
+    return;
   }
-  return it->second;
+  entries_.emplace_back(std::move(name), value);
 }
 
-void Attribution::validate(const Adt& adt) const {
-  for (const auto& [name, value] : values_) {
+bool Attribution::has(std::string_view name) const {
+  return index_.find(name, name_of()) != NameIndex::kAbsent;
+}
+
+double Attribution::get(std::string_view name) const {
+  const std::uint32_t at = index_.find(name, name_of());
+  if (at == NameIndex::kAbsent) {
+    throw AttributionError("Attribution: no value assigned to '" +
+                           std::string(name) + "'");
+  }
+  return entries_[at].second;
+}
+
+void Attribution::bake(const Adt& adt, std::vector<double>& attack,
+                       std::vector<double>& defense) const {
+  // NaN is rejected as a value below, so a NaN left in a slot means the
+  // step got no value.
+  constexpr double kUnassigned = std::numeric_limits<double>::quiet_NaN();
+  attack.assign(adt.num_attacks(), kUnassigned);
+  defense.assign(adt.num_defenses(), kUnassigned);
+  for (const auto& [name, value] : entries_) {
     const auto id = adt.find(name);
     if (!id) {
       throw AttributionError("Attribution: value assigned to unknown node '" +
                              name + "'");
     }
-    if (adt.type(*id) != GateType::BasicStep) {
+    const Node& node = adt.node(*id);
+    if (node.type != GateType::BasicStep) {
       throw AttributionError("Attribution: '" + name +
                              "' is a gate; only basic steps carry values");
     }
     if (std::isnan(value)) {
       throw AttributionError("Attribution: value of '" + name + "' is NaN");
     }
-  }
-  for (NodeId id : adt.attack_steps()) {
-    if (!values_.contains(adt.name(id))) {
-      throw AttributionError("Attribution: basic attack step '" +
-                             adt.name(id) + "' has no value");
+    if (node.agent == Agent::Attacker) {
+      attack[adt.attack_index(*id)] = value;
+    } else {
+      defense[adt.defense_index(*id)] = value;
     }
   }
-  for (NodeId id : adt.defense_steps()) {
-    if (!values_.contains(adt.name(id))) {
-      throw AttributionError("Attribution: basic defense step '" +
-                             adt.name(id) + "' has no value");
+  auto require_all = [&](const std::vector<double>& values,
+                         const std::vector<NodeId>& steps, const char* kind) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      if (std::isnan(values[i])) {
+        throw AttributionError("Attribution: basic " + std::string(kind) +
+                               " step '" + adt.name(steps[i]) +
+                               "' has no value");
+      }
+    }
+  };
+  require_all(attack, adt.attack_steps(), "attack");
+  require_all(defense, adt.defense_steps(), "defense");
+}
+
+void Attribution::validate(const Adt& adt) const {
+  std::vector<double> attack;
+  std::vector<double> defense;
+  bake(adt, attack, defense);
+}
+
+namespace {
+
+/// Throws AttributionError for the first value outside \p domain.
+void require_in_domain(const Adt& adt, const std::vector<double>& values,
+                       const std::vector<NodeId>& steps,
+                       const Semiring& domain, const char* kind) {
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (!domain.contains(values[i])) {
+      throw AttributionError("AugmentedAdt: value " +
+                             format_double_exact(values[i]) + " of " + kind +
+                             " step '" + adt.name(steps[i]) +
+                             "' is outside the " + domain.name() + " domain");
     }
   }
 }
+
+}  // namespace
 
 AugmentedAdt::AugmentedAdt(Adt adt, Attribution attribution,
                            Semiring defender_domain, Semiring attacker_domain)
@@ -55,29 +103,11 @@ AugmentedAdt::AugmentedAdt(Adt adt, Attribution attribution,
       defender_domain_(std::move(defender_domain)),
       attacker_domain_(std::move(attacker_domain)) {
   adt_.freeze();
-  attribution_.validate(adt_);
-  attack_values_.reserve(adt_.num_attacks());
-  for (NodeId id : adt_.attack_steps()) {
-    const double value = attribution_.get(adt_.name(id));
-    if (!attacker_domain_.contains(value)) {
-      throw AttributionError("AugmentedAdt: value " + std::to_string(value) +
-                             " of attack step '" + adt_.name(id) +
-                             "' is outside the " + attacker_domain_.name() +
-                             " domain");
-    }
-    attack_values_.push_back(value);
-  }
-  defense_values_.reserve(adt_.num_defenses());
-  for (NodeId id : adt_.defense_steps()) {
-    const double value = attribution_.get(adt_.name(id));
-    if (!defender_domain_.contains(value)) {
-      throw AttributionError("AugmentedAdt: value " + std::to_string(value) +
-                             " of defense step '" + adt_.name(id) +
-                             "' is outside the " + defender_domain_.name() +
-                             " domain");
-    }
-    defense_values_.push_back(value);
-  }
+  attribution_.bake(adt_, attack_values_, defense_values_);
+  require_in_domain(adt_, attack_values_, adt_.attack_steps(),
+                    attacker_domain_, "attack");
+  require_in_domain(adt_, defense_values_, adt_.defense_steps(),
+                    defender_domain_, "defense");
 }
 
 double AugmentedAdt::value_of(NodeId id) const {

@@ -4,16 +4,22 @@
 #pragma once
 
 #include <string>
-#include <unordered_map>
+#include <string_view>
+#include <utility>
+#include <vector>
 
 #include "adt/adt.hpp"
 #include "core/semiring.hpp"
 #include "util/bitvec.hpp"
+#include "util/name_index.hpp"
 
 namespace adtp {
 
 /// The basic assignment functions: beta_A maps each BAS to a value of the
 /// attacker domain, beta_D each BDS to a value of the defender domain.
+///
+/// Entries are kept in insertion order, each name once, and found
+/// through a NameIndex.
 class Attribution {
  public:
   Attribution() = default;
@@ -23,31 +29,45 @@ class Attribution {
   /// is built; validation happens in validate()/AugmentedAdt.
   void set(std::string name, double value);
 
-  [[nodiscard]] bool has(const std::string& name) const {
-    return values_.contains(name);
-  }
-  [[nodiscard]] double get(const std::string& name) const;
+  [[nodiscard]] bool has(std::string_view name) const;
+  [[nodiscard]] double get(std::string_view name) const;
 
-  [[nodiscard]] std::size_t size() const noexcept { return values_.size(); }
-  [[nodiscard]] const std::unordered_map<std::string, double>& values()
-      const noexcept {
-    return values_;
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
-  /// Checks that every BAS and BDS of \p adt has a finite, non-NaN value
-  /// and that no value refers to a missing or non-leaf node.
+  /// Checks that every BAS and BDS of \p adt has a non-NaN value and that
+  /// no value refers to a missing or non-leaf node; the checks and their
+  /// order are AugmentedAdt's, short of the domain checks.
   /// Throws AttributionError otherwise.
   void validate(const Adt& adt) const;
 
  private:
-  std::unordered_map<std::string, double> values_;
+  friend class AugmentedAdt;
+
+  /// Writes every entry into the slot of its basic step in \p attack
+  /// (indexed like adt.attack_steps()) and \p defense, one name lookup
+  /// per entry, then reports the first step left without a value. Throws
+  /// AttributionError on an unknown name, a gate or a NaN (in entry
+  /// order), then on a missing attack step, then on a missing defense
+  /// step.
+  void bake(const Adt& adt, std::vector<double>& attack,
+            std::vector<double>& defense) const;
+
+  /// index_'s view of the names: entry id -> entries_[id].first.
+  [[nodiscard]] auto name_of() const noexcept {
+    return [this](std::uint32_t id) -> std::string_view {
+      return entries_[id].first;
+    };
+  }
+
+  std::vector<std::pair<std::string, double>> entries_;
+  NameIndex index_;
 };
 
 /// An augmented attack-defense tree (Definition 5): the structure T plus
 /// the two attribute domains and the basic assignment.
 ///
-/// The attribution is eagerly baked into dense per-index arrays so the
-/// analysis algorithms can do O(1) lookups by BAS/BDS index.
+/// The attribution is baked in one pass into dense per-index arrays so
+/// the analysis algorithms can do O(1) lookups by BAS/BDS index.
 class AugmentedAdt {
  public:
   /// \p adt must already be frozen (or freezable); throws on invalid

@@ -40,6 +40,18 @@ namespace adtp::catalog {
 /// beyond 2^20 exist only to exhaust memory).
 [[nodiscard]] AugmentedAdt fig4_exponential(int n);
 
+/// The "Fig. 4 forest" of the scaling benches: an attacker-rooted AND
+/// over \p blocks blocks. Per block, two Fig. 4 subtrees of depth \p n
+/// (leaves d_<side><b>_<i>, a_<side><b>_<i> with weights 2^(i-1)) meet
+/// at a defender AND - an attacker-Choose cross product of two 2^n
+/// staircases, the block's real work - whose front passes through
+/// INH(main_<b> | defenses_<b>) into an attacker OR with a flat bypass of
+/// weight 2^(n-4) (2 for n <= 4). The bypass truncates the block front
+/// to ~2^(n-4) points, so the root fold over the blocks stays a small
+/// sequential tail while each block stays an independent, expensive
+/// subtree. 8 blocks at n = 9 is 489 nodes. Min-cost domains.
+[[nodiscard]] AugmentedAdt fig4_forest(std::size_t blocks, std::size_t n);
+
 /// Fig. 5 / Example 5: OR( INH(a1 | d1), INH(a2 | d2) ) with defender
 /// costs d1 = 4, d2 = 8 and attacker costs a1 = 5, a2 = 10;
 /// PF = {(0,5),(4,10),(12,inf)}.

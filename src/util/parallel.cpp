@@ -48,6 +48,7 @@ struct RunBatch {
   std::unique_ptr<std::atomic<std::uint32_t>[]> deps;  ///< remaining deps
   std::vector<std::uint32_t> out;        ///< CSR dependent lists
   std::vector<std::uint32_t> out_begin;  ///< size() + 1 offsets
+  std::vector<std::uint32_t> roots;      ///< initially ready ids, ascending
   std::unique_ptr<ReadyTask[]> handles;
   std::atomic<std::size_t> remaining{0};
   std::atomic<bool> abort{false};
@@ -349,14 +350,13 @@ struct TaskScheduler::Impl {
   /// Seeds the batch's initially-ready tasks onto \p slot's deque - in
   /// reverse id order, so the LIFO owner executes them in ascending id
   /// order like a sequential loop would - then helps until the batch
-  /// drains, running only this batch's tasks (see find_task).
+  /// drains, running only this batch's tasks (see find_task). The seeds
+  /// are the roots listed before the first push, never a fresh look at
+  /// deps: a seeded task can run at once and release a lower-id
+  /// dependent, which its releaser pushes.
   void drive(RunBatch& batch, unsigned slot) {
-    const std::size_t n = batch.graph->size();
-    for (std::size_t i = n; i-- > 0;) {
-      const auto id = static_cast<std::uint32_t>(i);
-      if (batch.deps[id].load(std::memory_order_relaxed) == 0) {
-        push_ready(slot, &batch.handles[id]);
-      }
+    for (auto it = batch.roots.rbegin(); it != batch.roots.rend(); ++it) {
+      push_ready(slot, &batch.handles[*it]);
     }
     while (batch.remaining.load(std::memory_order_acquire) != 0) {
       const std::uint64_t seen = epoch.load(std::memory_order_seq_cst);
@@ -409,12 +409,14 @@ struct TaskScheduler::Impl {
     // the graph build itself.
     {
       std::vector<std::uint32_t> scratch(n);
-      std::vector<std::uint32_t> ready;
-      ready.reserve(n);
       for (std::size_t i = 0; i < n; ++i) {
         scratch[i] = batch.deps[i].load(std::memory_order_relaxed);
-        if (scratch[i] == 0) ready.push_back(static_cast<std::uint32_t>(i));
+        if (scratch[i] == 0) {
+          batch.roots.push_back(static_cast<std::uint32_t>(i));
+        }
       }
+      std::vector<std::uint32_t> ready = batch.roots;
+      ready.reserve(n);
       std::size_t seen = 0;
       while (!ready.empty()) {
         const std::uint32_t id = ready.back();

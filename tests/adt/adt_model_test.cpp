@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <string_view>
+#include <utility>
+#include <vector>
+
+#include "gen/catalog.hpp"
+#include "gen/random_adt.hpp"
 #include "util/error.hpp"
 
 namespace adtp {
@@ -227,6 +234,105 @@ TEST(AdtModel, NodeIdOutOfRangeThrows) {
   const Adt adt = small_tree();
   EXPECT_THROW((void)adt.node(99), ModelError);
   EXPECT_THROW((void)adt.parents(99), ModelError);
+}
+
+TEST(AdtModel, NameIndexSurvivesGrowth) {
+  constexpr std::size_t kLeaves = 100000;
+  Adt adt;
+  std::vector<NodeId> leaves;
+  // Every name also lives back to back in one buffer, so a view of one
+  // name runs straight into the next and is never NUL-terminated.
+  std::string buffer;
+  std::vector<std::pair<std::size_t, std::size_t>> spans;
+  for (std::size_t i = 0; i < kLeaves; ++i) {
+    const std::string name = "leaf" + std::to_string(i);
+    spans.emplace_back(buffer.size(), name.size());
+    buffer += name;
+    leaves.push_back(adt.add_basic(name, Agent::Attacker));
+  }
+  // The first names went in before the table doubled fourteen times.
+  EXPECT_THROW(adt.add_basic("leaf0", Agent::Defender), ModelError);
+  EXPECT_THROW(adt.add_basic("leaf77777", Agent::Attacker), ModelError);
+  const NodeId top =
+      adt.add_gate("top", GateType::Or, Agent::Attacker, leaves);
+  adt.freeze();
+  ASSERT_EQ(adt.size(), kLeaves + 1);
+
+  const std::string_view all(buffer);
+  for (std::size_t i = 0; i < kLeaves; ++i) {
+    const auto found = adt.find(all.substr(spans[i].first, spans[i].second));
+    ASSERT_TRUE(found.has_value()) << i;
+    ASSERT_EQ(*found, leaves[i]) << i;
+    ASSERT_EQ(adt.attack_index(leaves[i]), i);
+  }
+  EXPECT_EQ(adt.find("top"), top);
+  for (const std::string_view miss :
+       {"leaf100000", "leaf", "", "leaf-1", "leaf00", "top ", "Top"}) {
+    EXPECT_FALSE(adt.find(miss).has_value()) << miss;
+  }
+}
+
+/// parents(v) the slow way: every edge p -> v, by ascending p.
+std::vector<NodeId> parents_by_edges(const Adt& adt, NodeId v) {
+  std::vector<NodeId> parents;
+  for (NodeId p = 0; p < adt.size(); ++p) {
+    for (NodeId c : adt.children(p)) {
+      if (c == v) parents.push_back(p);
+    }
+  }
+  return parents;
+}
+
+TEST(AdtModel, ParentsMatchEdgeLists) {
+  std::vector<Adt> models{catalog::money_theft_dag().adt()};
+  RandomAdtOptions options;
+  options.target_nodes = 60;
+  options.share_probability = 0.3;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    models.push_back(generate_random_adt(options, seed));
+  }
+  std::size_t dags = 0;
+  for (const Adt& adt : models) {
+    if (!adt.is_tree()) ++dags;
+    for (NodeId v = 0; v < adt.size(); ++v) {
+      const auto parents = adt.parents(v);
+      EXPECT_EQ(std::vector<NodeId>(parents.begin(), parents.end()),
+                parents_by_edges(adt, v))
+          << adt.name(v);
+    }
+  }
+  EXPECT_FALSE(models.front().is_tree());
+  EXPECT_GE(dags, 11u);
+}
+
+TEST(AdtModel, MutatingACopyLeavesTheOriginal) {
+  const Adt original = small_tree();
+  Adt copy = original;
+  // Enough new nodes to grow the copy's name table past its first size.
+  std::vector<NodeId> extra{copy.at("inh")};
+  for (int i = 0; i < 40; ++i) {
+    extra.push_back(copy.add_basic("x" + std::to_string(i), Agent::Attacker));
+  }
+  copy.set_root(copy.add_gate("top", GateType::Or, Agent::Attacker, extra));
+  copy.freeze();
+  ASSERT_EQ(copy.size(), 46u);
+  EXPECT_EQ(copy.parents(copy.at("inh")).size(), 1u);
+  EXPECT_EQ(copy.attack_index(copy.at("x39")), 41u);
+
+  ASSERT_TRUE(original.frozen());
+  EXPECT_EQ(original.size(), 5u);
+  EXPECT_EQ(original.name(original.root()), "inh");
+  EXPECT_FALSE(original.find("top").has_value());
+  EXPECT_FALSE(original.find("x0").has_value());
+  for (const char* name : {"a1", "a2", "d1", "band", "inh"}) {
+    EXPECT_EQ(original.find(name), copy.find(name)) << name;
+  }
+  EXPECT_TRUE(original.parents(original.at("inh")).empty());
+  ASSERT_EQ(original.parents(original.at("band")).size(), 1u);
+  EXPECT_EQ(original.parents(original.at("band"))[0], original.at("inh"));
+  EXPECT_EQ(original.num_attacks(), 2u);
+  EXPECT_EQ(original.attack_index(original.at("a2")), 1u);
+  EXPECT_EQ(original.defense_index(original.at("d1")), 0u);
 }
 
 }  // namespace

@@ -4,8 +4,13 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <vector>
 
+#include "core/front_cache.hpp"
+#include "core/node_memo.hpp"
 #include "gen/catalog.hpp"
+#include "gen/random_adt.hpp"
 #include "util/error.hpp"
 
 namespace adtp {
@@ -165,6 +170,128 @@ TEST(AugmentedAdt, DomainRangeValidation) {
       [](double x, double y) { return x + y; },
       [](double x, double y) { return x >= y; });
   EXPECT_NO_THROW(build(-5, 2, Semiring::min_cost(), damage));
+}
+
+/// \p aadt built again from nothing: a fresh Adt added node by node and
+/// a fresh attribution set in reverse leaf order, with \p leaf set to
+/// \p value.
+AugmentedAdt rebuilt_with(const AugmentedAdt& aadt, NodeId leaf,
+                          double value) {
+  const Adt& adt = aadt.adt();
+  Adt fresh;
+  for (const Node& n : adt.nodes()) {
+    switch (n.type) {
+      case GateType::BasicStep:
+        fresh.add_basic(n.name, n.agent);
+        break;
+      case GateType::Inhibit:
+        fresh.add_inhibit(n.name, n.children[0], n.children[1]);
+        break;
+      default:
+        fresh.add_gate(n.name, n.type, n.agent, n.children);
+    }
+  }
+  fresh.set_root(adt.root());
+  Attribution beta;
+  for (NodeId v = static_cast<NodeId>(adt.size()); v-- > 0;) {
+    if (adt.type(v) != GateType::BasicStep) continue;
+    beta.set(adt.name(v), v == leaf ? value : aadt.value_of(v));
+  }
+  return AugmentedAdt(std::move(fresh), std::move(beta),
+                      aadt.defender_domain(), aadt.attacker_domain());
+}
+
+TEST(AugmentedAdt, ReattributedCopyKeepsKeys) {
+  std::vector<AugmentedAdt> models{
+      catalog::fig3_example(),      catalog::fig4_exponential(6),
+      catalog::fig5_example(),      catalog::money_theft_dag(),
+      catalog::money_theft_tree(),  catalog::fig4_forest(3, 5)};
+  RandomAdtOptions options;
+  options.target_nodes = 50;
+  options.share_probability = 0.2;
+  options.max_defenses = 8;
+  for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+    models.push_back(generate_random_aadt(options, seed, Semiring::min_cost(),
+                                          Semiring::min_cost()));
+  }
+  const AnalysisOptions analysis;
+  for (const AugmentedAdt& model : models) {
+    const Adt& adt = model.adt();
+    // The first attack step and the last defense step, each raised.
+    std::vector<NodeId> edited;
+    if (adt.num_attacks() > 0) edited.push_back(adt.attack_steps().front());
+    if (adt.num_defenses() > 0) edited.push_back(adt.defense_steps().back());
+    for (const NodeId leaf : edited) {
+      const double value = model.value_of(leaf) + 3;
+      Attribution beta = model.attribution();
+      beta.set(adt.name(leaf), value);
+      const AugmentedAdt reattributed(adt, std::move(beta),
+                                      model.defender_domain(),
+                                      model.attacker_domain());
+      const AugmentedAdt scratch = rebuilt_with(model, leaf, value);
+      EXPECT_EQ(reattributed.value_of(leaf), value);
+      EXPECT_EQ(front_cache_key(reattributed, analysis),
+                front_cache_key(scratch, analysis))
+          << adt.name(leaf);
+      EXPECT_FALSE(front_cache_key(reattributed, analysis) ==
+                   front_cache_key(model, analysis));
+      EXPECT_EQ(subtree_value_hashes(reattributed),
+                subtree_value_hashes(scratch))
+          << adt.name(leaf);
+      EXPECT_EQ(subtree_layout_hashes(reattributed.adt()),
+                subtree_layout_hashes(scratch.adt()));
+    }
+  }
+}
+
+TEST(AugmentedAdt, ErrorsKeepTheirOrder) {
+  auto message = [](Attribution beta, Semiring attacker_domain) {
+    try {
+      const AugmentedAdt aadt(two_leaf_adt(), std::move(beta),
+                              Semiring::min_cost(), std::move(attacker_domain));
+    } catch (const AttributionError& e) {
+      return std::string(e.what());
+    }
+    return std::string("no error");
+  };
+  // d has no value and a is outside min cost: the missing step wins.
+  Attribution missing;
+  missing.set("a", -1e-9);
+  EXPECT_EQ(message(missing, Semiring::min_cost()),
+            "Attribution: basic defense step 'd' has no value");
+  // With d set, the domain check reports the exact value.
+  Attribution negative = missing;
+  negative.set("d", 2);
+  EXPECT_EQ(message(negative, Semiring::min_cost()),
+            "AugmentedAdt: value -1e-09 of attack step 'a' is outside the "
+            "min cost domain");
+  Attribution above_one = negative;
+  above_one.set("a", 1.25);
+  EXPECT_EQ(message(above_one, Semiring::probability()),
+            "AugmentedAdt: value 1.25 of attack step 'a' is outside the " +
+                Semiring::probability().name() + " domain");
+  // Entry errors come before missing steps, in the order values were set.
+  Attribution unknown;
+  unknown.set("ghost", 1);
+  unknown.set("top", 1);
+  EXPECT_EQ(message(unknown, Semiring::min_cost()),
+            "Attribution: value assigned to unknown node 'ghost'");
+  Attribution gate;
+  gate.set("top", 1);
+  gate.set("ghost", 1);
+  EXPECT_EQ(message(gate, Semiring::min_cost()),
+            "Attribution: 'top' is a gate; only basic steps carry values");
+  Attribution nan;
+  nan.set("d", 2);
+  nan.set("a", std::nan(""));
+  EXPECT_EQ(message(nan, Semiring::min_cost()),
+            "Attribution: value of 'a' is NaN");
+  // validate() runs the same checks, short of the domains.
+  EXPECT_THROW(unknown.validate(two_leaf_adt()), AttributionError);
+  EXPECT_THROW(gate.validate(two_leaf_adt()), AttributionError);
+  EXPECT_THROW(nan.validate(two_leaf_adt()), AttributionError);
+  EXPECT_THROW(missing.validate(two_leaf_adt()), AttributionError);
+  EXPECT_NO_THROW(negative.validate(two_leaf_adt()));
 }
 
 TEST(Semiring, ContainsTableIRanges) {

@@ -64,6 +64,18 @@ TEST(Catalog, Fig4WeightsArePowersOfTwo) {
   }
 }
 
+TEST(Catalog, Fig4ForestShape) {
+  const AugmentedAdt forest = catalog::fig4_forest(8, 9);
+  const Adt& adt = forest.adt();
+  EXPECT_EQ(adt.size(), 489u);  // 8 * (2 * (9 * 3 + 1) + 5) + top
+  EXPECT_TRUE(adt.is_tree());
+  EXPECT_EQ(adt.name(adt.root()), "top");
+  EXPECT_EQ(adt.num_attacks(), 8u * (2 * 9 + 2));
+  EXPECT_EQ(adt.num_defenses(), 8u * 2 * 9);
+  EXPECT_EQ(forest.attribution().get("a_r7_9"), 256);
+  EXPECT_EQ(forest.attribution().get("bypass_3"), 32);
+}
+
 TEST(Catalog, Fig5GoldenFront) {
   EXPECT_EQ(analyze(catalog::fig5_example()).front.to_string(),
             "{(0, 5), (4, 10), (12, inf)}");

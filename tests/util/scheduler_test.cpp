@@ -103,6 +103,28 @@ TEST(SchedulerTest, WideFanInWaitsForAllPredecessors) {
   EXPECT_GE(stats.max_ready_depth, 1u);
 }
 
+TEST(SchedulerTest, SeedingNeverRequeuesAReleasedTask) {
+  // Task 0 depends on the last task, which run() seeds first. A worker
+  // can finish that task - releasing task 0 - while the driver is still
+  // seeding the independent tasks in between; task 0 must still run once
+  // (a second run would also wrap the batch's remaining-task count).
+  constexpr std::uint32_t kTasks = 4096;
+  TaskScheduler sched(4);
+  std::atomic<int> sink_runs{0};
+  auto sink = [&](unsigned, std::uint32_t) { sink_runs.fetch_add(1); };
+  auto noop = [](unsigned, std::uint32_t) {};
+  TaskGraph g;
+  g.add(sink);
+  for (std::uint32_t i = 1; i < kTasks; ++i) g.add(noop, i);
+  g.depends(0, kTasks - 1);
+  for (int round = 0; round < 20; ++round) {
+    sink_runs.store(0);
+    const TaskRunStats stats = sched.run(g);
+    ASSERT_EQ(sink_runs.load(), 1) << "round " << round;
+    EXPECT_EQ(stats.tasks, kTasks);
+  }
+}
+
 TEST(SchedulerTest, CycleIsRejectedUpFront) {
   TaskScheduler sched(2);
   std::atomic<int> ran{0};
