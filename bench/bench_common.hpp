@@ -84,7 +84,7 @@ inline void assert_kernel_guards(const AugmentedAdt& aadt) {
   cancelled.cancel();
   const Deadline expired(1e-12);
 
-  auto expect = [&](const char* what, auto&& run, auto&& probe) {
+  auto expect = [&](const std::string& what, auto&& run, auto&& probe) {
     bool guarded = false;
     try {
       run();
@@ -105,41 +105,26 @@ inline void assert_kernel_guards(const AugmentedAdt& aadt) {
     return dynamic_cast<const DeadlineError*>(&e) != nullptr;
   };
 
-  NaiveOptions naive;
-  naive.cancel = &cancelled;
-  expect("naive cancel", [&] { (void)naive_front(aadt, naive); }, is_cancel);
-  naive.cancel = nullptr;
-  naive.deadline = &expired;
-  expect("naive deadline", [&] { (void)naive_front(aadt, naive); },
-         is_deadline);
-
-  if (aadt.adt().is_tree()) {
-    BottomUpOptions bu;
-    bu.cancel = &cancelled;
-    expect("bottom-up cancel", [&] { (void)bottom_up_front(aadt, bu); },
-           is_cancel);
-    bu.cancel = nullptr;
-    bu.deadline = &expired;
-    expect("bottom-up deadline", [&] { (void)bottom_up_front(aadt, bu); },
+  RunContext cancel;
+  cancel.cancel = &cancelled;
+  RunContext deadline;
+  deadline.deadline = &expired;
+  auto guards = [&](const std::string& kernel, auto&& analyze_with) {
+    expect(kernel + " cancel", [&] { analyze_with(cancel); }, is_cancel);
+    expect(kernel + " deadline", [&] { analyze_with(deadline); },
            is_deadline);
+  };
+  guards("naive",
+         [&](const RunContext& run) { (void)naive_front(aadt, {}, run); });
+  if (aadt.adt().is_tree()) {
+    guards("bottom-up", [&](const RunContext& run) {
+      (void)bottom_up_front(aadt, {}, run);
+    });
   }
-
-  BddBuOptions bdd;
-  bdd.cancel = &cancelled;
-  expect("bdd_bu cancel", [&] { (void)bdd_bu_front(aadt, bdd); }, is_cancel);
-  bdd.cancel = nullptr;
-  bdd.deadline = &expired;
-  expect("bdd_bu deadline", [&] { (void)bdd_bu_front(aadt, bdd); },
-         is_deadline);
-
-  HybridOptions hybrid;
-  hybrid.bdd.cancel = &cancelled;
-  expect("hybrid cancel", [&] { (void)hybrid_front(aadt, hybrid); },
-         is_cancel);
-  hybrid.bdd.cancel = nullptr;
-  hybrid.bdd.deadline = &expired;
-  expect("hybrid deadline", [&] { (void)hybrid_front(aadt, hybrid); },
-         is_deadline);
+  guards("bdd_bu",
+         [&](const RunContext& run) { (void)bdd_bu_front(aadt, {}, run); });
+  guards("hybrid",
+         [&](const RunContext& run) { (void)hybrid_front(aadt, {}, run); });
 
   std::cout << "[guards] cancel + deadline honored by all kernels\n";
 }

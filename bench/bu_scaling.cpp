@@ -78,8 +78,13 @@ ScalingRow measure(const AugmentedAdt& aadt, unsigned threads,
                 << " threads (repeat " << r << ")\n";
     }
   }
+  // The witnesses run on a scheduler of the row's width too, so the
+  // gate below compares parallel witness runs, not sequential ones.
+  TaskScheduler pool(threads);
+  RunContext run;
+  run.pool = &pool;
   const WitnessFront witness =
-      bottom_up_front_witness(aadt, options.bottom_up);
+      bottom_up_front_witness(aadt, options.bottom_up, run);
   if (witness_reference != nullptr &&
       !witnesses_identical(witness, *witness_reference)) {
     row.identical = false;

@@ -67,23 +67,26 @@ int main(int argc, char** argv) {
           tree_options, rng(), Semiring::min_cost(), Semiring::min_cost());
 
       const Deadline bu_deadline(run_cap);
+      RunContext bu_run;
+      bu_run.deadline = &bu_deadline;
+      bu_run.cancel = &cancel;
       BottomUpOptions bu_options;
       bu_options.max_front_points = 500000;
-      bu_options.deadline = &bu_deadline;
-      bu_options.cancel = &cancel;
       if (const auto t = bench::time_call_capped(
-              [&] { (void)bottom_up_front(tree, bu_options); })) {
+              [&] { (void)bottom_up_front(tree, bu_options, bu_run); })) {
         bu_times.push_back(*t);
       }
 
       if (lo < 50) {
         const Deadline deadline(naive_deadline);
+        RunContext naive_run;
+        naive_run.deadline = &deadline;
+        naive_run.cancel = &cancel;
         NaiveOptions naive_options;
         naive_options.max_bits = 24;
-        naive_options.deadline = &deadline;
-        naive_options.cancel = &cancel;
-        if (const auto t = bench::time_call_capped(
-                [&] { (void)naive_front(tree, naive_options); })) {
+        if (const auto t = bench::time_call_capped([&] {
+              (void)naive_front(tree, naive_options, naive_run);
+            })) {
           naive_times.push_back(*t);
         } else {
           naive_capped = true;
@@ -99,13 +102,14 @@ int main(int argc, char** argv) {
           dag_options, rng(), Semiring::min_cost(), Semiring::min_cost());
 
       const Deadline bdd_deadline(run_cap);
+      RunContext bdd_run;
+      bdd_run.deadline = &bdd_deadline;
+      bdd_run.cancel = &cancel;
       BddBuOptions bdd_options;
       bdd_options.node_limit = 8u << 20;
       bdd_options.max_front_points = 500000;
-      bdd_options.deadline = &bdd_deadline;
-      bdd_options.cancel = &cancel;
       if (const auto t = bench::time_call_capped(
-              [&] { (void)bdd_bu_front(dag, bdd_options); })) {
+              [&] { (void)bdd_bu_front(dag, bdd_options, bdd_run); })) {
         bdd_times.push_back(*t);
       } else {
         bdd_capped = true;

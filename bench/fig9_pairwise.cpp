@@ -85,11 +85,12 @@ int main(int argc, char** argv) {
     row.tree = aadt.adt().is_tree();
 
     const Deadline deadline(naive_deadline);
+    RunContext guarded;
+    guarded.deadline = &deadline;
     NaiveOptions naive_options;
     naive_options.max_bits = 24;
-    naive_options.deadline = &deadline;
     row.naive = cell(bench::time_call_capped(
-        [&] { (void)naive_front(aadt, naive_options); }));
+        [&] { (void)naive_front(aadt, naive_options, guarded); }));
 
     if (row.tree) {
       BottomUpOptions bu_options;

@@ -188,10 +188,10 @@ int main(int argc, char** argv) {
     const WitnessFront cold_witness = bottom_up_front_witness(variant);
     for (const unsigned t : {1u, threads}) {
       TaskScheduler pool(t);
-      BottomUpOptions bu;
-      bu.pool = &pool;
-      bu.memo = &gate_memo;
-      if (!witnesses_identical(bottom_up_front_witness(variant, bu),
+      RunContext run;
+      run.pool = &pool;
+      run.memo = &gate_memo;
+      if (!witnesses_identical(bottom_up_front_witness(variant, {}, run),
                                cold_witness)) {
         result.identical = false;
         std::cerr << "MISMATCH: memoized witnesses diverged at " << t

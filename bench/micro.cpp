@@ -512,13 +512,13 @@ AugmentedAdt sharded_naive_model() {
 
 void BM_NaiveSharded(benchmark::State& state) {
   const AugmentedAdt model = sharded_naive_model();
-  NaiveOptions options;
+  RunContext run;
   for (auto _ : state) {
     // A scheduler per iteration: each row includes the worker spawn and
     // join that analyze() pays when it builds one for a call.
     TaskScheduler pool(static_cast<unsigned>(state.range(0)));
-    options.pool = &pool;
-    benchmark::DoNotOptimize(naive_front(model, options));
+    run.pool = &pool;
+    benchmark::DoNotOptimize(naive_front(model, {}, run));
   }
 }
 BENCHMARK(BM_NaiveSharded)->Arg(1)->Arg(2)->Arg(4)

@@ -40,8 +40,8 @@ void ablate(const std::string& label, const AugmentedAdt& aadt) {
     options.algorithm = Algorithm::BddBu;
     options.bdd.order_heuristic = heuristic;
     options.bdd.order_seed = 99;
-    options.bdd.deadline = &deadline;
-    options.bdd.cancel = &g_cancel;
+    options.run.deadline = &deadline;
+    options.run.cancel = &g_cancel;
     AnalysisResult report;
     if (const auto t = bench::time_call_capped(
             [&] { report = analyze(aadt, options); })) {
@@ -62,8 +62,8 @@ void ablate(const std::string& label, const AugmentedAdt& aadt) {
   AnalysisOptions sifted;
   sifted.algorithm = Algorithm::BddBu;
   sifted.bdd.order = search.order;
-  sifted.bdd.deadline = &deadline;
-  sifted.bdd.cancel = &g_cancel;
+  sifted.run.deadline = &deadline;
+  sifted.run.cancel = &g_cancel;
   AnalysisResult report;
   if (const auto t_run = bench::time_call_capped(
           [&] { report = analyze(aadt, sifted); })) {

@@ -34,44 +34,31 @@ AnalysisResult analyze(const AugmentedAdt& aadt,
   }
 
   // The analysis's own scheduler: built only when intra_model_threads
-  // asks for more than one slot and the caller lent the kernel no pool.
-  // It starts its workers at the kernel's first run(), so a kernel whose
-  // floors keep it sequential never spawns a thread.
+  // asks for more than one slot and the caller lent no pool. It starts
+  // its workers at the kernel's first run(), so a kernel whose floors
+  // keep it sequential never spawns a thread.
+  RunContext run = options.run;
   std::optional<TaskScheduler> owned;
-  auto borrow = [&](TaskScheduler*& pool) {
-    if (pool != nullptr || options.intra_model_threads <= 1) return;
-    owned.emplace(options.intra_model_threads);
-    pool = &*owned;
-  };
+  if (run.pool == nullptr && options.intra_model_threads > 1) {
+    run.pool = &owned.emplace(options.intra_model_threads);
+  }
 
   AnalysisResult result;
   result.used = algorithm;
   Stopwatch watch;
   switch (algorithm) {
-    case Algorithm::Naive: {
-      NaiveOptions naive = options.naive;
-      borrow(naive.pool);
-      result.front = naive_front(aadt, naive, &result);
+    case Algorithm::Naive:
+      result.front = naive_front(aadt, options.naive, run, &result);
       break;
-    }
-    case Algorithm::BottomUp: {
-      BottomUpOptions bottom_up = options.bottom_up;
-      borrow(bottom_up.pool);
-      result.front = bottom_up_front(aadt, bottom_up, &result);
+    case Algorithm::BottomUp:
+      result.front = bottom_up_front(aadt, options.bottom_up, run, &result);
       break;
-    }
-    case Algorithm::BddBu: {
-      BddBuOptions bdd = options.bdd;
-      borrow(bdd.pool);
-      result.front = bdd_bu_front(aadt, bdd, &result);
+    case Algorithm::BddBu:
+      result.front = bdd_bu_front(aadt, options.bdd, run, &result);
       break;
-    }
-    case Algorithm::Hybrid: {
-      HybridOptions hybrid = options.hybrid;
-      borrow(hybrid.bdd.pool);
-      result.front = hybrid_front(aadt, hybrid, &result);
+    case Algorithm::Hybrid:
+      result.front = hybrid_front(aadt, options.hybrid, run, &result);
       break;
-    }
     case Algorithm::Auto:
       throw Error("analyze: unresolved Auto algorithm");
   }
@@ -90,8 +77,7 @@ AnalysisResult analyze_incremental(const AugmentedAdt& aadt,
     opts.algorithm =
         aadt.adt().is_tree() ? Algorithm::BottomUp : Algorithm::Hybrid;
   }
-  if (opts.bottom_up.memo == nullptr) opts.bottom_up.memo = &memo;
-  if (opts.hybrid.memo == nullptr) opts.hybrid.memo = &memo;
+  if (opts.run.memo == nullptr) opts.run.memo = &memo;
   return analyze(aadt, opts);
 }
 

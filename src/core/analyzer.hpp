@@ -27,6 +27,8 @@ enum class Algorithm : std::uint8_t {
 
 [[nodiscard]] const char* to_string(Algorithm a) noexcept;
 
+/// Result fields first - each enters the FrontCacheKey - then the
+/// execution fields, which never do.
 struct AnalysisOptions {
   Algorithm algorithm = Algorithm::Auto;
   NaiveOptions naive;
@@ -34,17 +36,17 @@ struct AnalysisOptions {
   BddBuOptions bdd;
   HybridOptions hybrid;
 
+  /// Guards, scheduler, arena, memo and floors of the run (trace.hpp),
+  /// handed to whichever kernel runs.
+  RunContext run;
+
   /// Worker threads *inside* one analysis: 0 and 1 (default 0) run the
   /// selected kernel sequentially; N > 1 makes analyze() build one
-  /// scheduler of N slots and lend it to the selected kernel's pool -
-  /// naive.pool (the sharded 2^|D| enumeration), bottom_up.pool (the
-  /// sibling-subtree task DAG), or bdd.pool / hybrid.bdd.pool (the
-  /// task-DAG BDD construction + propagation). A pool the caller set
-  /// wins. The scheduler starts its workers only when the kernel's floors
-  /// send it work. Results are identical for every value, so the
-  /// FrontCache key deliberately ignores it. Left at 0 in a batch job,
-  /// analyze_batch() lends the batch scheduler instead, so an oversized
-  /// item does not straggle on one core.
+  /// scheduler of N slots for run.pool. A run.pool the caller set wins.
+  /// The scheduler starts its workers only when the kernel's floors send
+  /// it work. Left at 0 in a batch job, analyze_batch() lends the batch
+  /// scheduler instead, so an oversized item does not straggle on one
+  /// core.
   unsigned intra_model_threads = 0;
 };
 
@@ -62,17 +64,15 @@ struct AnalysisResult : AnalysisTrace {
 [[nodiscard]] AnalysisResult analyze(const AugmentedAdt& aadt,
                                      const AnalysisOptions& options = {});
 
-class NodeFrontMemo;
-
 /// As analyze(), but consulting (and filling) \p memo, the per-node front
 /// memo of node_memo.hpp: a model that differs from a previously analyzed
 /// one in a single subtree recomputes only the root-ward spine of the
 /// edit. Auto resolves to BottomUp for trees and to Hybrid (not BddBu)
 /// for DAGs - the hybrid walker is the DAG kernel with a memo path. An
 /// explicit Naive/BddBu request runs cold (those kernels have no per-node
-/// memo); explicit per-algorithm memo pointers in \p options win over
-/// \p memo. Results are bit-identical to analyze() without a memo, at
-/// every thread count (docs/CONTRACTS.md).
+/// memo); an options.run.memo the caller set wins over \p memo. Results
+/// are bit-identical to analyze() without a memo, at every thread count
+/// (docs/CONTRACTS.md).
 [[nodiscard]] AnalysisResult analyze_incremental(
     const AugmentedAdt& aadt, NodeFrontMemo& memo,
     const AnalysisOptions& options = {});

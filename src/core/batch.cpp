@@ -46,54 +46,37 @@ bool batch_cancelled(const BatchContext& ctx) {
   return ctx.options.cancel != nullptr && ctx.options.cancel->cancelled();
 }
 
-/// Copies the job's options and threads the batch-wide guards, the
-/// slot's persistent arena, and the batch scheduler
-/// into every per-algorithm slot that has not been explicitly set by the
-/// caller. Precedence: a job that carries its own deadline/cancel
-/// pointer keeps it for the in-flight phase (an explicit per-item guard
-/// is a deliberate override); the batch-wide guards still gate that
-/// item's *start* via the between-item checks.
+/// Copies the job's options and fills in every RunContext field the job
+/// left null: the batch-wide guards, the slot's persistent arena, the
+/// shared memo and the batch scheduler. Precedence: a job that carries
+/// its own deadline/cancel pointer keeps it for the in-flight phase (an
+/// explicit per-item guard is a deliberate override); the batch-wide
+/// guards still gate that item's *start* via the between-item checks.
 AnalysisOptions instrument_options(const BatchContext& ctx,
                                    const AnalysisOptions& base,
                                    FrontArena<ValuePoint>& arena) {
   AnalysisOptions opts = base;
-  const Deadline* deadline =
-      ctx.options.deadline_seconds > 0 ? &ctx.deadline : nullptr;
-  const CancelToken* cancel = ctx.options.cancel;
-  auto inject = [&](const Deadline*& d, const CancelToken*& c) {
-    if (d == nullptr) d = deadline;
-    if (c == nullptr) c = cancel;
-  };
-  inject(opts.naive.deadline, opts.naive.cancel);
-  inject(opts.bottom_up.deadline, opts.bottom_up.cancel);
-  inject(opts.bdd.deadline, opts.bdd.cancel);
-  inject(opts.hybrid.bdd.deadline, opts.hybrid.bdd.cancel);
-  if (opts.bottom_up.arena == nullptr) opts.bottom_up.arena = &arena;
-  if (opts.bdd.arena == nullptr) opts.bdd.arena = &arena;
-  if (opts.hybrid.bdd.arena == nullptr) opts.hybrid.bdd.arena = &arena;
+  RunContext& run = opts.run;
+  if (run.deadline == nullptr && ctx.options.deadline_seconds > 0) {
+    run.deadline = &ctx.deadline;
+  }
+  if (run.cancel == nullptr) run.cancel = ctx.options.cancel;
+  if (run.arena == nullptr) run.arena = &arena;
   // Shared-memo serving: every item consults one per-node front memo, so
   // edited variants of one model recompute only their dirty spines. The
-  // memo is thread-safe and hit results are bit-identical, so injection
-  // is invisible to the determinism guarantee above.
-  if (ctx.options.memo != nullptr) {
-    if (opts.bottom_up.memo == nullptr) opts.bottom_up.memo = ctx.options.memo;
-    if (opts.hybrid.memo == nullptr) opts.hybrid.memo = ctx.options.memo;
-  }
-  // Scheduler sharing: hand the batch scheduler to every intra-model
-  // parallel path, so an oversized item (a huge naive enumeration, one
-  // giant tree or DAG) spreads over whatever slots are idle instead of
-  // straggling on one - work stealing balances items against shards with
-  // no hand-tuned split. Each path still applies its own work floors, so
-  // small items run their cheap sequential kernels untouched. An
-  // explicit per-item intra_model_threads or pool is a deliberate
-  // setting and disables the injection.
-  if (ctx.sched.threads() > 1 && opts.intra_model_threads == 0 &&
-      opts.naive.pool == nullptr && opts.bottom_up.pool == nullptr &&
-      opts.bdd.pool == nullptr && opts.hybrid.bdd.pool == nullptr) {
-    opts.naive.pool = &ctx.sched;
-    opts.bottom_up.pool = &ctx.sched;
-    opts.bdd.pool = &ctx.sched;
-    opts.hybrid.bdd.pool = &ctx.sched;
+  // memo is thread-safe and hit results are bit-identical, so filling it
+  // in is invisible to the determinism guarantee above.
+  if (run.memo == nullptr) run.memo = ctx.options.memo;
+  // Scheduler sharing: lend the batch scheduler to the item's kernel, so
+  // an oversized item (a huge naive enumeration, one giant tree or DAG)
+  // spreads over whatever slots are idle instead of straggling on one -
+  // work stealing balances items against shards with no hand-tuned
+  // split. Each kernel still applies its own work floors, so small items
+  // run their cheap sequential kernels untouched. An explicit per-item
+  // intra_model_threads or pool is a deliberate setting and wins.
+  if (run.pool == nullptr && opts.intra_model_threads == 0 &&
+      ctx.sched.threads() > 1) {
+    run.pool = &ctx.sched;
   }
   return opts;
 }
@@ -260,25 +243,6 @@ BatchReport analyze_batch(const std::vector<AugmentedAdt>& models,
     jobs.push_back(BatchJob{&model, analysis});
   }
   return analyze_batch(std::span<const BatchJob>(jobs), options);
-}
-
-BatchReport analyze_batch(std::span<const AugmentedAdt* const> models,
-                          const AnalysisOptions& options, unsigned n_threads) {
-  std::vector<BatchJob> jobs;
-  jobs.reserve(models.size());
-  for (const AugmentedAdt* model : models) {
-    jobs.push_back(BatchJob{model, options});
-  }
-  BatchOptions batch;
-  batch.n_threads = n_threads;
-  return analyze_batch(std::span<const BatchJob>(jobs), batch);
-}
-
-BatchReport analyze_batch(const std::vector<AugmentedAdt>& models,
-                          const AnalysisOptions& options, unsigned n_threads) {
-  BatchOptions batch;
-  batch.n_threads = n_threads;
-  return analyze_batch(models, options, batch);
 }
 
 }  // namespace adtp

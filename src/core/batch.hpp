@@ -16,12 +16,11 @@
 /// Serving features (all opt-in via BatchOptions):
 ///  - Deadline: a wall-clock budget for the whole batch. Items not yet
 ///    started when it expires are skipped; items in flight observe it
-///    through the per-analysis guards (the batch injects the deadline into
-///    each job's naive/bottom-up/BDD options), so a stuck item stops
-///    instead of running the clock out. A job that sets its own per-item
-///    deadline/cancel pointer keeps it in flight - an explicit per-item
-///    guard deliberately overrides the injected one; the batch guards
-///    still gate that item's start.
+///    through the per-analysis guards (the batch fills in each job's
+///    options.run.deadline), so a stuck item stops instead of running the
+///    clock out. A job that sets its own run.deadline/run.cancel keeps it
+///    in flight - an explicit per-item guard deliberately overrides the
+///    batch's; the batch guards still gate that item's start.
 ///  - Cancellation: a caller-owned CancelToken, polled between items and
 ///    inside the analysis kernels. Callable from another thread or from
 ///    the on_item callback ("stop after the first failure").
@@ -97,13 +96,13 @@ struct BatchOptions {
   /// Scheduler width (0 = std::thread::hardware_concurrency(), also
   /// overridable via the ADTP_THREADS environment variable). Never
   /// clamped to the batch size: the scheduler is lent to every item's
-  /// intra-model phases (naive / bottom_up / bdd / hybrid.bdd pools), so
-  /// surplus slots serve an oversized item's own tasks - a huge naive
-  /// enumeration, one giant tree's sibling folds, a big DAG's BDD build
-  /// + propagate - instead of idling. Items that set intra_model_threads
-  /// (analyze() then builds the item its own scheduler) or any
-  /// per-algorithm pool themselves keep their own setting; results are
-  /// unaffected either way (intra-model parallelism is deterministic).
+  /// intra-model phases (its options.run.pool), so surplus slots serve
+  /// an oversized item's own tasks - a huge naive enumeration, one giant
+  /// tree's sibling folds, a big DAG's BDD build + propagate - instead of
+  /// idling. Items that set intra_model_threads (analyze() then builds
+  /// the item its own scheduler) or run.pool themselves keep their own
+  /// setting; results are unaffected either way (intra-model parallelism
+  /// is deterministic).
   unsigned n_threads = 0;
 
   /// Wall-clock budget for the whole batch in seconds; <= 0 means none.
@@ -122,15 +121,15 @@ struct BatchOptions {
   /// Custom semiring domains bypass the cache (see front_cache.hpp).
   FrontCache* cache = nullptr;
 
-  /// Optional shared per-node front memo (node_memo.hpp), injected into
-  /// every item's bottom-up and hybrid options: items that are edited
+  /// Optional shared per-node front memo (node_memo.hpp), filled into
+  /// every item's options.run.memo: items that are edited
   /// variants of each other - the interactive serving workload - share
   /// every untouched subtree front across the batch (and across batches,
   /// when the memo outlives them). The memo is thread-safe; items fill
   /// and consult it concurrently. Results are unaffected (a memo hit is
   /// bit-identical to recomputation), so this knob - unlike the model
   /// content - never enters the FrontCacheKey. Items that set their own
-  /// per-algorithm memo pointer keep it.
+  /// run.memo keep it.
   NodeFrontMemo* memo = nullptr;
 };
 
@@ -194,16 +193,5 @@ struct BatchReport {
 [[nodiscard]] BatchReport analyze_batch(const std::vector<AugmentedAdt>& models,
                                         const AnalysisOptions& analysis,
                                         const BatchOptions& options);
-
-/// Analyzes every model in \p models with \p options on \p n_threads
-/// worker threads (the pre-serving API, kept for one-shot callers).
-[[nodiscard]] BatchReport analyze_batch(
-    std::span<const AugmentedAdt* const> models,
-    const AnalysisOptions& options = {}, unsigned n_threads = 0);
-
-/// Convenience overload over owned models.
-[[nodiscard]] BatchReport analyze_batch(const std::vector<AugmentedAdt>& models,
-                                        const AnalysisOptions& options = {},
-                                        unsigned n_threads = 0);
 
 }  // namespace adtp

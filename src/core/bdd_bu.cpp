@@ -7,10 +7,22 @@
 #include "bdd/build.hpp"
 #include "core/domains.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/parallel.hpp"
 #include "util/timer.hpp"
 
 namespace adtp {
+
+void hash_result_fields(Fnv1a& h, const BddBuOptions& options) {
+  h.u8(static_cast<std::uint8_t>(options.order_heuristic));
+  h.u64(options.order_seed);
+  h.size(options.node_limit);
+  h.size(options.max_front_points);
+  h.boolean(options.order.has_value());
+  if (options.order.has_value()) {
+    for (NodeId id : options.order->sequence()) h.u32(id);
+  }
+}
 
 namespace {
 
@@ -32,8 +44,9 @@ template <typename P, typename Dd, typename Da>
 BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
                                bdd::Ref root, const bdd::VarOrder& order,
                                const BddBuOptions& options,
-                               TaskScheduler* pool, AnalysisTrace* trace,
-                               const Dd& dd, const Da& da) {
+                               const RunContext& run, TaskScheduler* pool,
+                               AnalysisTrace* trace, const Dd& dd,
+                               const Da& da) {
   const std::size_t max_front_points = options.max_front_points;
   const Adt& adt = aadt.adt();
   const bool root_is_attack = adt.agent(adt.root()) == Agent::Attacker;
@@ -76,7 +89,7 @@ BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
   FrontArena<P> fallback_arena;
   FrontArena<P>* arena0 = &fallback_arena;
   if constexpr (std::is_same_v<P, ValuePoint>) {
-    if (!parallel && options.arena != nullptr) arena0 = options.arena;
+    if (!parallel && run.arena != nullptr) arena0 = run.arena;
   }
   const CombineStats arena0_before = arena0->stats();
   std::vector<FrontArena<P>> extra_arenas(workers > 1 ? workers - 1 : 0);
@@ -106,7 +119,7 @@ BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
   }
 
   auto process_node = [&](unsigned worker, bdd::Ref w) {
-    check_interrupt(options.deadline, options.cancel, "bdd_bu");
+    check_interrupt(run.deadline, run.cancel, "bdd_bu");
     const std::uint32_t v = manager.var(w);
     const NodeId leaf = order.node_of(v);
     const auto& low = fronts[slot[manager.low(w)]];
@@ -176,7 +189,7 @@ BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
     // to the sequential path and to every other grain: results stay
     // bit-identical (grain 1 reproduces the old task-per-node graph).
     const std::size_t grain =
-        std::max<std::size_t>(1, options.task_grain_points);
+        std::max<std::size_t>(1, run.task_grain_points);
     std::vector<std::size_t> est(reach.size(), 1);
     for (const bdd::Ref w : nonterms) {
       if (order.is_defense_var(manager.var(w))) {
@@ -252,13 +265,13 @@ BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
 template <typename P>
 BasicFront<P> propagate(const AugmentedAdt& aadt, bdd::Manager& manager,
                         bdd::Ref root, const bdd::VarOrder& order,
-                        const BddBuOptions& options, TaskScheduler* pool,
-                        AnalysisTrace* trace) {
+                        const BddBuOptions& options, const RunContext& run,
+                        TaskScheduler* pool, AnalysisTrace* trace) {
   return dispatch_domains(
       aadt.defender_domain(), aadt.attacker_domain(),
       [&](const auto& dd, const auto& da) {
-        return propagate_kernel<P>(aadt, manager, root, order, options, pool,
-                                   trace, dd, da);
+        return propagate_kernel<P>(aadt, manager, root, order, options, run,
+                                   pool, trace, dd, da);
       });
 }
 
@@ -281,22 +294,21 @@ constexpr std::size_t kMinBddNodesForPool = 4096;
 /// A multi-slot pool engages at one of two floors. A small ADT can still
 /// translate to a huge BDD (the Fig. 4 family: 43 ADT nodes, ~3 * 2^n
 /// BDD nodes), so the pool engages either up front - when the ADT itself
-/// clears options.parallel_node_floor, so the build runs on it too - or
+/// clears run.parallel_node_floor, so the build runs on it too - or
 /// right after the build, when the manager turns out large enough that
 /// task-DAG propagation pays for itself. Below both, per-node task
 /// bookkeeping costs more than the sequential loop and the pool is
 /// never run.
 template <typename P>
 BasicFront<P> run_bdd_bu(const AugmentedAdt& aadt, const BddBuOptions& options,
-                         AnalysisTrace* trace) {
+                         const RunContext& run, AnalysisTrace* trace) {
   const bdd::VarOrder order = resolve_order(aadt, options);
   bdd::Manager manager(order.num_vars(), options.node_limit);
   TaskScheduler* const wide =
-      options.pool != nullptr && options.pool->threads() > 1 ? options.pool
-                                                             : nullptr;
+      run.pool != nullptr && run.pool->threads() > 1 ? run.pool : nullptr;
   TaskScheduler* pool =
-      aadt.adt().size() >= options.parallel_node_floor ? wide : nullptr;
-  check_interrupt(options.deadline, options.cancel, "bdd_bu");
+      aadt.adt().size() >= run.parallel_node_floor ? wide : nullptr;
+  check_interrupt(run.deadline, run.cancel, "bdd_bu");
   Stopwatch watch;
   bdd::BuildOptions build;
   build.pool = pool;
@@ -307,7 +319,7 @@ BasicFront<P> run_bdd_bu(const AugmentedAdt& aadt, const BddBuOptions& options,
   if (manager.num_nodes() >= kMinBddNodesForPool) pool = wide;
   watch.reset();
   BasicFront<P> front =
-      propagate<P>(aadt, manager, root, order, options, pool, trace);
+      propagate<P>(aadt, manager, root, order, options, run, pool, trace);
   if (trace != nullptr) {
     trace->build_seconds += build_seconds;
     trace->propagate_seconds += watch.seconds();
@@ -321,19 +333,19 @@ BasicFront<P> run_bdd_bu(const AugmentedAdt& aadt, const BddBuOptions& options,
 }  // namespace
 
 Front bdd_bu_front(const AugmentedAdt& aadt, const BddBuOptions& options,
-                   AnalysisTrace* trace) {
-  return run_bdd_bu<ValuePoint>(aadt, options, trace);
+                   const RunContext& run, AnalysisTrace* trace) {
+  return run_bdd_bu<ValuePoint>(aadt, options, run, trace);
 }
 
 WitnessFront bdd_bu_front_witness(const AugmentedAdt& aadt,
-                                  const BddBuOptions& options) {
-  return run_bdd_bu<WitnessPoint>(aadt, options, nullptr);
+                                  const BddBuOptions& options,
+                                  const RunContext& run) {
+  return run_bdd_bu<WitnessPoint>(aadt, options, run, nullptr);
 }
 
 Front bdd_bu_on_bdd(const AugmentedAdt& aadt, bdd::Manager& manager,
                     bdd::Ref root, const bdd::VarOrder& order) {
-  const BddBuOptions options;
-  return propagate<ValuePoint>(aadt, manager, root, order, options, nullptr,
+  return propagate<ValuePoint>(aadt, manager, root, order, {}, {}, nullptr,
                                nullptr);
 }
 

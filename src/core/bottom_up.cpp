@@ -71,8 +71,8 @@ template <typename P, typename Dd, typename Da>
 void compute_node(const AugmentedAdt& aadt, NodeId v,
                   std::vector<BasicFront<P>>& fronts, FrontArena<P>& arena,
                   std::size_t& max_p, const BottomUpOptions& options,
-                  const Dd& dd, const Da& da) {
-  check_interrupt(options.deadline, options.cancel, "bottom_up");
+                  const RunContext& run, const Dd& dd, const Da& da) {
+  check_interrupt(run.deadline, run.cancel, "bottom_up");
   const Adt& adt = aadt.adt();
   const Node& n = adt.node(v);
   if (n.type == GateType::BasicStep) {
@@ -119,16 +119,16 @@ struct MemoPlan {
   /// returns the topological compute order. Only nodes reachable from a
   /// missing ancestor are visited: a hit prunes its whole subtree.
   static MemoPlan build(const AugmentedAdt& aadt,
-                        const BottomUpOptions& options,
+                        const BottomUpOptions& options, const RunContext& run,
                         std::vector<BasicFront<P>>& fronts) {
     MemoPlan plan;
     const Adt& adt = aadt.adt();
-    if (options.memo == nullptr || options.memo->capacity() == 0 ||
+    if (run.memo == nullptr || run.memo->capacity() == 0 ||
         !memoizable(aadt)) {
       plan.order = adt.topological_order();
       return plan;
     }
-    plan.memo = options.memo;
+    plan.memo = run.memo;
     const std::vector<std::uint64_t> subtree = subtree_value_hashes(aadt);
     const std::uint64_t context =
         bottom_up_memo_context(aadt, options.max_front_points);
@@ -189,7 +189,7 @@ struct MemoPlan {
 /// Computes \p plan's nodes into \p fronts (memo hits already preloaded).
 template <typename P, typename Dd, typename Da>
 void bottom_up_kernel(const AugmentedAdt& aadt, const BottomUpOptions& options,
-                      const MemoPlan<P>& plan,
+                      const RunContext& run, const MemoPlan<P>& plan,
                       std::vector<BasicFront<P>>& fronts, AnalysisTrace* trace,
                       const Dd& dd, const Da& da) {
   // Value-front runs may borrow a caller-provided arena (analyze_batch
@@ -198,13 +198,13 @@ void bottom_up_kernel(const AugmentedAdt& aadt, const BottomUpOptions& options,
   FrontArena<P> local_arena;
   FrontArena<P>* arena = &local_arena;
   if constexpr (std::is_same_v<P, ValuePoint>) {
-    if (options.arena != nullptr) arena = options.arena;
+    if (run.arena != nullptr) arena = run.arena;
   }
   // A borrowed arena carries earlier runs' counts: trace the delta.
   const CombineStats before = arena->stats();
   std::size_t max_p = 0;
   for (NodeId v : plan.order) {
-    compute_node(aadt, v, fronts, *arena, max_p, options, dd, da);
+    compute_node(aadt, v, fronts, *arena, max_p, options, run, dd, da);
     plan.store(aadt, v, fronts[v]);
   }
   if (trace != nullptr) {
@@ -221,7 +221,7 @@ void bottom_up_kernel(const AugmentedAdt& aadt, const BottomUpOptions& options,
 template <typename P, typename Dd, typename Da>
 void bottom_up_parallel_kernel(const AugmentedAdt& aadt,
                                const BottomUpOptions& options,
-                               const MemoPlan<P>& plan,
+                               const RunContext& run, const MemoPlan<P>& plan,
                                std::vector<BasicFront<P>>& fronts,
                                TaskScheduler& pool, AnalysisTrace* trace,
                                const Dd& dd, const Da& da) {
@@ -232,7 +232,7 @@ void bottom_up_parallel_kernel(const AugmentedAdt& aadt,
 
   auto body = [&](unsigned slot, std::uint32_t v) {
     compute_node(aadt, static_cast<NodeId>(v), fronts, arenas[slot],
-                 max_p[slot], options, dd, da);
+                 max_p[slot], options, run, dd, da);
     plan.store(aadt, static_cast<NodeId>(v), fronts[v]);
   };
   // One task per node of the dirty spine (every node when the memo is
@@ -270,6 +270,7 @@ void bottom_up_parallel_kernel(const AugmentedAdt& aadt,
 template <typename P>
 std::vector<BasicFront<P>> bottom_up_all(const AugmentedAdt& aadt,
                                          const BottomUpOptions& options,
+                                         const RunContext& run,
                                          AnalysisTrace* trace = nullptr) {
   if (!aadt.adt().is_tree()) {
     throw ModelError(
@@ -278,22 +279,23 @@ std::vector<BasicFront<P>> bottom_up_all(const AugmentedAdt& aadt,
         "bdd_bu_front() or transform the model with unfold_to_tree()");
   }
   std::vector<BasicFront<P>> fronts(aadt.adt().size());
-  const MemoPlan<P> plan = MemoPlan<P>::build(aadt, options, fronts);
+  const MemoPlan<P> plan = MemoPlan<P>::build(aadt, options, run, fronts);
   // Engage the scheduler only when more than one slot is on offer and
   // the nodes left to compute clear the floor - every node on a cold run,
   // only the dirty spine on a memoized edit; otherwise the plain walk
   // wins.
-  TaskScheduler* pool = options.pool;
+  TaskScheduler* pool = run.pool;
   const bool parallel = pool != nullptr && pool->threads() > 1 &&
-                        plan.order.size() >= options.parallel_node_floor;
+                        plan.order.size() >= run.parallel_node_floor;
   dispatch_domains(
       aadt.defender_domain(), aadt.attacker_domain(),
       [&](const auto& dd, const auto& da) {
         if (parallel) {
-          bottom_up_parallel_kernel<P>(aadt, options, plan, fronts, *pool,
-                                       trace, dd, da);
+          bottom_up_parallel_kernel<P>(aadt, options, run, plan, fronts,
+                                       *pool, trace, dd, da);
         } else {
-          bottom_up_kernel<P>(aadt, options, plan, fronts, trace, dd, da);
+          bottom_up_kernel<P>(aadt, options, run, plan, fronts, trace, dd,
+                              da);
         }
       });
   if (trace != nullptr) {
@@ -306,20 +308,22 @@ std::vector<BasicFront<P>> bottom_up_all(const AugmentedAdt& aadt,
 }  // namespace
 
 Front bottom_up_front(const AugmentedAdt& aadt, const BottomUpOptions& options,
-                      AnalysisTrace* trace) {
-  auto fronts = bottom_up_all<ValuePoint>(aadt, options, trace);
+                      const RunContext& run, AnalysisTrace* trace) {
+  auto fronts = bottom_up_all<ValuePoint>(aadt, options, run, trace);
   return std::move(fronts[aadt.adt().root()]);
 }
 
 WitnessFront bottom_up_front_witness(const AugmentedAdt& aadt,
-                                     const BottomUpOptions& options) {
-  auto fronts = bottom_up_all<WitnessPoint>(aadt, options);
+                                     const BottomUpOptions& options,
+                                     const RunContext& run) {
+  auto fronts = bottom_up_all<WitnessPoint>(aadt, options, run);
   return std::move(fronts[aadt.adt().root()]);
 }
 
 std::vector<Front> bottom_up_all_fronts(const AugmentedAdt& aadt,
-                                        const BottomUpOptions& options) {
-  return bottom_up_all<ValuePoint>(aadt, options);
+                                        const BottomUpOptions& options,
+                                        const RunContext& run) {
+  return bottom_up_all<ValuePoint>(aadt, options, run);
 }
 
 }  // namespace adtp

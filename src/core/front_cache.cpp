@@ -38,31 +38,18 @@ std::uint64_t attribution_hash(const AugmentedAdt& aadt) {
   return h.digest();
 }
 
-void hash_bdd_options(Fnv1a& h, const BddBuOptions& options) {
-  h.u8(static_cast<std::uint8_t>(options.order_heuristic));
-  h.u64(options.order_seed);
-  h.size(options.node_limit);
-  h.size(options.max_front_points);
-  h.boolean(options.order.has_value());
-  if (options.order.has_value()) {
-    for (NodeId id : options.order->sequence()) h.u32(id);
-  }
-}
-
 std::uint64_t options_hash(const AnalysisOptions& options) {
-  // Every field that can change the produced front *or* turn a success
-  // into a guard failure participates; the deadline/cancel/arena/pool
-  // pointers do not (see the header's key contract). The thread count
-  // (intra_model_threads), the pools it fills and the
-  // parallel_node_floor are likewise excluded: intra-model parallelism is
+  // Every result field - one that can change the produced front *or*
+  // turn a success into a guard failure - participates; options.run and
+  // intra_model_threads do not (see the header's key contract): they are
   // result-invariant by construction, so a sequential run must hit the
   // cache entry a sharded run stored, and vice versa.
   Fnv1a h;
   h.u8(static_cast<std::uint8_t>(options.algorithm));
   h.size(options.naive.max_bits);
   h.size(options.bottom_up.max_front_points);
-  hash_bdd_options(h, options.bdd);
-  hash_bdd_options(h, options.hybrid.bdd);
+  hash_result_fields(h, options.bdd);
+  hash_result_fields(h, options.hybrid.bdd);
   return h.digest();
 }
 

@@ -16,11 +16,12 @@
 /// callers who cannot tolerate it leave the cache off):
 ///  - structure: the ADT's shape (gate types, agents, child lists, root),
 ///  - attribution: both domain kinds plus the dense per-leaf values,
-///  - options: every AnalysisOptions field that can change the result or
-///    whether a guard fires (algorithm choice, BDD order, all limits).
-///    Deadline/cancel/arena pointers are excluded: they never change a
-///    *completed* result. A hit may therefore be served where a fresh run
-///    would have timed out - a strict improvement, not an inconsistency.
+///  - options: every AnalysisOptions result field - each field that can
+///    change the result or whether a guard fires (algorithm choice, BDD
+///    order, all limits). AnalysisOptions::run and intra_model_threads
+///    are excluded: they never change a *completed* result. A hit may
+///    therefore be served where a fresh run would have timed out - a
+///    strict improvement, not an inconsistency.
 ///
 /// Custom semirings are uncacheable (their hooks are opaque function
 /// objects that cannot be content-hashed); cacheable() reports this and

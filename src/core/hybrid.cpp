@@ -17,6 +17,7 @@ template <typename Dd, typename Da>
 struct HybridState {
   const AugmentedAdt& aadt;
   const HybridOptions& options;
+  const RunContext& run;
   const ModuleInfo& modules;
   const Dd& dd;
   const Da& da;
@@ -60,27 +61,27 @@ struct HybridState {
   Front blob_front(NodeId v) {
     // Sharing reaches into this subtree: analyze the whole sub-DAG with
     // BDDBU (Theorem 2 applies to the sub-AADT as its own model). Every
-    // blob runs with the BDDBU options - so all blobs borrow the one
-    // options.bdd.pool, each subject to BDDBU's floors - and adds its own
-    // counters to the trace.
+    // blob runs with the BDDBU options and the walker's RunContext - so
+    // all blobs borrow the one run.pool, each subject to BDDBU's floors -
+    // and adds its own counters to the trace.
     const AugmentedAdt sub = extract_subgraph(aadt, v);
     if (trace != nullptr) {
       ++trace->blob_count;
       trace->largest_blob = std::max(trace->largest_blob, sub.adt().size());
     }
-    return bdd_bu_front(sub, options.bdd, trace);
+    return bdd_bu_front(sub, options.bdd, run, trace);
   }
 
-  /// Per-node front memo; populated by hybrid_front when options.memo is
-  /// set and the model is memoizable.
+  /// Per-node front memo; populated by hybrid_front when run.memo is set
+  /// and the model is memoizable.
   NodeFrontMemo* memo = nullptr;
   std::vector<std::uint64_t> memo_subtree{};  ///< subtree content hashes
   std::uint64_t memo_context = 0;
 
   Front front(NodeId v) {
-    // The per-blob guards live in options.bdd and are honored inside
-    // bdd_bu_front; this check covers the tree-style walk between blobs.
-    check_interrupt(options.bdd.deadline, options.bdd.cancel, "hybrid");
+    // Blob runs check the same guards inside bdd_bu_front; this check
+    // covers the tree-style walk between blobs.
+    check_interrupt(run.deadline, run.cancel, "hybrid");
     const Adt& adt = aadt.adt();
     if (adt.type(v) == GateType::BasicStep) return leaf_front(v);
 
@@ -126,20 +127,20 @@ struct HybridState {
 }  // namespace
 
 Front hybrid_front(const AugmentedAdt& aadt, const HybridOptions& options,
-                   AnalysisTrace* trace) {
+                   const RunContext& run, AnalysisTrace* trace) {
   const ModuleInfo modules = compute_modules(aadt.adt());
   // The tree-style combines and the per-blob BDDBU runs interleave on one
   // thread, so sharing one caller-provided arena between them is safe.
   FrontArena<ValuePoint> local_arena;
   FrontArena<ValuePoint>* arena =
-      options.bdd.arena != nullptr ? options.bdd.arena : &local_arena;
+      run.arena != nullptr ? run.arena : &local_arena;
   return dispatch_domains(
       aadt.defender_domain(), aadt.attacker_domain(),
       [&](const auto& dd, const auto& da) {
-        HybridState state{aadt, options, modules, dd, da, trace, arena};
-        if (options.memo != nullptr && options.memo->capacity() != 0 &&
+        HybridState state{aadt, options, run, modules, dd, da, trace, arena};
+        if (run.memo != nullptr && run.memo->capacity() != 0 &&
             memoizable(aadt)) {
-          state.memo = options.memo;
+          state.memo = run.memo;
           state.memo_subtree = subtree_value_hashes(aadt);
           state.memo_context = hybrid_memo_context(aadt, options.bdd);
         }

@@ -9,6 +9,13 @@
 /// treated as a leaf front. On a tree this degenerates to Algorithm 1, on
 /// a fully entangled DAG to Algorithm 3; in between it analyzes each shared
 /// region with a *smaller* BDD than the global one.
+///
+/// Execution: every blob's bdd_bu_front run gets the walker's RunContext,
+/// so all blobs borrow its one pool (each subject to BDDBU's floors) and
+/// its guards; the walker itself checks the deadline and cancel token once
+/// per node, combines tree-style on RunContext::arena, and with
+/// RunContext::memo set replays gate and blob fronts of untouched
+/// subtrees.
 
 #pragma once
 
@@ -19,19 +26,9 @@
 
 namespace adtp {
 
-class NodeFrontMemo;
-
 struct HybridOptions {
   /// Options forwarded to the per-blob BDDBU runs.
   BddBuOptions bdd;
-
-  /// Optional per-node front memo (node_memo.hpp): gate and blob fronts
-  /// found under their subtree content key are replayed instead of
-  /// recomputed, so an edited DAG re-analyzes only the dirty spine.
-  /// Replayed fronts are bit-identical to a cold run by construction
-  /// (docs/CONTRACTS.md), so this knob never enters the FrontCache key.
-  /// Models with Custom domains bypass it.
-  NodeFrontMemo* memo = nullptr;
 };
 
 /// Computes the Pareto front of an arbitrary ADT by modular decomposition.
@@ -40,6 +37,7 @@ struct HybridOptions {
 /// its own (trace.hpp).
 [[nodiscard]] Front hybrid_front(const AugmentedAdt& aadt,
                                  const HybridOptions& options = {},
+                                 const RunContext& run = {},
                                  AnalysisTrace* trace = nullptr);
 
 }  // namespace adtp

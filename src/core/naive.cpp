@@ -155,10 +155,9 @@ constexpr double kMinEvalsPerShard = 16384;
 /// The number of shards actually used: the borrowed scheduler's slot
 /// count (one shard without a pool), clamped so no shard is empty and no
 /// shard falls under the work floor.
-unsigned resolve_shards(const NaiveOptions& options, std::uint64_t num_deltas,
+unsigned resolve_shards(const RunContext& run, std::uint64_t num_deltas,
                         std::size_t num_attacks) {
-  std::uint64_t threads =
-      options.pool != nullptr ? options.pool->threads() : 1;
+  std::uint64_t threads = run.pool != nullptr ? run.pool->threads() : 1;
   threads = std::min<std::uint64_t>(threads, std::max<std::uint64_t>(
                                                  1, num_deltas));
   // Work estimate in double: 2^(|D| + |A|) overflows uint64 only when it
@@ -178,7 +177,7 @@ unsigned resolve_shards(const NaiveOptions& options, std::uint64_t num_deltas,
 /// One MaskEvaluator per call, so concurrent shards never share mutable
 /// state; \p values is read-only.
 template <typename Da, typename Emit>
-void scan_deltas(const AugmentedAdt& aadt, const NaiveOptions& options,
+void scan_deltas(const AugmentedAdt& aadt, const RunContext& run,
                  const Da& da, const AttackValues<Da>& values,
                  std::uint64_t begin, std::uint64_t end, Emit&& emit) {
   const Adt& adt = aadt.adt();
@@ -187,7 +186,7 @@ void scan_deltas(const AugmentedAdt& aadt, const NaiveOptions& options,
   MaskEvaluator eval(adt);
 
   for (std::uint64_t delta = begin; delta < end; ++delta) {
-    check_interrupt(options.deadline, options.cancel, "naive");
+    check_interrupt(run.deadline, run.cancel, "naive");
     bool found = false;
     double best = da.zero();
     std::uint64_t best_alpha = 0;
@@ -212,19 +211,19 @@ void scan_deltas(const AugmentedAdt& aadt, const NaiveOptions& options,
 /// for every thread count.
 template <typename Da>
 std::vector<FeasibleEvent> enumerate_kernel(const AugmentedAdt& aadt,
-                                            const NaiveOptions& options,
+                                            const RunContext& run,
                                             const Da& da) {
   const std::size_t num_d = aadt.adt().num_defenses();
   const std::size_t num_a = aadt.adt().num_attacks();
   const std::uint64_t total = std::uint64_t{1} << num_d;
   const unsigned threads =
-      resolve_shards(options, total, aadt.adt().num_attacks());
+      resolve_shards(run, total, aadt.adt().num_attacks());
 
   const AttackValues<Da> values(aadt, da);
   std::vector<FeasibleEvent> events(total);
-  run_sharded(options.pool, threads, total, [&](unsigned, std::uint64_t begin,
+  run_sharded(run.pool, threads, total, [&](unsigned, std::uint64_t begin,
                                   std::uint64_t end) {
-    scan_deltas(aadt, options, da, values, begin, end,
+    scan_deltas(aadt, run, da, values, begin, end,
                 [&](std::uint64_t delta, bool found, double best,
                     std::uint64_t best_alpha) {
                   FeasibleEvent& ev = events[delta];
@@ -248,15 +247,15 @@ std::vector<FeasibleEvent> enumerate_kernel(const AugmentedAdt& aadt,
 /// per-delta values computed independently of the sharding, so the result
 /// is identical for every thread count.
 template <typename Dd, typename Da>
-Front front_kernel(const AugmentedAdt& aadt, const NaiveOptions& options,
+Front front_kernel(const AugmentedAdt& aadt, const RunContext& run,
                    AnalysisTrace* trace, const Dd& dd, const Da& da) {
   const std::uint64_t total = std::uint64_t{1} << aadt.adt().num_defenses();
   const unsigned threads =
-      resolve_shards(options, total, aadt.adt().num_attacks());
+      resolve_shards(run, total, aadt.adt().num_attacks());
 
   const AttackValues<Da> values(aadt, da);
   std::vector<std::vector<ValuePoint>> shards(threads);
-  const TaskRunStats stats = run_sharded(options.pool, threads, total,
+  const TaskRunStats stats = run_sharded(run.pool, threads, total,
               [&](unsigned shard, std::uint64_t begin,
                                   std::uint64_t end) {
     // Shard memory is bounded: raw points are compacted to the running
@@ -268,7 +267,7 @@ Front front_kernel(const AugmentedAdt& aadt, const NaiveOptions& options,
     std::vector<ValuePoint>& points = shards[shard];
     points.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(end - begin, kCompactFloor)));
-    scan_deltas(aadt, options, da, values, begin, end,
+    scan_deltas(aadt, run, da, values, begin, end,
                 [&](std::uint64_t delta, bool found, double best,
                     std::uint64_t) {
                   points.push_back(
@@ -309,18 +308,16 @@ Front front_kernel(const AugmentedAdt& aadt, const NaiveOptions& options,
 /// in ascending delta order - so the surviving witness for every kept
 /// value pair is the smallest-delta one overall, for every shard layout.
 template <typename Dd, typename Da>
-WitnessFront witness_kernel(const AugmentedAdt& aadt,
-                            const NaiveOptions& options, const Dd& dd,
-                            const Da& da) {
+WitnessFront witness_kernel(const AugmentedAdt& aadt, const RunContext& run,
+                            const Dd& dd, const Da& da) {
   const std::size_t num_d = aadt.adt().num_defenses();
   const std::size_t num_a = aadt.adt().num_attacks();
   const std::uint64_t total = std::uint64_t{1} << num_d;
-  const unsigned threads =
-      resolve_shards(options, total, num_a);
+  const unsigned threads = resolve_shards(run, total, num_a);
 
   const AttackValues<Da> values(aadt, da);
   std::vector<std::vector<WitnessPoint>> shards(threads);
-  run_sharded(options.pool, threads, total,
+  run_sharded(run.pool, threads, total,
               [&](unsigned shard, std::uint64_t begin,
                                   std::uint64_t end) {
     // Witness points are heavy (two bitvecs each), so the compaction
@@ -329,7 +326,7 @@ WitnessFront witness_kernel(const AugmentedAdt& aadt,
     std::vector<WitnessPoint>& points = shards[shard];
     points.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(end - begin, kCompactFloor)));
-    scan_deltas(aadt, options, da, values, begin, end,
+    scan_deltas(aadt, run, da, values, begin, end,
                 [&](std::uint64_t delta, bool found, double best,
                     std::uint64_t best_alpha) {
                   WitnessPoint p;
@@ -359,35 +356,37 @@ WitnessFront witness_kernel(const AugmentedAdt& aadt,
 }  // namespace
 
 std::vector<FeasibleEvent> enumerate_feasible_events(
-    const AugmentedAdt& aadt, const NaiveOptions& options) {
+    const AugmentedAdt& aadt, const NaiveOptions& options,
+    const RunContext& run) {
   check_limits(aadt, options);
   // The enumeration depends on the attacker domain only; single-domain
   // dispatch avoids instantiating it per (defender, attacker) pair.
   return dispatch_domain(aadt.attacker_domain(), [&](const auto& da) {
-    return enumerate_kernel(aadt, options, da);
+    return enumerate_kernel(aadt, run, da);
   });
 }
 
 Front naive_front(const AugmentedAdt& aadt, const NaiveOptions& options,
-                  AnalysisTrace* trace) {
+                  const RunContext& run, AnalysisTrace* trace) {
   check_limits(aadt, options);
   // Unlike enumerate_feasible_events, the front path minimizes inside the
   // shards, so both domains are needed as inlinable policies.
   return dispatch_domains(aadt.defender_domain(), aadt.attacker_domain(),
                           [&](const auto& dd, const auto& da) {
-                            return front_kernel(aadt, options, trace, dd, da);
+                            return front_kernel(aadt, run, trace, dd, da);
                           });
 }
 
 WitnessFront naive_front_witness(const AugmentedAdt& aadt,
-                                 const NaiveOptions& options) {
+                                 const NaiveOptions& options,
+                                 const RunContext& run) {
   check_limits(aadt, options);
   // Sharded like naive_front - the witness path no longer funnels through
   // the full 2^|D| event vector; see witness_kernel for why the kept
   // witnesses are identical for every thread count.
   return dispatch_domains(aadt.defender_domain(), aadt.attacker_domain(),
                           [&](const auto& dd, const auto& da) {
-                            return witness_kernel(aadt, options, dd, da);
+                            return witness_kernel(aadt, run, dd, da);
                           });
 }
 

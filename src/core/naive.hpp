@@ -9,7 +9,7 @@
 /// paper's experiments.
 ///
 /// Intra-model parallelism: the 2^|D| delta space is embarrassingly
-/// parallel, so the enumeration shards it across NaiveOptions::pool.
+/// parallel, so the enumeration shards it across RunContext::pool.
 /// Results are *identical* for every thread count: the per-delta values
 /// are computed independently of the sharding, enumerate_feasible_events
 /// writes disjoint slices of one delta-ordered vector, and the front paths
@@ -19,7 +19,8 @@
 /// witness path shards the same way (it no longer materializes the event
 /// vector); stable minimization makes "smallest delta wins" the tie rule
 /// among equal value pairs, so even the kept witnesses are bit-identical
-/// for every thread count.
+/// for every thread count. The deadline and cancel token of the
+/// RunContext are checked once per enumerated defense vector.
 
 #pragma once
 
@@ -29,36 +30,13 @@
 #include "core/attribution.hpp"
 #include "core/pareto.hpp"
 #include "core/trace.hpp"
-#include "util/cancel.hpp"
-#include "util/timer.hpp"
 
 namespace adtp {
-
-class TaskScheduler;  // util/parallel.hpp
 
 struct NaiveOptions {
   /// Refuses instances with |D| + |A| above this (the enumeration would
   /// run forever); throws LimitError.
   std::size_t max_bits = 30;
-
-  /// Optional wall-clock guard: when set and expired mid-run, throws
-  /// LimitError (the paper similarly caps runs at 10^4 seconds).
-  const Deadline* deadline = nullptr;
-
-  /// Optional cooperative cancellation: when set mid-run, throws
-  /// CancelledError. Checked once per enumerated defense vector, like the
-  /// deadline. analyze_batch() injects its batch-wide token here.
-  const CancelToken* cancel = nullptr;
-
-  /// Optional borrowed scheduler sharding the 2^|D| delta enumeration:
-  /// null (default) runs sequentially on the calling thread; otherwise
-  /// the enumeration splits into up to pool->threads() shards, clamped
-  /// by the number of deltas and the per-shard work floor. The result is
-  /// identical for every width (see the file comment), so the pool never
-  /// enters the FrontCache key. analyze() sets it from
-  /// AnalysisOptions::intra_model_threads; analyze_batch() injects the
-  /// batch scheduler for items that ask for no width of their own.
-  TaskScheduler* pool = nullptr;
 };
 
 /// One row of the feasible-event set S (Definition 8): a defense vector
@@ -74,17 +52,20 @@ struct FeasibleEvent {
 /// Computes the full feasible-event set S, one entry per defense vector,
 /// in ascending binary order of delta.
 [[nodiscard]] std::vector<FeasibleEvent> enumerate_feasible_events(
-    const AugmentedAdt& aadt, const NaiveOptions& options = {});
+    const AugmentedAdt& aadt, const NaiveOptions& options = {},
+    const RunContext& run = {});
 
 /// Algorithm 2: the Pareto front min_dominance(beta-hat(S)). When
 /// \p trace is set, the shard count, scheduler counters and front size
 /// are added into it (trace.hpp).
 [[nodiscard]] Front naive_front(const AugmentedAdt& aadt,
                                 const NaiveOptions& options = {},
+                                const RunContext& run = {},
                                 AnalysisTrace* trace = nullptr);
 
 /// As naive_front(), with witness events attached to every point.
 [[nodiscard]] WitnessFront naive_front_witness(
-    const AugmentedAdt& aadt, const NaiveOptions& options = {});
+    const AugmentedAdt& aadt, const NaiveOptions& options = {},
+    const RunContext& run = {});
 
 }  // namespace adtp

@@ -72,14 +72,7 @@ std::uint64_t hybrid_memo_context(const AugmentedAdt& aadt,
   h.u8('H');  // algorithm family: the hybrid walker
   h.u8(static_cast<std::uint8_t>(aadt.defender_domain().kind()));
   h.u8(static_cast<std::uint8_t>(aadt.attacker_domain().kind()));
-  h.u8(static_cast<std::uint8_t>(bdd.order_heuristic));
-  h.u64(bdd.order_seed);
-  h.size(bdd.node_limit);
-  h.size(bdd.max_front_points);
-  h.boolean(bdd.order.has_value());
-  if (bdd.order.has_value()) {
-    for (NodeId id : bdd.order->sequence()) h.u32(id);
-  }
+  hash_result_fields(h, bdd);
   return h.digest();
 }
 

@@ -11,7 +11,7 @@
 /// fronts keyed by a recursive content hash, so re-analyzing an edited
 /// model recomputes only the dirty spine: O(depth) combines instead of
 /// O(|tree|). The bottom-up and hybrid kernels consult it when
-/// *Options::memo is set; analyze_incremental() and the analyze_batch()
+/// RunContext::memo is set; analyze_incremental() and the analyze_batch()
 /// shared-memo mode are the front doors.
 ///
 /// Key composition (full key stored and compared exactly, like the
@@ -55,7 +55,7 @@
 
 namespace adtp {
 
-struct BddBuOptions;  // node_memo.cpp hashes its result-affecting fields
+struct BddBuOptions;  // node_memo.cpp hashes its result fields
 
 /// Content-derived memo key; see the file comment for what each part
 /// covers. Compared exactly - the hash maps only route the lookup.
@@ -90,8 +90,8 @@ struct NodeMemoKey {
     const AugmentedAdt& aadt, std::size_t max_front_points);
 
 /// Context hash for the hybrid walker: domain kinds plus the per-blob
-/// BDDBU options that are result-affecting (order, seed, node_limit,
-/// max_front_points - the same fields the FrontCache key hashes).
+/// BDDBU result fields (hash_result_fields - the same bytes the
+/// FrontCache key hashes).
 [[nodiscard]] std::uint64_t hybrid_memo_context(const AugmentedAdt& aadt,
                                                 const BddBuOptions& bdd);
 

@@ -991,7 +991,7 @@ template <typename P, typename Dd, typename Da>
 /// across *sequential* analyses - results never depend on prior arena
 /// state, only capacity carries over - which is how analyze_batch()
 /// recycles buffers across all items served by one worker thread (see
-/// BottomUpOptions/BddBuOptions::arena).
+/// RunContext::arena).
 /// Running totals of the combine work a FrontArena has served; benches
 /// and the analysis trace (trace.hpp) read these to show which path the
 /// hot loop actually took and how much of the product it examined.

@@ -1,5 +1,14 @@
 /// \file trace.hpp
-/// \brief AnalysisTrace: what one analysis run did, kernel by kernel.
+/// \brief RunContext: how one analysis runs; AnalysisTrace: what it did,
+///        kernel by kernel.
+///
+/// Every kernel entry point takes its result options (the fields that can
+/// move a front or its FrontCacheKey), then a RunContext, then an optional
+/// AnalysisTrace*. The RunContext holds the execution fields - guards,
+/// borrowed scheduler, scratch arena, per-node memo and the parallel
+/// floors - which never change a result, so none of them enters the
+/// FrontCacheKey (docs/CONTRACTS.md, contract 2). analyze() and the
+/// serving layers fill in whatever RunContext field the caller left null.
 ///
 /// naive_front, bottom_up_front, bdd_bu_front and hybrid_front take an
 /// optional trailing AnalysisTrace* and only ever add into it: counts
@@ -20,9 +29,56 @@
 #include <cstdint>
 
 #include "core/pareto.hpp"
+#include "util/cancel.hpp"
 #include "util/parallel.hpp"
+#include "util/timer.hpp"
 
 namespace adtp {
+
+class NodeFrontMemo;  // core/node_memo.hpp
+
+/// The execution fields of one analysis run, shared by every kernel.
+/// All pointers are borrowed and may be null; a completed result is
+/// identical for every value of every field.
+struct RunContext {
+  /// Wall-clock guard, checked once per enumerated defense vector, gate
+  /// or propagated BDD node; throws DeadlineError (a LimitError).
+  const Deadline* deadline = nullptr;
+
+  /// Cooperative cancellation, checked where the deadline is; throws
+  /// CancelledError.
+  const CancelToken* cancel = nullptr;
+
+  /// Scheduler for the kernels' task DAGs: naive shards, bottom-up
+  /// sibling folds, BDD build and propagation. Null or a single-slot pool
+  /// runs sequentially on the calling thread. analyze() builds one from
+  /// AnalysisOptions::intra_model_threads when this is null;
+  /// analyze_batch() lends the batch scheduler.
+  TaskScheduler* pool = nullptr;
+
+  /// Combine scratch space reused across analyses. Only sequential
+  /// value-front runs use it; parallel and witness runs keep private
+  /// per-slot arenas. Not thread-safe: one analysis at a time.
+  FrontArena<ValuePoint>* arena = nullptr;
+
+  /// Per-node front memo (node_memo.hpp) of the bottom-up and hybrid
+  /// kernels: gate fronts found under their subtree content key are
+  /// replayed, so a one-node edit recomputes only the dirty spine.
+  /// Models with Custom domains bypass it; naive and BDDBU ignore it.
+  NodeFrontMemo* memo = nullptr;
+
+  /// Runs computing fewer nodes than this never engage \p pool: bottom-up
+  /// counts the nodes it computes (only the dirty spine of a memoized
+  /// run), BDDBU the ADT's nodes (a small ADT whose BDD turns out huge
+  /// still engages the pool after the build). Tests set 0 to force the
+  /// parallel paths on tiny models.
+  std::size_t parallel_node_floor = 64;
+
+  /// Estimated front points per parallel BDD propagation task: contiguous
+  /// runs of the children-first node order fold into one task until
+  /// their estimate reaches this budget (1 gives a task per node).
+  std::size_t task_grain_points = 1024;
+};
 
 struct AnalysisTrace {
   /// Per-node memo (bottom-up and hybrid): gate fronts replayed from the

@@ -193,7 +193,9 @@ CounterfactualReport counterfactual_sweep(const AugmentedAdt& aadt,
   // Private memo sized so the baseline's gates plus every variant's spine
   // stay resident for the whole sweep.
   NodeFrontMemo local_memo(std::max<std::size_t>(4096, 4 * adt.size()));
-  NodeFrontMemo* memo = options.memo != nullptr ? options.memo : &local_memo;
+  NodeFrontMemo* memo = options.analysis.run.memo != nullptr
+                            ? options.analysis.run.memo
+                            : &local_memo;
 
   report.baseline = analyze_incremental(aadt, *memo, options.analysis);
   report.memo_hits += report.baseline.memo_hits;

@@ -38,8 +38,6 @@
 
 namespace adtp {
 
-class NodeFrontMemo;
-
 /// Returns the model with basic step \p leaf deleted (its variable fixed
 /// to false and the structure constant-folded), or std::nullopt when the
 /// fold collapses the whole root to false - the "trivial" variant where
@@ -58,14 +56,11 @@ class NodeFrontMemo;
 
 struct CounterfactualOptions {
   /// Options for the baseline and every variant analysis. The algorithm
-  /// resolves as in analyze_incremental(); per-algorithm memo pointers
-  /// set here win over the sweep's shared memo.
-  AnalysisOptions analysis;
-
-  /// Shared per-node memo; nullptr (default) makes the sweep create a
+  /// resolves as in analyze_incremental(). analysis.run.memo is the
+  /// shared per-node memo; null (default) makes the sweep create a
   /// private one sized for the model. Pass a long-lived memo to share
   /// fronts across sweeps (the interactive what-if workload).
-  NodeFrontMemo* memo = nullptr;
+  AnalysisOptions analysis;
 
   bool include_attacks = true;   ///< sweep attacker basic steps
   bool include_defenses = true;  ///< sweep defender basic steps

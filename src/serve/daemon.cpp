@@ -365,10 +365,7 @@ std::string DaemonServer::serve_analyze(const std::string& format,
   const bool shorter =
       req.deadline > 0 && (server <= 0 || req.deadline < server);
   const Deadline deadline(shorter ? req.deadline : server);
-  req.options.naive.deadline = &deadline;
-  req.options.bottom_up.deadline = &deadline;
-  req.options.bdd.deadline = &deadline;
-  req.options.hybrid.bdd.deadline = &deadline;
+  req.options.run.deadline = &deadline;
   if (config_.threads > 0) req.options.intra_model_threads = config_.threads;
 
   const FrontCacheKey key = front_cache_key(*req.aadt, req.options);

@@ -4,6 +4,7 @@
 #include <condition_variable>
 #include <cstdlib>
 #include <exception>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <system_error>
@@ -59,6 +60,16 @@ struct RunBatch {
 
   std::atomic<std::uint64_t> steals{0};
   std::atomic<std::size_t> max_depth{0};
+
+  /// True iff \p task is one of this run's handles, decided by address
+  /// alone: a thief's slot may hold another run's handle that a faster
+  /// thief already took, ran and freed, so it is never read before the
+  /// CAS that claims it.
+  [[nodiscard]] bool owns(const ReadyTask* task) const {
+    const std::less<const ReadyTask*> before;
+    const ReadyTask* first = handles.get();
+    return !before(task, first) && before(task, first + graph->size());
+  }
 };
 
 /// Chase-Lev work-stealing deque over ReadyTask pointers. The owner
@@ -121,7 +132,7 @@ class Deque {
       if (t >= b) return nullptr;
       Ring* ring = ring_.load(std::memory_order_acquire);
       ReadyTask* task = ring->slot(t).load(std::memory_order_acquire);
-      if (filter != nullptr && task->batch != filter) return nullptr;
+      if (filter != nullptr && !filter->owns(task)) return nullptr;
       if (top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
                                        std::memory_order_seq_cst)) {
         return task;

@@ -237,6 +237,32 @@ struct ImportFingerprint {
 /// FrontCacheKey::options of default AnalysisOptions.
 constexpr std::uint64_t kDefaultOptionsHash = 0x911aff22217dfd39ULL;
 
+/// FrontCacheKey::options of non_default_options(): every result field
+/// set away from its default.
+constexpr std::uint64_t kNonDefaultOptionsHash = 0x4c78ac2f3ed5de70ULL;
+
+/// All 13 result fields of AnalysisOptions off their defaults, with
+/// explicit orders over the leaves of catalog::fig3_example() (d1, d2,
+/// a1, a2, a3 are NodeIds 0, 1, 3, 5, 7).
+AnalysisOptions non_default_options(const Adt& fig3) {
+  AnalysisOptions options;
+  options.algorithm = Algorithm::Hybrid;
+  options.naive.max_bits = 24;
+  options.bottom_up.max_front_points = 1000;
+  options.bdd.order_heuristic = bdd::OrderHeuristic::Bfs;
+  options.bdd.order_seed = 7;
+  options.bdd.node_limit = 1 << 20;
+  options.bdd.max_front_points = 2000;
+  options.bdd.order = bdd::VarOrder::from_sequence(fig3, {1, 0, 7, 5, 3});
+  options.hybrid.bdd.order_heuristic = bdd::OrderHeuristic::Random;
+  options.hybrid.bdd.order_seed = 11;
+  options.hybrid.bdd.node_limit = 1 << 18;
+  options.hybrid.bdd.max_front_points = 3000;
+  options.hybrid.bdd.order =
+      bdd::VarOrder::from_sequence(fig3, {0, 1, 3, 5, 7});
+  return options;
+}
+
 std::vector<std::string> names_in_id_order(const Adt& adt) {
   std::vector<std::string> names;
   for (NodeId id = 0; id < adt.size(); ++id) names.push_back(adt.name(id));
@@ -258,6 +284,14 @@ void expect_fingerprint(const AdtoolImport& imported,
   EXPECT_EQ(key.structure, expected.structure);
   EXPECT_EQ(key.attribution, expected.attribution);
   EXPECT_EQ(key.options, kDefaultOptionsHash);
+}
+
+TEST(AdtoolXmlNumbering, NonDefaultOptionsKeepTheirKey) {
+  // Stored fronts are keyed on these bytes: a field that moves between
+  // option structs must keep hashing in the same place and order.
+  const AugmentedAdt fig3 = catalog::fig3_example();
+  EXPECT_EQ(front_cache_key(fig3, non_default_options(fig3.adt())).options,
+            kNonDefaultOptionsHash);
 }
 
 TEST(AdtoolXmlNumbering, SampleKeepsNodeOrderAndKey) {

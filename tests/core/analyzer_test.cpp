@@ -57,10 +57,10 @@ TEST(Analyzer, IntraModelThreadsOverridesNaiveSharding) {
   // The knob shards the naive enumeration; the result is unchanged.
   options.intra_model_threads = 4;
   EXPECT_EQ(analyze(dag, options).front.to_string(), expected);
-  // An explicit naive.pool wins over intra_model_threads: the shards
+  // An explicit run.pool wins over intra_model_threads: the shards
   // follow its width (fig4(9) has work for 16), not the knob's.
   TaskScheduler pool(3);
-  options.naive.pool = &pool;
+  options.run.pool = &pool;
   EXPECT_EQ(analyze(dag, options).front.to_string(), expected);
   EXPECT_EQ(analyze(catalog::fig4_exponential(9), options).threads_used, 3u);
 }

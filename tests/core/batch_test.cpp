@@ -42,10 +42,23 @@ std::vector<AugmentedAdt> random_fleet(std::size_t count,
   return fleet;
 }
 
+BatchOptions on_threads(unsigned n_threads) {
+  BatchOptions batch;
+  batch.n_threads = n_threads;
+  return batch;
+}
+
+/// The model pointers as jobs with default options; null stays null.
+std::vector<BatchJob> jobs_of(const std::vector<const AugmentedAdt*>& models) {
+  std::vector<BatchJob> jobs;
+  for (const AugmentedAdt* model : models) jobs.push_back(BatchJob{model, {}});
+  return jobs;
+}
+
 TEST(Batch, MatchesSequentialAnalyzePerTree) {
   const auto fleet = random_fleet(12, 0.2, 3);
   for (unsigned threads : {1u, 2u, 4u}) {
-    const BatchReport report = analyze_batch(fleet, {}, threads);
+    const BatchReport report = analyze_batch(fleet, {}, on_threads(threads));
     ASSERT_EQ(report.items.size(), fleet.size());
     EXPECT_EQ(report.failures, 0u);
     for (std::size_t i = 0; i < fleet.size(); ++i) {
@@ -67,8 +80,8 @@ TEST(Batch, MatchesSequentialAnalyzePerTree) {
 
 TEST(Batch, ThreadCountDoesNotChangeResults) {
   const auto fleet = random_fleet(8, 0.3, 11);
-  const BatchReport one = analyze_batch(fleet, {}, 1);
-  const BatchReport four = analyze_batch(fleet, {}, 4);
+  const BatchReport one = analyze_batch(fleet, {}, on_threads(1));
+  const BatchReport four = analyze_batch(fleet, {}, on_threads(4));
   ASSERT_EQ(one.items.size(), four.items.size());
   for (std::size_t i = 0; i < one.items.size(); ++i) {
     ASSERT_TRUE(one.items[i].ok);
@@ -93,7 +106,7 @@ TEST(Batch, ErrorsAreIsolatedPerItem) {
   // 13 and trips the guard.
   options.naive.max_bits = 5;
 
-  const BatchReport report = analyze_batch(fleet, options, 2);
+  const BatchReport report = analyze_batch(fleet, options, on_threads(2));
   ASSERT_EQ(report.items.size(), 3u);
   EXPECT_EQ(report.failures, 1u);
   EXPECT_TRUE(report.items[0].ok) << report.items[0].error;
@@ -108,9 +121,8 @@ TEST(Batch, ErrorsAreIsolatedPerItem) {
 
 TEST(Batch, NullModelsAreReportedNotFatal) {
   const AugmentedAdt model = catalog::fig3_example();
-  std::vector<const AugmentedAdt*> pointers = {&model, nullptr, &model};
-  const BatchReport report = analyze_batch(
-      std::span<const AugmentedAdt* const>(pointers), {}, 3);
+  const BatchReport report =
+      analyze_batch(jobs_of({&model, nullptr, &model}), on_threads(3));
   ASSERT_EQ(report.items.size(), 3u);
   EXPECT_EQ(report.failures, 1u);
   EXPECT_TRUE(report.items[0].ok);
@@ -120,7 +132,7 @@ TEST(Batch, NullModelsAreReportedNotFatal) {
 
 TEST(Batch, EmptyBatch) {
   const BatchReport report =
-      analyze_batch(std::span<const AugmentedAdt* const>{}, {}, 4);
+      analyze_batch(std::span<const BatchJob>{}, on_threads(4));
   EXPECT_TRUE(report.items.empty());
   EXPECT_EQ(report.failures, 0u);
 }
@@ -130,14 +142,14 @@ TEST(Batch, ZeroThreadsMeansHardwareConcurrency) {
   // ADTP_THREADS). The width is not clamped to the job count: surplus
   // slots serve the items' own intra-model tasks (BatchOptions::n_threads).
   const auto fleet = random_fleet(3, 0.0, 17);
-  const BatchReport report = analyze_batch(fleet, {}, 0);
+  const BatchReport report = analyze_batch(fleet, {}, on_threads(0));
   EXPECT_EQ(report.threads_used, resolve_thread_knob(0));
   EXPECT_EQ(report.failures, 0u);
 }
 
 TEST(Batch, PerItemTimingIsPopulated) {
   const auto fleet = random_fleet(4, 0.2, 23);
-  const BatchReport report = analyze_batch(fleet, {}, 2);
+  const BatchReport report = analyze_batch(fleet, {}, on_threads(2));
   for (const BatchItem& item : report.items) {
     EXPECT_GE(item.seconds, 0.0);
   }
@@ -372,9 +384,8 @@ TEST(BatchServing, CallbackExceptionIsCapturedNotFatal) {
 
 TEST(BatchServing, ItemsPerSecondCountsAllItemsTreesPerSecondOnlyOk) {
   const AugmentedAdt model = catalog::fig3_example();
-  std::vector<const AugmentedAdt*> pointers = {&model, nullptr, &model};
-  const BatchReport report = analyze_batch(
-      std::span<const AugmentedAdt* const>(pointers), {}, 2);
+  const BatchReport report =
+      analyze_batch(jobs_of({&model, nullptr, &model}), on_threads(2));
   ASSERT_EQ(report.failures, 1u);
   ASSERT_GT(report.seconds, 0.0);
   // items_per_second spans all 3 items; trees_per_second only the 2 ok

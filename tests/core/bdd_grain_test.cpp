@@ -1,4 +1,4 @@
-/// BddBuOptions::task_grain_points is an execution knob, never a result
+/// RunContext::task_grain_points is an execution knob, never a result
 /// knob: chunked propagation must produce bit-identical fronts AND
 /// witnesses for every grain and thread count (grain 1 reproduces the
 /// old task-per-node graph), while the default grain must actually
@@ -19,10 +19,10 @@ namespace {
 
 /// Runs BDDBU through analyze(), whose result carries the trace.
 AnalysisResult traced_bdd_bu(const AugmentedAdt& aadt,
-                             const BddBuOptions& bdd) {
+                             const RunContext& run) {
   AnalysisOptions options;
   options.algorithm = Algorithm::BddBu;
-  options.bdd = bdd;
+  options.run = run;
   return analyze(aadt, options);
 }
 
@@ -39,21 +39,23 @@ TEST(BddGrain, EveryGrainAndThreadCountIsBitIdentical) {
     const AugmentedAdt aadt = generate_random_aadt(
         gen, seed, Semiring::min_cost(), Semiring::min_cost());
 
-    BddBuOptions base;
+    RunContext base;
     base.parallel_node_floor = 0;  // force the pool on tiny models
-    const Front reference = bdd_bu_front(aadt, base);
-    const WitnessFront reference_witness = bdd_bu_front_witness(aadt, base);
+    const Front reference = bdd_bu_front(aadt, {}, base);
+    const WitnessFront reference_witness =
+        bdd_bu_front_witness(aadt, {}, base);
 
     for (unsigned threads : kThreadCounts) {
       TaskScheduler pool(threads);
       for (std::size_t grain : kGrains) {
-        BddBuOptions options = base;
-        options.pool = &pool;
-        options.task_grain_points = grain;
-        EXPECT_TRUE(bdd_bu_front(aadt, options).bit_identical_values(reference))
+        RunContext run = base;
+        run.pool = &pool;
+        run.task_grain_points = grain;
+        EXPECT_TRUE(
+            bdd_bu_front(aadt, {}, run).bit_identical_values(reference))
             << "seed " << seed << " grain " << grain << " @" << threads
             << " threads diverged";
-        const WitnessFront witness = bdd_bu_front_witness(aadt, options);
+        const WitnessFront witness = bdd_bu_front_witness(aadt, {}, run);
         ASSERT_TRUE(witness.bit_identical_values(reference_witness))
             << "seed " << seed << " grain " << grain << " @" << threads
             << " threads: witness values diverged";
@@ -77,11 +79,11 @@ TEST(BddGrain, DefaultGrainCollapsesTheTaskCount) {
 
   TaskScheduler pool(2);
   auto tasks_at = [&](std::size_t grain) {
-    BddBuOptions options;
-    options.parallel_node_floor = 0;
-    options.pool = &pool;
-    options.task_grain_points = grain;
-    const AnalysisResult report = traced_bdd_bu(aadt, options);
+    RunContext run;
+    run.parallel_node_floor = 0;
+    run.pool = &pool;
+    run.task_grain_points = grain;
+    const AnalysisResult report = traced_bdd_bu(aadt, run);
     // Subtract the build-phase tasks by re-measuring them alone: run
     // sequentially instead - propagation is the only phase whose task
     // count the grain changes, so compare total counts directly.
@@ -100,11 +102,11 @@ TEST(BddGrain, DefaultGrainCollapsesTheTaskCount) {
 TEST(BddGrain, GrainKeepsTheReportCountersCoherent) {
   const AugmentedAdt aadt = catalog::fig4_exponential(8);
   TaskScheduler pool(4);
-  BddBuOptions options;
-  options.parallel_node_floor = 0;
-  options.pool = &pool;
-  const AnalysisResult chunked = traced_bdd_bu(aadt, options);
-  BddBuOptions fine = options;
+  RunContext run;
+  run.parallel_node_floor = 0;
+  run.pool = &pool;
+  const AnalysisResult chunked = traced_bdd_bu(aadt, run);
+  RunContext fine = run;
   fine.task_grain_points = 1;
   const AnalysisResult per_node = traced_bdd_bu(aadt, fine);
   EXPECT_TRUE(chunked.front.bit_identical_values(per_node.front));

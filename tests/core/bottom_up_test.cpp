@@ -16,10 +16,10 @@ namespace {
 
 /// Runs bottom-up through analyze(), whose result carries the trace.
 AnalysisResult traced_bottom_up(const AugmentedAdt& aadt,
-                                const BottomUpOptions& bottom_up = {}) {
+                                const RunContext& run = {}) {
   AnalysisOptions options;
   options.algorithm = Algorithm::BottomUp;
-  options.bottom_up = bottom_up;
+  options.run = run;
   return analyze(aadt, options);
 }
 
@@ -181,10 +181,10 @@ TEST(BottomUp, ParallelWalkMatchesSequentialBitForBit) {
     EXPECT_EQ(sequential.sched.tasks, 0u);
     for (unsigned threads : {2u, 8u}) {
       TaskScheduler pool(threads);
-      BottomUpOptions options;
-      options.pool = &pool;
-      options.parallel_node_floor = 0;
-      const AnalysisResult parallel = traced_bottom_up(aadt, options);
+      RunContext run;
+      run.pool = &pool;
+      run.parallel_node_floor = 0;
+      const AnalysisResult parallel = traced_bottom_up(aadt, run);
       EXPECT_TRUE(
           parallel.front.bit_identical_values(sequential.front))
           << "front diverged at " << threads << " threads";
@@ -201,10 +201,10 @@ TEST(BottomUp, ParallelWitnessesMatchSequentialBitForBit) {
   const WitnessFront sequential = bottom_up_front_witness(tree);
   for (unsigned threads : {2u, 8u}) {
     TaskScheduler pool(threads);
-    BottomUpOptions options;
-    options.pool = &pool;
-    options.parallel_node_floor = 0;
-    const WitnessFront parallel = bottom_up_front_witness(tree, options);
+    RunContext run;
+    run.pool = &pool;
+    run.parallel_node_floor = 0;
+    const WitnessFront parallel = bottom_up_front_witness(tree, {}, run);
     ASSERT_TRUE(parallel.bit_identical_values(sequential));
     for (std::size_t i = 0; i < parallel.size(); ++i) {
       EXPECT_EQ(parallel.points()[i].defense, sequential.points()[i].defense);
@@ -218,11 +218,11 @@ TEST(BottomUp, NodeFloorKeepsSmallTreesSequential) {
   // pool offers eight slots (the default-floor path of every analyze()
   // call on small models).
   TaskScheduler pool(8);
-  BottomUpOptions options;
-  options.pool = &pool;
-  options.parallel_node_floor = 1000;
+  RunContext run;
+  run.pool = &pool;
+  run.parallel_node_floor = 1000;
   const AnalysisResult report =
-      traced_bottom_up(catalog::fig5_example(), options);
+      traced_bottom_up(catalog::fig5_example(), run);
   EXPECT_EQ(report.threads_used, 1u);
   EXPECT_EQ(report.sched.tasks, 0u);
   EXPECT_EQ(report.front.to_string(), "{(0, 5), (4, 10), (12, inf)}");
@@ -260,15 +260,15 @@ TEST(BottomUp, MemoizedLeafEditBelowTheFloorStaysSequential) {
   // offer. A cold run computes all 73 nodes and still goes parallel.
   NodeFrontMemo memo;
   TaskScheduler pool(4);
-  BottomUpOptions options;
-  options.pool = &pool;
-  options.memo = &memo;
-  const AnalysisResult warm = traced_bottom_up(or_blocks(1.0), options);
+  RunContext run;
+  run.pool = &pool;
+  run.memo = &memo;
+  const AnalysisResult warm = traced_bottom_up(or_blocks(1.0), run);
   EXPECT_EQ(warm.threads_used, 4u);
   EXPECT_EQ(warm.sched.tasks, 73u);
 
   const AugmentedAdt edited = or_blocks(0.5);
-  const AnalysisResult edit = traced_bottom_up(edited, options);
+  const AnalysisResult edit = traced_bottom_up(edited, run);
   EXPECT_EQ(edit.memo_hits, 7u);
   EXPECT_EQ(edit.memo_misses, 2u);
   EXPECT_EQ(edit.threads_used, 1u);
@@ -278,11 +278,11 @@ TEST(BottomUp, MemoizedLeafEditBelowTheFloorStaysSequential) {
 
 TEST(BottomUp, ExternalPoolIsUsedForLargeTrees) {
   TaskScheduler pool(4);
-  BottomUpOptions options;
-  options.pool = &pool;
-  options.parallel_node_floor = 0;
+  RunContext run;
+  run.pool = &pool;
+  run.parallel_node_floor = 0;
   const AnalysisResult report =
-      traced_bottom_up(catalog::fig4_exponential(8), options);
+      traced_bottom_up(catalog::fig4_exponential(8), run);
   EXPECT_EQ(report.threads_used, 4u);
   EXPECT_EQ(report.front.size(), std::size_t{1} << 8);
 }

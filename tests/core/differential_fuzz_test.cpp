@@ -144,44 +144,45 @@ TEST_P(DifferentialFuzz, AlgorithmsAgreeAcrossThreadCounts) {
   // Oracle (sequential naive).
   const Front oracle = naive_front(aadt);
 
+  // Floor 0 forces every kernel's pool even on these tiny models; each
+  // thread count runs with this context plus its own pool.
+  RunContext base;
+  base.parallel_node_floor = 0;
+  auto on = [&](TaskScheduler& pool) {
+    RunContext run = base;
+    run.pool = &pool;
+    return run;
+  };
+
   // Naive: values must be bit-identical for every thread count (the
   // per-delta computation is sharding-invariant by construction).
   for (unsigned threads : kThreadCounts) {
     TaskScheduler pool(threads);
-    NaiveOptions naive;
-    naive.pool = &pool;
-    EXPECT_TRUE(bit_identical_values(naive_front(aadt, naive), oracle))
+    EXPECT_TRUE(bit_identical_values(naive_front(aadt, {}, on(pool)), oracle))
         << "naive@" << threads << " threads diverged";
   }
 
   // BDDBU: bit-identical across thread counts, oracle-equal in value.
-  BddBuOptions bdd_base;
-  bdd_base.parallel_node_floor = 0;  // force the pool even on tiny models
-  const Front bdd_reference = bdd_bu_front(aadt, bdd_base);
+  const Front bdd_reference = bdd_bu_front(aadt, {}, base);
   EXPECT_TRUE(bdd_reference.approx_same_values(oracle))
       << "BDDBU " << bdd_reference.to_string() << " vs naive "
       << oracle.to_string();
   for (unsigned threads : kThreadCounts) {
     TaskScheduler pool(threads);
-    BddBuOptions bdd = bdd_base;
-    bdd.pool = &pool;
-    EXPECT_TRUE(bit_identical_values(bdd_bu_front(aadt, bdd), bdd_reference))
+    EXPECT_TRUE(bit_identical_values(bdd_bu_front(aadt, {}, on(pool)),
+                                     bdd_reference))
         << "bdd@" << threads << " threads diverged";
   }
 
-  // Hybrid: same contract, threaded through its blob options.
-  HybridOptions hybrid_base;
-  hybrid_base.bdd.parallel_node_floor = 0;
-  const Front hybrid_reference = hybrid_front(aadt, hybrid_base);
+  // Hybrid: same contract, its run context handed to every blob.
+  const Front hybrid_reference = hybrid_front(aadt, {}, base);
   EXPECT_TRUE(hybrid_reference.approx_same_values(oracle))
       << "hybrid " << hybrid_reference.to_string() << " vs naive "
       << oracle.to_string();
   for (unsigned threads : kThreadCounts) {
     TaskScheduler pool(threads);
-    HybridOptions hybrid = hybrid_base;
-    hybrid.bdd.pool = &pool;
-    EXPECT_TRUE(
-        bit_identical_values(hybrid_front(aadt, hybrid), hybrid_reference))
+    EXPECT_TRUE(bit_identical_values(hybrid_front(aadt, {}, on(pool)),
+                                     hybrid_reference))
         << "hybrid@" << threads << " threads diverged";
   }
 
@@ -189,8 +190,6 @@ TEST_P(DifferentialFuzz, AlgorithmsAgreeAcrossThreadCounts) {
   // sibling-subtree task DAG must be bit-identical to the sequential
   // walk - front AND witnesses - at every thread count.
   if (aadt.adt().is_tree()) {
-    BottomUpOptions bu_base;
-    bu_base.parallel_node_floor = 0;  // force the task DAG on tiny trees
     const Front bu_reference = bottom_up_front(aadt);
     EXPECT_TRUE(bu_reference.approx_same_values(oracle))
         << "bottom-up diverged from naive";
@@ -198,39 +197,32 @@ TEST_P(DifferentialFuzz, AlgorithmsAgreeAcrossThreadCounts) {
     expect_witnesses_valid(aadt, bu_witness, "bottom-up");
     for (unsigned threads : kThreadCounts) {
       TaskScheduler pool(threads);
-      BottomUpOptions bu = bu_base;
-      bu.pool = &pool;
-      EXPECT_TRUE(
-          bit_identical_values(bottom_up_front(aadt, bu), bu_reference))
+      EXPECT_TRUE(bit_identical_values(bottom_up_front(aadt, {}, on(pool)),
+                                       bu_reference))
           << "bottom-up@" << threads << " threads diverged";
-      EXPECT_TRUE(bit_identical_witnesses(bottom_up_front_witness(aadt, bu),
-                                          bu_witness))
+      EXPECT_TRUE(bit_identical_witnesses(
+          bottom_up_front_witness(aadt, {}, on(pool)), bu_witness))
           << "bottom-up witness@" << threads << " threads diverged";
     }
   }
 
   // Witness paths: bit-identical (values AND events) across thread
   // counts, and every witness must replay.
-  NaiveOptions nw1;
-  const WitnessFront naive_witness = naive_front_witness(aadt, nw1);
+  const WitnessFront naive_witness = naive_front_witness(aadt);
   expect_witnesses_valid(aadt, naive_witness, "naive");
   for (unsigned threads : kThreadCounts) {
     TaskScheduler pool(threads);
-    NaiveOptions nw;
-    nw.pool = &pool;
-    EXPECT_TRUE(bit_identical_witnesses(naive_front_witness(aadt, nw),
-                                        naive_witness))
+    EXPECT_TRUE(bit_identical_witnesses(
+        naive_front_witness(aadt, {}, on(pool)), naive_witness))
         << "naive witness@" << threads << " threads diverged";
   }
 
-  const WitnessFront bdd_witness = bdd_bu_front_witness(aadt, bdd_base);
+  const WitnessFront bdd_witness = bdd_bu_front_witness(aadt, {}, base);
   expect_witnesses_valid(aadt, bdd_witness, "bdd");
   for (unsigned threads : kThreadCounts) {
     TaskScheduler pool(threads);
-    BddBuOptions bdd = bdd_base;
-    bdd.pool = &pool;
-    EXPECT_TRUE(bit_identical_witnesses(bdd_bu_front_witness(aadt, bdd),
-                                        bdd_witness))
+    EXPECT_TRUE(bit_identical_witnesses(
+        bdd_bu_front_witness(aadt, {}, on(pool)), bdd_witness))
         << "bdd witness@" << threads << " threads diverged";
   }
 
@@ -260,52 +252,43 @@ TEST_P(SimdVsScalar, AutoDispatchMatchesForcedScalarBitForBit) {
   Front scalar_naive, scalar_bdd, scalar_hybrid, scalar_bu;
   WitnessFront scalar_naive_w, scalar_bdd_w;
   const bool tree = aadt.adt().is_tree();
-  BddBuOptions bdd_base;
-  bdd_base.parallel_node_floor = 0;  // same pool shape as the SIMD runs
-  HybridOptions hybrid_base;
-  hybrid_base.bdd.parallel_node_floor = 0;
+  RunContext base;
+  base.parallel_node_floor = 0;  // same pool shape as the SIMD runs
   {
     ScopedSimdOverride scalar(SimdLevel::Scalar);
     scalar_naive = naive_front(aadt);
-    scalar_bdd = bdd_bu_front(aadt, bdd_base);
-    scalar_hybrid = hybrid_front(aadt, hybrid_base);
+    scalar_bdd = bdd_bu_front(aadt, {}, base);
+    scalar_hybrid = hybrid_front(aadt, {}, base);
     if (tree) scalar_bu = bottom_up_front(aadt);
     scalar_naive_w = naive_front_witness(aadt);
-    scalar_bdd_w = bdd_bu_front_witness(aadt, bdd_base);
+    scalar_bdd_w = bdd_bu_front_witness(aadt, {}, base);
   }
 
   // Auto dispatch (whatever the CPU offers) at every thread count.
   for (unsigned threads : kThreadCounts) {
     TaskScheduler pool(threads);
-    NaiveOptions naive;
-    naive.pool = &pool;
-    EXPECT_TRUE(bit_identical_values(naive_front(aadt, naive), scalar_naive))
+    RunContext run = base;
+    run.pool = &pool;
+    EXPECT_TRUE(
+        bit_identical_values(naive_front(aadt, {}, run), scalar_naive))
         << "naive@" << threads << " threads diverged from scalar";
-    EXPECT_TRUE(bit_identical_witnesses(naive_front_witness(aadt, naive),
+    EXPECT_TRUE(bit_identical_witnesses(naive_front_witness(aadt, {}, run),
                                         scalar_naive_w))
         << "naive witness@" << threads << " threads diverged from scalar";
 
-    BddBuOptions bdd = bdd_base;
-    bdd.pool = &pool;
-    EXPECT_TRUE(bit_identical_values(bdd_bu_front(aadt, bdd), scalar_bdd))
+    EXPECT_TRUE(bit_identical_values(bdd_bu_front(aadt, {}, run), scalar_bdd))
         << "bdd@" << threads << " threads diverged from scalar";
-    EXPECT_TRUE(
-        bit_identical_witnesses(bdd_bu_front_witness(aadt, bdd), scalar_bdd_w))
+    EXPECT_TRUE(bit_identical_witnesses(bdd_bu_front_witness(aadt, {}, run),
+                                        scalar_bdd_w))
         << "bdd witness@" << threads << " threads diverged from scalar";
 
-    HybridOptions hybrid = hybrid_base;
-    hybrid.bdd.pool = &pool;
     EXPECT_TRUE(
-        bit_identical_values(hybrid_front(aadt, hybrid), scalar_hybrid))
+        bit_identical_values(hybrid_front(aadt, {}, run), scalar_hybrid))
         << "hybrid@" << threads << " threads diverged from scalar";
-  }
-  if (tree) {
-    for (unsigned threads : kThreadCounts) {
-      TaskScheduler pool(threads);
-      BottomUpOptions bu;
-      bu.parallel_node_floor = 0;
-      bu.pool = &pool;
-      EXPECT_TRUE(bit_identical_values(bottom_up_front(aadt, bu), scalar_bu))
+
+    if (tree) {
+      EXPECT_TRUE(
+          bit_identical_values(bottom_up_front(aadt, {}, run), scalar_bu))
           << "bottom-up@" << threads << " threads diverged from scalar";
     }
   }

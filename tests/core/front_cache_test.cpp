@@ -8,12 +8,16 @@
 
 #include <atomic>
 #include <limits>
+#include <set>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/analyzer.hpp"
 #include "core/batch.hpp"
 #include "core/front_cache.hpp"
+#include "core/node_memo.hpp"
 #include "gen/catalog.hpp"
 #include "gen/random_adt.hpp"
 
@@ -63,33 +67,71 @@ TEST(FrontCacheKey, StructureChangesTheKey) {
 }
 
 TEST(FrontCacheKey, OptionFieldsThatAffectTheResultChangeTheKey) {
+  // All 13 result fields of AnalysisOptions, each set away from its
+  // default on its own: every one must move the key, and no two may
+  // collide - the hybrid's per-blob BDDBU fields hash apart from the
+  // plain BDDBU ones.
   const AugmentedAdt model = catalog::fig3_example();
-  AnalysisOptions a;
-  AnalysisOptions b;
-  b.algorithm = Algorithm::Naive;
-  EXPECT_NE(front_cache_key(model, a).options,
-            front_cache_key(model, b).options);
+  std::vector<std::pair<std::string, AnalysisOptions>> variants;
+  auto vary = [&](const std::string& field, auto&& set) {
+    AnalysisOptions options;
+    set(options);
+    variants.emplace_back(field, std::move(options));
+  };
+  vary("algorithm", [](AnalysisOptions& o) { o.algorithm = Algorithm::Naive; });
+  // Guards participate: they decide success versus LimitError.
+  vary("naive.max_bits", [](AnalysisOptions& o) { o.naive.max_bits = 5; });
+  vary("bottom_up.max_front_points",
+       [](AnalysisOptions& o) { o.bottom_up.max_front_points = 100; });
+  const bdd::VarOrder order = bdd::VarOrder::defense_first(model.adt());
+  for (const bool hybrid : {false, true}) {
+    const std::string prefix = hybrid ? "hybrid.bdd." : "bdd.";
+    auto bdd_of = [hybrid](AnalysisOptions& o) -> BddBuOptions& {
+      return hybrid ? o.hybrid.bdd : o.bdd;
+    };
+    vary(prefix + "order_heuristic", [&](AnalysisOptions& o) {
+      bdd_of(o).order_heuristic = bdd::OrderHeuristic::Bfs;
+    });
+    vary(prefix + "order_seed",
+         [&](AnalysisOptions& o) { bdd_of(o).order_seed = 99; });
+    vary(prefix + "node_limit",
+         [&](AnalysisOptions& o) { bdd_of(o).node_limit = 1000; });
+    vary(prefix + "max_front_points",
+         [&](AnalysisOptions& o) { bdd_of(o).max_front_points = 100; });
+    // The default heuristic's own order, made explicit, still re-keys.
+    vary(prefix + "order",
+         [&](AnalysisOptions& o) { bdd_of(o).order = order; });
+  }
+  ASSERT_EQ(variants.size(), 13u);
 
-  AnalysisOptions c;
-  c.bdd.order_seed = 99;
-  EXPECT_NE(front_cache_key(model, a).options,
-            front_cache_key(model, c).options);
-
-  AnalysisOptions d;
-  d.naive.max_bits = 5;  // guards participate: success-vs-LimitError
-  EXPECT_NE(front_cache_key(model, a).options,
-            front_cache_key(model, d).options);
+  const std::uint64_t plain = front_cache_key(model, {}).options;
+  std::set<std::uint64_t> seen{plain};
+  for (const auto& [field, options] : variants) {
+    const std::uint64_t key = front_cache_key(model, options).options;
+    EXPECT_NE(key, plain) << field;
+    EXPECT_TRUE(seen.insert(key).second) << field << " collides";
+  }
 }
 
 TEST(FrontCacheKey, GuardPointersDoNotChangeTheKey) {
+  // No execution field enters the key: all seven RunContext fields and
+  // intra_model_threads, set at once.
   const AugmentedAdt model = catalog::fig3_example();
   const Deadline deadline(10);
   const CancelToken token;
+  TaskScheduler pool(2);
+  FrontArena<ValuePoint> arena;
+  NodeFrontMemo memo;
   AnalysisOptions a;
   AnalysisOptions b;
-  b.naive.deadline = &deadline;
-  b.naive.cancel = &token;
-  b.bdd.deadline = &deadline;
+  b.run.deadline = &deadline;
+  b.run.cancel = &token;
+  b.run.pool = &pool;
+  b.run.arena = &arena;
+  b.run.memo = &memo;
+  b.run.parallel_node_floor = 0;
+  b.run.task_grain_points = 1;
+  b.intra_model_threads = 4;
   EXPECT_EQ(front_cache_key(model, a), front_cache_key(model, b));
 }
 

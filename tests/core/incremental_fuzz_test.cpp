@@ -157,8 +157,7 @@ TEST_P(IncrementalFuzz, EditSequencesStayBitIdenticalToCold) {
     for (unsigned threads : kThreadCounts) {
       AnalysisOptions options;
       options.intra_model_threads = threads;
-      options.bottom_up.parallel_node_floor = 0;
-      options.hybrid.bdd.parallel_node_floor = 0;
+      options.run.parallel_node_floor = 0;
       const AnalysisResult warm =
           analyze_incremental(current, memo, options);
       EXPECT_TRUE(warm.front.bit_identical_values(cold_front))
@@ -173,11 +172,11 @@ TEST_P(IncrementalFuzz, EditSequencesStayBitIdenticalToCold) {
       const WitnessFront cold_witness = bottom_up_front_witness(current);
       for (unsigned threads : kThreadCounts) {
         TaskScheduler pool(threads);
-        BottomUpOptions bu;
-        bu.pool = &pool;
-        bu.parallel_node_floor = 0;
-        bu.memo = &memo;
-        const WitnessFront warm = bottom_up_front_witness(current, bu);
+        RunContext run;
+        run.pool = &pool;
+        run.parallel_node_floor = 0;
+        run.memo = &memo;
+        const WitnessFront warm = bottom_up_front_witness(current, {}, run);
         ASSERT_TRUE(warm.bit_identical_values(cold_witness))
             << "seed " << seed << " step " << step << " @" << threads
             << " threads: incremental witness values diverged";

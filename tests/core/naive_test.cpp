@@ -122,9 +122,9 @@ TEST(Naive, DeadlineGuard) {
   // Give the deadline a moment to be in the past.
   while (!expired.expired()) {
   }
-  NaiveOptions options;
-  options.deadline = &expired;
-  EXPECT_THROW((void)naive_front(fig4, options), LimitError);
+  RunContext run;
+  run.deadline = &expired;
+  EXPECT_THROW((void)naive_front(fig4, {}, run), LimitError);
 }
 
 TEST(NaiveSharding, FrontIdenticalAcrossThreadCounts) {
@@ -138,9 +138,9 @@ TEST(NaiveSharding, FrontIdenticalAcrossThreadCounts) {
     const Front sequential = naive_front(*model);
     for (unsigned threads : {2u, 3u, 4u, 8u}) {
       TaskScheduler pool(threads);
-      NaiveOptions options;
-      options.pool = &pool;
-      const Front sharded = naive_front(*model, options);
+      RunContext run;
+      run.pool = &pool;
+      const Front sharded = naive_front(*model, {}, run);
       EXPECT_TRUE(sharded.same_values(sequential,
                                       model->defender_domain(),
                                       model->attacker_domain()))
@@ -159,9 +159,9 @@ TEST(NaiveSharding, EventsAndWitnessesIdenticalAcrossThreadCounts) {
   const AugmentedAdt fig4 = catalog::fig4_exponential(9);
   const auto sequential = enumerate_feasible_events(fig4);
   TaskScheduler pool(5);  // deliberately not a divisor of 2^9
-  NaiveOptions options;
-  options.pool = &pool;
-  const auto sharded = enumerate_feasible_events(fig4, options);
+  RunContext run;
+  run.pool = &pool;
+  const auto sharded = enumerate_feasible_events(fig4, {}, run);
   ASSERT_EQ(sharded.size(), sequential.size());
   for (std::size_t i = 0; i < sequential.size(); ++i) {
     EXPECT_EQ(sharded[i].defense.to_string(),
@@ -177,7 +177,7 @@ TEST(NaiveSharding, EventsAndWitnessesIdenticalAcrossThreadCounts) {
   }
 
   const WitnessFront seq_witness = naive_front_witness(fig4);
-  const WitnessFront sharded_witness = naive_front_witness(fig4, options);
+  const WitnessFront sharded_witness = naive_front_witness(fig4, {}, run);
   ASSERT_EQ(sharded_witness.size(), seq_witness.size());
   for (std::size_t i = 0; i < seq_witness.size(); ++i) {
     EXPECT_EQ(sharded_witness.points()[i].defense.to_string(),
@@ -190,9 +190,9 @@ TEST(NaiveSharding, EventsAndWitnessesIdenticalAcrossThreadCounts) {
 TEST(NaiveSharding, ThreadsZeroResolvesToHardware) {
   const AugmentedAdt fig4 = catalog::fig4_exponential(6);
   TaskScheduler pool(0);  // hardware_concurrency
-  NaiveOptions options;
-  options.pool = &pool;
-  EXPECT_TRUE(naive_front(fig4, options)
+  RunContext run;
+  run.pool = &pool;
+  EXPECT_TRUE(naive_front(fig4, {}, run)
                   .same_values(naive_front(fig4), fig4.defender_domain(),
                                fig4.attacker_domain()));
 }
@@ -202,9 +202,9 @@ TEST(NaiveSharding, MoreThreadsThanDeltasIsClamped) {
   // is empty, and the result is unchanged.
   const AugmentedAdt fig4 = catalog::fig4_exponential(1);
   TaskScheduler pool(16);
-  NaiveOptions options;
-  options.pool = &pool;
-  EXPECT_TRUE(naive_front(fig4, options)
+  RunContext run;
+  run.pool = &pool;
+  EXPECT_TRUE(naive_front(fig4, {}, run)
                   .same_values(naive_front(fig4), fig4.defender_domain(),
                                fig4.attacker_domain()));
 }
@@ -215,11 +215,11 @@ TEST(NaiveSharding, GuardsFireInsideShards) {
     CancelToken cancel;
     cancel.cancel();
     TaskScheduler pool(4);
-    NaiveOptions options;
-    options.pool = &pool;
-    options.cancel = &cancel;
-    EXPECT_THROW((void)naive_front(fig4, options), CancelledError);
-    EXPECT_THROW((void)enumerate_feasible_events(fig4, options),
+    RunContext run;
+    run.pool = &pool;
+    run.cancel = &cancel;
+    EXPECT_THROW((void)naive_front(fig4, {}, run), CancelledError);
+    EXPECT_THROW((void)enumerate_feasible_events(fig4, {}, run),
                  CancelledError);
   }
   {
@@ -227,10 +227,10 @@ TEST(NaiveSharding, GuardsFireInsideShards) {
     while (!expired.expired()) {
     }
     TaskScheduler pool(4);
-    NaiveOptions options;
-    options.pool = &pool;
-    options.deadline = &expired;
-    EXPECT_THROW((void)naive_front(fig4, options), LimitError);
+    RunContext run;
+    run.pool = &pool;
+    run.deadline = &expired;
+    EXPECT_THROW((void)naive_front(fig4, {}, run), LimitError);
   }
 }
 

@@ -136,13 +136,13 @@ TEST(MemoizedBottomUp, WarmRunIsBitIdenticalToColdAtEveryThreadCount) {
   NodeFrontMemo memo;
   for (unsigned threads : kThreadCounts) {
     TaskScheduler pool(threads);
-    BottomUpOptions options;
-    options.pool = &pool;
-    options.parallel_node_floor = 0;
-    options.memo = &memo;
-    EXPECT_TRUE(bottom_up_front(model, options).bit_identical_values(cold))
+    RunContext run;
+    run.pool = &pool;
+    run.parallel_node_floor = 0;
+    run.memo = &memo;
+    EXPECT_TRUE(bottom_up_front(model, {}, run).bit_identical_values(cold))
         << "memoized@" << threads << " threads diverged from cold";
-    const WitnessFront warm_witness = bottom_up_front_witness(model, options);
+    const WitnessFront warm_witness = bottom_up_front_witness(model, {}, run);
     EXPECT_TRUE(warm_witness.bit_identical_values(cold_witness));
     for (std::size_t i = 0; i < warm_witness.size(); ++i) {
       EXPECT_EQ(warm_witness.points()[i].defense,
@@ -222,10 +222,9 @@ TEST(MemoKnobs, StayOutOfTheFrontCacheKey) {
   NodeFrontMemo memo;
   AnalysisOptions plain;
   AnalysisOptions memoized;
-  memoized.bottom_up.memo = &memo;
-  memoized.hybrid.memo = &memo;
+  memoized.run.memo = &memo;
   AnalysisOptions grained;
-  grained.bdd.task_grain_points = 1;  // execution-only, like threads
+  grained.run.task_grain_points = 1;  // execution-only, like threads
   EXPECT_EQ(front_cache_key(model, plain), front_cache_key(model, memoized));
   EXPECT_EQ(front_cache_key(model, plain), front_cache_key(model, grained));
 }

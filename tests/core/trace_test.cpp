@@ -81,10 +81,8 @@ TEST(AnalysisTrace, CountsEveryCombineOnce) {
   // sequential count.
   AnalysisOptions wide;
   wide.intra_model_threads = 4;
-  wide.bottom_up.parallel_node_floor = 0;
-  wide.bdd.parallel_node_floor = 0;
-  wide.bdd.task_grain_points = 1;
-  wide.hybrid.bdd = wide.bdd;
+  wide.run.parallel_node_floor = 0;
+  wide.run.task_grain_points = 1;
   for (const AugmentedAdt& tree :
        {catalog::fig5_example(), catalog::money_theft_tree(),
         catalog::fig4_exponential(8)}) {
@@ -111,7 +109,7 @@ TEST(AnalysisTrace, CountsEveryCombineOnce) {
   // earlier runs' counts never leak in.
   FrontArena<ValuePoint> shared_arena;
   AnalysisOptions batch_like;
-  batch_like.hybrid.bdd.arena = &shared_arena;
+  batch_like.run.arena = &shared_arena;
   std::size_t blobs = 0;
   for (std::uint64_t seed = 1; seed <= 30; ++seed) {
     const AugmentedAdt dag = random_dag(seed);

@@ -168,10 +168,10 @@ TEST(CounterfactualSweep, SharedMemoDoesNotChangeAnyFront) {
   const AugmentedAdt model = catalog::money_theft_dag();
   NodeFrontMemo shared;
   CounterfactualOptions with_memo;
-  with_memo.memo = &shared;
+  with_memo.analysis.run.memo = &shared;
   const CounterfactualReport a = counterfactual_sweep(model, with_memo);
   CounterfactualOptions no_memo;
-  no_memo.analysis.bottom_up.memo = nullptr;
+  no_memo.analysis.run.memo = nullptr;
   const CounterfactualReport b = counterfactual_sweep(model, no_memo);
 
   ASSERT_EQ(a.variants.size(), b.variants.size());
