@@ -80,8 +80,8 @@ void hash_result_fields(Fnv1a& h, const BddBuOptions& options);
     const RunContext& run = {});
 
 /// Runs Algorithm 3 on an already-built BDD; exposed for callers that
-/// manage their own Manager (e.g. the ordering-ablation bench). Always
-/// sequential.
+/// manage their own Manager (core/relevance runs it on one BDD and on
+/// each defense's cofactor). Always sequential.
 [[nodiscard]] Front bdd_bu_on_bdd(const AugmentedAdt& aadt,
                                   bdd::Manager& manager, bdd::Ref root,
                                   const bdd::VarOrder& order);

@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <type_traits>
 
+#include "adt/modules.hpp"
+#include "adt/transform.hpp"
 #include "core/domains.hpp"
+#include "core/front_cache.hpp"
+#include "core/hybrid.hpp"
 #include "core/node_memo.hpp"
 #include "util/error.hpp"
 
@@ -62,17 +66,54 @@ std::vector<P> defense_leaf_points(const AugmentedAdt& aadt, NodeId id,
   return {std::move(off), std::move(on)};
 }
 
+/// Hybrid's blobs (hybrid.hpp): gates whose children are not independent
+/// modules. The walk never descends into a blob; it takes the blob's
+/// front from a BDDBU run over its sub-DAG, as if the blob were a leaf.
+struct Blobs {
+  std::vector<char> is_root;  ///< per NodeId
+  const BddBuOptions& bdd;
+  /// The walk's RunContext without its arena: a blob's merges land on
+  /// BDDBU's own arena and its run traces them, so the walk's since()
+  /// delta counts only the walk's combines.
+  RunContext run;
+};
+
+/// True iff gate \p v can be combined tree-style: every child is a
+/// single-parent module and the children's descendant sets are pairwise
+/// disjoint (so their basic steps - and thus their strategy choices -
+/// are independent).
+bool children_are_independent(const Adt& adt, const ModuleInfo& modules,
+                              NodeId v) {
+  const auto& children = adt.children(v);
+  for (NodeId c : children) {
+    if (adt.parents(c).size() != 1 || !modules.is_module[c]) return false;
+  }
+  for (std::size_t i = 0; i < children.size(); ++i) {
+    for (std::size_t j = i + 1; j < children.size(); ++j) {
+      if (modules.descendants[children[i]].intersects(
+              modules.descendants[children[j]])) {
+        return false;
+      }
+    }
+  }
+  return true;
+}
+
 /// One node of Algorithm 1: leaves materialize their fronts, gates fold
 /// their children's fronts left to right (Alg. 1 lines 7-9; pruning
 /// after every combination is lossless by Lemma 2). Shared verbatim by
 /// the sequential walk and every parallel task, so the fold shape -
 /// and with it the result, bit for bit - cannot depend on scheduling.
+/// With \p blobs set (hybrid, always sequential), a blob root's front
+/// is its BDDBU run's, and every other gate counts as a tree combine.
 template <typename P, typename Dd, typename Da>
 void compute_node(const AugmentedAdt& aadt, NodeId v,
                   std::vector<BasicFront<P>>& fronts, FrontArena<P>& arena,
                   std::size_t& max_p, const BottomUpOptions& options,
-                  const RunContext& run, const Dd& dd, const Da& da) {
-  check_interrupt(run.deadline, run.cancel, "bottom_up");
+                  const RunContext& run, const Blobs* blobs,
+                  AnalysisTrace* trace, const Dd& dd, const Da& da) {
+  check_interrupt(run.deadline, run.cancel,
+                  blobs != nullptr ? "hybrid" : "bottom_up");
   const Adt& adt = aadt.adt();
   const Node& n = adt.node(v);
   if (n.type == GateType::BasicStep) {
@@ -84,6 +125,19 @@ void compute_node(const AugmentedAdt& aadt, NodeId v,
           defense_leaf_points<P>(aadt, v, dd, da), dd, da);
     }
     return;
+  }
+  if constexpr (std::is_same_v<P, ValuePoint>) {
+    if (blobs != nullptr && blobs->is_root[v]) {
+      // Sharing reaches into this subtree: analyze the whole sub-DAG with
+      // BDDBU (Theorem 2 applies to the sub-AADT as its own model).
+      const AugmentedAdt sub = extract_subgraph(aadt, v);
+      if (trace != nullptr) {
+        ++trace->blob_count;
+        trace->largest_blob = std::max(trace->largest_blob, sub.adt().size());
+      }
+      fronts[v] = bdd_bu_front(sub, blobs->bdd, blobs->run, trace);
+      return;
+    }
   }
   const AttackOp op = attack_op(n.type, n.agent);
   BasicFront<P> acc = fronts[n.children[0]];
@@ -97,6 +151,7 @@ void compute_node(const AugmentedAdt& aadt, NodeId v,
     }
   }
   max_p = std::max(max_p, acc.size());
+  if (blobs != nullptr && trace != nullptr) ++trace->tree_combines;
   fronts[v] = std::move(acc);
 }
 
@@ -104,9 +159,9 @@ void compute_node(const AugmentedAdt& aadt, NodeId v,
 /// from the NodeFrontMemo and which must be computed. Built once on the
 /// caller thread before a kernel is chosen (its size decides whether the
 /// walk is worth a scheduler); both kernels consume it. When the memo is
-/// off (or the model is not memoizable) the plan degenerates to "compute
-/// everything" and store() is a no-op, so the kernels have a single code
-/// path.
+/// off (or the model is not cacheable) and there are no blobs, the plan
+/// degenerates to "compute everything" and store() is a no-op, so the
+/// kernels have a single code path.
 template <typename P>
 struct MemoPlan {
   NodeFrontMemo* memo = nullptr;
@@ -118,34 +173,35 @@ struct MemoPlan {
   /// Preloads memo hits into \p fronts, marks the dirty spine, and
   /// returns the topological compute order. Only nodes reachable from a
   /// missing ancestor are visited: a hit prunes its whole subtree.
-  static MemoPlan build(const AugmentedAdt& aadt,
-                        const BottomUpOptions& options, const RunContext& run,
+  /// \p context is the kernel's memo context hash (node_memo.hpp).
+  static MemoPlan build(const AugmentedAdt& aadt, const RunContext& run,
+                        std::uint64_t context, const Blobs* blobs,
                         std::vector<BasicFront<P>>& fronts) {
     MemoPlan plan;
     const Adt& adt = aadt.adt();
-    if (run.memo == nullptr || run.memo->capacity() == 0 ||
-        !memoizable(aadt)) {
+    if (run.memo != nullptr && run.memo->capacity() != 0 &&
+        cacheable(aadt)) {
+      plan.memo = run.memo;
+      const std::vector<std::uint64_t> subtree = subtree_value_hashes(aadt);
+      std::uint64_t layout_root = 0;
+      std::vector<std::uint64_t> layout;
+      if constexpr (std::is_same_v<P, WitnessPoint>) {
+        layout = subtree_layout_hashes(adt);
+      }
+      plan.keys.resize(adt.size());
+      for (NodeId v = 0; v < adt.size(); ++v) {
+        if constexpr (std::is_same_v<P, WitnessPoint>) {
+          layout_root = layout[v];
+        }
+        plan.keys[v] = NodeMemoKey{subtree[v], context, layout_root};
+      }
+    } else if (blobs == nullptr) {
       plan.order = adt.topological_order();
       return plan;
     }
-    plan.memo = run.memo;
-    const std::vector<std::uint64_t> subtree = subtree_value_hashes(aadt);
-    const std::uint64_t context =
-        bottom_up_memo_context(aadt, options.max_front_points);
-    std::uint64_t layout_root = 0;
-    std::vector<std::uint64_t> layout;
-    if constexpr (std::is_same_v<P, WitnessPoint>) {
-      layout = subtree_layout_hashes(adt);
-    }
-    plan.keys.resize(adt.size());
-    for (NodeId v = 0; v < adt.size(); ++v) {
-      if constexpr (std::is_same_v<P, WitnessPoint>) {
-        layout_root = layout[v];
-      }
-      plan.keys[v] = NodeMemoKey{subtree[v], context, layout_root};
-    }
-    // Descend from the root through lookup misses: a gate that hits is
-    // materialized from the memo and its subtree never visited; leaves
+    // Descend from the root through lookup misses (every gate misses
+    // when the memo is off): a gate that hits is materialized from the
+    // memo and its subtree never visited, nor is a blob root's; leaves
     // are always computed (cheaper to rebuild than to look up).
     enum : char { kUnvisited = 0, kCompute = 1, kPreloaded = 2 };
     std::vector<char> state(adt.size(), kUnvisited);
@@ -155,15 +211,16 @@ struct MemoPlan {
       stack.pop_back();
       if (state[v] != kUnvisited) continue;
       const Node& n = adt.node(v);
-      if (n.type != GateType::BasicStep &&
+      if (n.type != GateType::BasicStep && plan.memo != nullptr &&
           plan.memo->template lookup<P>(plan.keys[v], fronts[v])) {
         state[v] = kPreloaded;
         ++plan.hits;
         continue;
       }
       state[v] = kCompute;
-      if (n.type != GateType::BasicStep) {
-        ++plan.misses;
+      if (n.type == GateType::BasicStep) continue;
+      if (plan.memo != nullptr) ++plan.misses;
+      if (blobs == nullptr || !blobs->is_root[v]) {
         for (NodeId c : n.children) stack.push_back(c);
       }
     }
@@ -190,8 +247,8 @@ struct MemoPlan {
 template <typename P, typename Dd, typename Da>
 void bottom_up_kernel(const AugmentedAdt& aadt, const BottomUpOptions& options,
                       const RunContext& run, const MemoPlan<P>& plan,
-                      std::vector<BasicFront<P>>& fronts, AnalysisTrace* trace,
-                      const Dd& dd, const Da& da) {
+                      const Blobs* blobs, std::vector<BasicFront<P>>& fronts,
+                      AnalysisTrace* trace, const Dd& dd, const Da& da) {
   // Value-front runs may borrow a caller-provided arena (analyze_batch
   // hands every worker thread one that persists across batch items, so
   // buffer recycling spans the batch); witness runs keep a private one.
@@ -204,7 +261,8 @@ void bottom_up_kernel(const AugmentedAdt& aadt, const BottomUpOptions& options,
   const CombineStats before = arena->stats();
   std::size_t max_p = 0;
   for (NodeId v : plan.order) {
-    compute_node(aadt, v, fronts, *arena, max_p, options, run, dd, da);
+    compute_node(aadt, v, fronts, *arena, max_p, options, run, blobs, trace,
+                 dd, da);
     plan.store(aadt, v, fronts[v]);
   }
   if (trace != nullptr) {
@@ -232,7 +290,7 @@ void bottom_up_parallel_kernel(const AugmentedAdt& aadt,
 
   auto body = [&](unsigned slot, std::uint32_t v) {
     compute_node(aadt, static_cast<NodeId>(v), fronts, arenas[slot],
-                 max_p[slot], options, run, dd, da);
+                 max_p[slot], options, run, nullptr, nullptr, dd, da);
     plan.store(aadt, static_cast<NodeId>(v), fronts[v]);
   };
   // One task per node of the dirty spine (every node when the memo is
@@ -267,25 +325,36 @@ void bottom_up_parallel_kernel(const AugmentedAdt& aadt,
   }
 }
 
+/// The one walk of Algorithm 1. Bottom-up runs it on a tree; hybrid runs
+/// it on a DAG with \p blobs as extra leaves, so the part it folds is a
+/// tree by construction: every folded child has exactly one parent.
 template <typename P>
 std::vector<BasicFront<P>> bottom_up_all(const AugmentedAdt& aadt,
                                          const BottomUpOptions& options,
                                          const RunContext& run,
-                                         AnalysisTrace* trace = nullptr) {
-  if (!aadt.adt().is_tree()) {
+                                         AnalysisTrace* trace = nullptr,
+                                         const Blobs* blobs = nullptr) {
+  if (blobs == nullptr && !aadt.adt().is_tree()) {
     throw ModelError(
         "bottom_up: the ADT is DAG-shaped (a node has multiple parents); "
         "the Bottom-Up algorithm is only sound for trees - use "
         "bdd_bu_front() or transform the model with unfold_to_tree()");
   }
   std::vector<BasicFront<P>> fronts(aadt.adt().size());
-  const MemoPlan<P> plan = MemoPlan<P>::build(aadt, options, run, fronts);
+  const std::uint64_t context =
+      blobs != nullptr
+          ? hybrid_memo_context(aadt, blobs->bdd)
+          : bottom_up_memo_context(aadt, options.max_front_points);
+  const MemoPlan<P> plan =
+      MemoPlan<P>::build(aadt, run, context, blobs, fronts);
   // Engage the scheduler only when more than one slot is on offer and
   // the nodes left to compute clear the floor - every node on a cold run,
   // only the dirty spine on a memoized edit; otherwise the plain walk
-  // wins.
+  // wins. Hybrid's walk stays sequential (its blobs add to the one
+  // trace), and its blobs borrow the pool instead.
   TaskScheduler* pool = run.pool;
-  const bool parallel = pool != nullptr && pool->threads() > 1 &&
+  const bool parallel = blobs == nullptr && pool != nullptr &&
+                        pool->threads() > 1 &&
                         plan.order.size() >= run.parallel_node_floor;
   dispatch_domains(
       aadt.defender_domain(), aadt.attacker_domain(),
@@ -294,8 +363,8 @@ std::vector<BasicFront<P>> bottom_up_all(const AugmentedAdt& aadt,
           bottom_up_parallel_kernel<P>(aadt, options, run, plan, fronts,
                                        *pool, trace, dd, da);
         } else {
-          bottom_up_kernel<P>(aadt, options, run, plan, fronts, trace, dd,
-                              da);
+          bottom_up_kernel<P>(aadt, options, run, plan, blobs, fronts, trace,
+                              dd, da);
         }
       });
   if (trace != nullptr) {
@@ -324,6 +393,21 @@ std::vector<Front> bottom_up_all_fronts(const AugmentedAdt& aadt,
                                         const BottomUpOptions& options,
                                         const RunContext& run) {
   return bottom_up_all<ValuePoint>(aadt, options, run);
+}
+
+Front hybrid_front(const AugmentedAdt& aadt, const HybridOptions& options,
+                   const RunContext& run, AnalysisTrace* trace) {
+  const Adt& adt = aadt.adt();
+  const ModuleInfo modules = compute_modules(adt);
+  Blobs blobs{std::vector<char>(adt.size(), 0), options.bdd, run};
+  blobs.run.arena = nullptr;
+  for (NodeId v = 0; v < adt.size(); ++v) {
+    blobs.is_root[v] = adt.type(v) != GateType::BasicStep &&
+                       !children_are_independent(adt, modules, v);
+  }
+  // Tree-style combines stay unlimited: HybridOptions limits only blobs.
+  auto fronts = bottom_up_all<ValuePoint>(aadt, {}, run, trace, &blobs);
+  return std::move(fronts[adt.root()]);
 }
 
 }  // namespace adtp

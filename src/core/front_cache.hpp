@@ -76,7 +76,8 @@ struct FrontCacheKey {
   bool operator==(const FrontCacheKey&) const = default;
 };
 
-/// True iff results for \p aadt can be cached (no Custom domain).
+/// True iff results for \p aadt can be cached (no Custom domain). The
+/// per-node memo (node_memo.hpp) follows the same rule.
 [[nodiscard]] bool cacheable(const AugmentedAdt& aadt);
 
 /// Builds the cache key for an analysis of \p aadt under \p options.

@@ -10,12 +10,16 @@
 /// a fully entangled DAG to Algorithm 3; in between it analyzes each shared
 /// region with a *smaller* BDD than the global one.
 ///
-/// Execution: every blob's bdd_bu_front run gets the walker's RunContext,
-/// so all blobs borrow its one pool (each subject to BDDBU's floors) and
-/// its guards; the walker itself checks the deadline and cancel token once
-/// per node, combines tree-style on RunContext::arena, and with
-/// RunContext::memo set replays gate and blob fronts of untouched
-/// subtrees.
+/// hybrid_front lives in core/bottom_up.cpp: it marks the blobs
+/// (adt/modules.hpp) and runs Algorithm 1's one walk with them as extra
+/// leaves, so the tree part shares bottom-up's fold, its dirty-spine
+/// memo plan (keyed by hybrid_memo_context) and its explicit stack - no
+/// recursion, however deep the model. The walk stays sequential and
+/// checks the deadline and cancel token once per node; every blob's
+/// bdd_bu_front run gets the walker's RunContext without its arena, so
+/// all blobs borrow its one pool (each subject to BDDBU's floors) and its
+/// guards. Tree-style combines are unlimited: HybridOptions limits only
+/// the blobs.
 
 #pragma once
 

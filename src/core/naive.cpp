@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <type_traits>
 
 #include "core/domains.hpp"
 #include "util/error.hpp"
@@ -240,49 +241,74 @@ std::vector<FeasibleEvent> enumerate_kernel(const AugmentedAdt& aadt,
   return events;
 }
 
-/// The sharded kernel of naive_front: each shard minimizes its own slice
-/// of the delta space into a staircase (memory stays proportional to the
-/// partial fronts, not the 2^|D| event set), and the per-shard fronts are
-/// reduced pairwise in shard order. Minimization only *selects* among
-/// per-delta values computed independently of the sharding, so the result
-/// is identical for every thread count.
-template <typename Dd, typename Da>
-Front front_kernel(const AugmentedAdt& aadt, const RunContext& run,
-                   AnalysisTrace* trace, const Dd& dd, const Da& da) {
-  const std::uint64_t total = std::uint64_t{1} << aadt.adt().num_defenses();
-  const unsigned threads =
-      resolve_shards(run, total, aadt.adt().num_attacks());
+/// The sharded kernel of naive_front and naive_front_witness: each shard
+/// minimizes its own slice of the delta space into a staircase (memory
+/// stays proportional to the partial fronts, not the 2^|D| event set),
+/// and the per-shard fronts are reduced pairwise in shard order.
+/// Minimization only *selects* among per-delta values computed
+/// independently of the sharding, so the values are identical for every
+/// thread count.
+///
+/// Witness determinism across thread counts: points enter in ascending
+/// delta order and are compacted with the *stable* minimize, so among
+/// equal value pairs the smallest delta survives a shard; the staircase
+/// merge keeps the earlier operand on value ties, and shards are merged
+/// in ascending delta order - so the surviving witness for every kept
+/// value pair is the smallest-delta one overall, for every shard layout.
+template <typename P, typename Dd, typename Da>
+BasicFront<P> front_kernel(const AugmentedAdt& aadt, const RunContext& run,
+                           AnalysisTrace* trace, const Dd& dd, const Da& da) {
+  constexpr bool kWitness = std::is_same_v<P, WitnessPoint>;
+  const std::size_t num_d = aadt.adt().num_defenses();
+  const std::size_t num_a = aadt.adt().num_attacks();
+  const std::uint64_t total = std::uint64_t{1} << num_d;
+  const unsigned threads = resolve_shards(run, total, num_a);
 
   const AttackValues<Da> values(aadt, da);
-  std::vector<std::vector<ValuePoint>> shards(threads);
+  std::vector<std::vector<P>> shards(threads);
   const TaskRunStats stats = run_sharded(run.pool, threads, total,
               [&](unsigned shard, std::uint64_t begin,
                                   std::uint64_t end) {
     // Shard memory is bounded: raw points are compacted to the running
     // partial front at geometric capacity checkpoints (minimizing a
     // partially-minimized buffer is sound - the sort re-establishes the
-    // staircase order), so a shard holds O(max(front, 2^16)) points, not
-    // its whole delta slice.
-    constexpr std::size_t kCompactFloor = std::size_t{1} << 16;
-    std::vector<ValuePoint>& points = shards[shard];
+    // staircase order), so a shard holds O(max(front, floor)) points, not
+    // its whole delta slice. Witness points are heavy (two bitvecs
+    // each), so their floor is lower.
+    constexpr std::size_t kCompactFloor = std::size_t{1}
+                                          << (kWitness ? 12 : 16);
+    std::vector<P>& points = shards[shard];
+    const auto compact = [&] {
+      if constexpr (kWitness) {
+        detail::pareto_minimize_stable(points, dd, da);
+      } else {
+        detail::pareto_minimize_in_place(points, dd, da);
+      }
+    };
     points.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(end - begin, kCompactFloor)));
     scan_deltas(aadt, run, da, values, begin, end,
                 [&](std::uint64_t delta, bool found, double best,
-                    std::uint64_t) {
-                  points.push_back(
-                      ValuePoint{delta_defense_value(aadt, dd, delta),
-                                 found ? best : da.zero()});
+                    std::uint64_t best_alpha) {
+                  P p;
+                  p.def = delta_defense_value(aadt, dd, delta);
+                  p.att = found ? best : da.zero();
+                  if constexpr (kWitness) {
+                    p.defense = mask_to_bitvec(delta, num_d);
+                    p.attack = found ? mask_to_bitvec(best_alpha, num_a)
+                                     : BitVec(num_a);
+                  }
+                  points.push_back(std::move(p));
                   if (points.size() == points.capacity() &&
                       points.size() >= kCompactFloor) {
-                    detail::pareto_minimize_in_place(points, dd, da);
+                    compact();
                   }
                 });
-    detail::pareto_minimize_in_place(points, dd, da);
+    compact();
   });
 
-  std::vector<ValuePoint> front = std::move(shards[0]);
-  std::vector<ValuePoint> merged;
+  std::vector<P> front = std::move(shards[0]);
+  std::vector<P> merged;
   for (unsigned s = 1; s < threads; ++s) {
     detail::pareto_merge_staircases(front, shards[s], merged, dd, da);
     front.swap(merged);
@@ -292,65 +318,7 @@ Front front_kernel(const AugmentedAdt& aadt, const RunContext& run,
     trace->sched += stats;
     trace->max_front_size = std::max(trace->max_front_size, front.size());
   }
-  return Front::from_staircase(std::move(front));
-}
-
-/// The sharded kernel of naive_front_witness: like front_kernel, but the
-/// points carry their witness event (defense vector + optimal response),
-/// so the full 2^|D| event vector is never materialized - each shard
-/// minimizes its slice into a witness staircase and the per-shard fronts
-/// are reduced pairwise in shard order.
-///
-/// Witness determinism across thread counts: points enter in ascending
-/// delta order and are compacted with the *stable* minimize, so among
-/// equal value pairs the smallest delta survives a shard; the staircase
-/// merge keeps the earlier operand on value ties, and shards are merged
-/// in ascending delta order - so the surviving witness for every kept
-/// value pair is the smallest-delta one overall, for every shard layout.
-template <typename Dd, typename Da>
-WitnessFront witness_kernel(const AugmentedAdt& aadt, const RunContext& run,
-                            const Dd& dd, const Da& da) {
-  const std::size_t num_d = aadt.adt().num_defenses();
-  const std::size_t num_a = aadt.adt().num_attacks();
-  const std::uint64_t total = std::uint64_t{1} << num_d;
-  const unsigned threads = resolve_shards(run, total, num_a);
-
-  const AttackValues<Da> values(aadt, da);
-  std::vector<std::vector<WitnessPoint>> shards(threads);
-  run_sharded(run.pool, threads, total,
-              [&](unsigned shard, std::uint64_t begin,
-                                  std::uint64_t end) {
-    // Witness points are heavy (two bitvecs each), so the compaction
-    // floor is lower than the value path's.
-    constexpr std::size_t kCompactFloor = std::size_t{1} << 12;
-    std::vector<WitnessPoint>& points = shards[shard];
-    points.reserve(static_cast<std::size_t>(
-        std::min<std::uint64_t>(end - begin, kCompactFloor)));
-    scan_deltas(aadt, run, da, values, begin, end,
-                [&](std::uint64_t delta, bool found, double best,
-                    std::uint64_t best_alpha) {
-                  WitnessPoint p;
-                  p.def = delta_defense_value(aadt, dd, delta);
-                  p.att = found ? best : da.zero();
-                  p.defense = mask_to_bitvec(delta, num_d);
-                  p.attack = found ? mask_to_bitvec(best_alpha, num_a)
-                                   : BitVec(num_a);
-                  points.push_back(std::move(p));
-                  if (points.size() == points.capacity() &&
-                      points.size() >= kCompactFloor) {
-                    detail::pareto_minimize_stable(points, dd, da);
-                  }
-                });
-    detail::pareto_minimize_stable(points, dd, da);
-  });
-
-  std::vector<WitnessPoint> front = std::move(shards[0]);
-  std::vector<WitnessPoint> merged;
-  for (unsigned s = 1; s < threads; ++s) {
-    detail::pareto_merge_staircases(front, shards[s], merged, dd, da);
-    front.swap(merged);
-  }
-  return WitnessFront::from_staircase(std::move(front));
+  return BasicFront<P>::from_staircase(std::move(front));
 }
 
 }  // namespace
@@ -373,7 +341,8 @@ Front naive_front(const AugmentedAdt& aadt, const NaiveOptions& options,
   // shards, so both domains are needed as inlinable policies.
   return dispatch_domains(aadt.defender_domain(), aadt.attacker_domain(),
                           [&](const auto& dd, const auto& da) {
-                            return front_kernel(aadt, run, trace, dd, da);
+                            return front_kernel<ValuePoint>(aadt, run, trace,
+                                                            dd, da);
                           });
 }
 
@@ -382,11 +351,12 @@ WitnessFront naive_front_witness(const AugmentedAdt& aadt,
                                  const RunContext& run) {
   check_limits(aadt, options);
   // Sharded like naive_front - the witness path no longer funnels through
-  // the full 2^|D| event vector; see witness_kernel for why the kept
+  // the full 2^|D| event vector; see front_kernel for why the kept
   // witnesses are identical for every thread count.
   return dispatch_domains(aadt.defender_domain(), aadt.attacker_domain(),
                           [&](const auto& dd, const auto& da) {
-                            return witness_kernel(aadt, run, dd, da);
+                            return front_kernel<WitnessPoint>(aadt, run,
+                                                              nullptr, dd, da);
                           });
 }
 

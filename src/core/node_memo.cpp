@@ -4,11 +4,6 @@
 
 namespace adtp {
 
-bool memoizable(const AugmentedAdt& aadt) {
-  return aadt.defender_domain().kind() != SemiringKind::Custom &&
-         aadt.attacker_domain().kind() != SemiringKind::Custom;
-}
-
 std::vector<std::uint64_t> subtree_value_hashes(const AugmentedAdt& aadt) {
   const Adt& adt = aadt.adt();
   std::vector<std::uint64_t> hashes(adt.size(), 0);

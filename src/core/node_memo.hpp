@@ -66,11 +66,6 @@ struct NodeMemoKey {
   bool operator==(const NodeMemoKey&) const = default;
 };
 
-/// True iff fronts of \p aadt can be memoized (no Custom domain - their
-/// hooks are opaque function objects that cannot be content-hashed; same
-/// rule as cacheable()).
-[[nodiscard]] bool memoizable(const AugmentedAdt& aadt);
-
 /// The recursive subtree content hash of every node, indexed by NodeId:
 /// leaves hash (type, agent, attribute value), gates hash (type, agent,
 /// child subtree hashes in child order). One topological pass.

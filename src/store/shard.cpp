@@ -235,10 +235,8 @@ void FrontStore::create_generation(std::uint64_t gen) {
   const auto idx_header = make_header(kIdxMagic);
   ops_->write_all(data_fd_, data_header.data(), data_header.size());
   ops_->write_all(idx_fd_, idx_header.data(), idx_header.size());
-  if (options_.sync_writes) {
-    ops_->sync_file(data_fd_);
-    ops_->sync_file(idx_fd_);
-  }
+  ops_->sync_file(data_fd_);
+  ops_->sync_file(idx_fd_);
   data_size_ = kHeaderSize;
   idx_size_ = kHeaderSize;
 }
@@ -536,12 +534,12 @@ bool FrontStore::put(const FrontCacheKey& key, const std::uint8_t* payload,
     // Write-then-publish: the payload is on disk (and synced) before the
     // index record that makes it reachable exists at all.
     ops_->write_all(data_fd_, payload, size);
-    if (options_.sync_writes) ops_->sync_file(data_fd_);
+    ops_->sync_file(data_fd_);
     const auto rec = encode_record(key, offset,
                                    static_cast<std::uint32_t>(size),
                                    payload_checksum);
     ops_->write_all(idx_fd_, rec.data(), rec.size());
-    if (options_.sync_writes) ops_->sync_file(idx_fd_);
+    ops_->sync_file(idx_fd_);
   } catch (const IoError& e) {
     rollback_tail(offset, idx_committed);
     rethrow_as_store_error("store put", e);

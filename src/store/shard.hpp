@@ -138,11 +138,6 @@ struct StoreOptions {
   /// Maximum live entries (0 = unbounded); beyond it the oldest entry is
   /// logically evicted on put.
   std::size_t max_entries = 0;
-  /// fsync the data file before publishing each index record, and the
-  /// index file after. Off, a crash can lose recent *committed* entries
-  /// (they may not have reached the index), but recovery still never
-  /// serves a corrupt one - durability weakens, integrity does not.
-  bool sync_writes = true;
   /// Auto-compact on put when dead payload bytes exceed this fraction of
   /// the data file (and there is at least one dead byte). <= 0 disables.
   double compact_dead_fraction = 0.5;

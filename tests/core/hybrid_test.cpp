@@ -1,6 +1,12 @@
 #include "core/hybrid.hpp"
 
 #include <gtest/gtest.h>
+#include <pthread.h>
+
+#include <cstddef>
+#include <exception>
+#include <functional>
+#include <string>
 
 #include "core/analyzer.hpp"
 #include "core/bdd_bu.hpp"
@@ -17,6 +23,65 @@ AnalysisResult traced_hybrid(const AugmentedAdt& aadt) {
   AnalysisOptions options;
   options.algorithm = Algorithm::Hybrid;
   return analyze(aadt, options);
+}
+
+/// Two parents of one shared leaf "s" under an attacker OR (a 6-node
+/// blob), topped by a \p depth-deep attacker-AND chain whose every gate
+/// adds one fresh attacker leaf of value 1.
+AugmentedAdt blob_under_chain(std::size_t depth) {
+  Adt adt;
+  const NodeId shared = adt.add_basic("s", Agent::Attacker);
+  const NodeId x = adt.add_basic("x", Agent::Attacker);
+  const NodeId g1 = adt.add_gate("g1", GateType::And, Agent::Attacker,
+                                 {shared, x});
+  const NodeId y = adt.add_basic("y", Agent::Attacker);
+  const NodeId g2 = adt.add_gate("g2", GateType::And, Agent::Attacker,
+                                 {shared, y});
+  NodeId top = adt.add_gate("root", GateType::Or, Agent::Attacker, {g1, g2});
+  Attribution beta;
+  beta.set("s", 5);
+  beta.set("x", 3);
+  beta.set("y", 1);
+  for (std::size_t i = 0; i < depth; ++i) {
+    const std::string leaf = "c" + std::to_string(i);
+    const NodeId c = adt.add_basic(leaf, Agent::Attacker);
+    top = adt.add_gate("and" + std::to_string(i), GateType::And,
+                       Agent::Attacker, {top, c});
+    beta.set(leaf, 1);
+  }
+  adt.set_root(top);
+  adt.freeze();
+  return AugmentedAdt(std::move(adt), std::move(beta), Semiring::min_cost(),
+                      Semiring::min_cost());
+}
+
+/// Runs \p body on a new thread with a \p stack_bytes stack and rethrows
+/// what it throws, so a walk that recurses per level overflows here.
+void run_on_stack(std::size_t stack_bytes, const std::function<void()>& body) {
+  struct Call {
+    const std::function<void()>* body;
+    std::exception_ptr error;
+  } call{&body, nullptr};
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, stack_bytes), 0);
+  pthread_t thread;
+  const int created = pthread_create(
+      &thread, &attr,
+      [](void* arg) -> void* {
+        auto* c = static_cast<Call*>(arg);
+        try {
+          (*c->body)();
+        } catch (...) {
+          c->error = std::current_exception();
+        }
+        return nullptr;
+      },
+      &call);
+  pthread_attr_destroy(&attr);
+  ASSERT_EQ(created, 0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  if (call.error) std::rethrow_exception(call.error);
 }
 
 TEST(Hybrid, MoneyTheftDagFront) {
@@ -52,29 +117,23 @@ TEST(Hybrid, TreeModelsMatchBottomUp) {
 TEST(Hybrid, RootLevelSharingFallsBackToBdd) {
   // Two parents of one shared subtree directly under the root: the whole
   // model is one blob.
-  Adt adt;
-  const NodeId shared = adt.add_basic("s", Agent::Attacker);
-  const NodeId x = adt.add_basic("x", Agent::Attacker);
-  const NodeId g1 = adt.add_gate("g1", GateType::And, Agent::Attacker,
-                                 {shared, x});
-  const NodeId y = adt.add_basic("y", Agent::Attacker);
-  const NodeId g2 = adt.add_gate("g2", GateType::And, Agent::Attacker,
-                                 {shared, y});
-  const NodeId root = adt.add_gate("root", GateType::Or, Agent::Attacker,
-                                   {g1, g2});
-  adt.set_root(root);
-  adt.freeze();
-  Attribution beta;
-  beta.set("s", 5);
-  beta.set("x", 3);
-  beta.set("y", 1);
-  const AugmentedAdt aadt(std::move(adt), std::move(beta),
-                          Semiring::min_cost(), Semiring::min_cost());
+  const AugmentedAdt aadt = blob_under_chain(0);
 
   const AnalysisResult report = traced_hybrid(aadt);
   EXPECT_EQ(report.blob_count, 1u);
   EXPECT_EQ(report.largest_blob, aadt.adt().size());
   EXPECT_EQ(report.front.to_string(), "{(0, 6)}");  // s + y
+}
+
+TEST(Hybrid, DeepChainWalksWithoutRecursion) {
+  // 3,000 tree-style gates over one blob: a walk that takes a stack frame
+  // per level overflows a 256 KiB thread stack long before the blob.
+  const AugmentedAdt aadt = blob_under_chain(3000);
+  AnalysisResult report;
+  run_on_stack(256 * 1024, [&] { report = traced_hybrid(aadt); });
+  EXPECT_EQ(report.front.to_string(), "{(0, 3006)}");
+  EXPECT_EQ(report.blob_count, 1u);
+  EXPECT_EQ(report.tree_combines, 3000u);
 }
 
 TEST(Hybrid, MatchesNaiveOnRandomDags) {

@@ -239,7 +239,7 @@ TEST(CustomDomains, BypassTheMemo) {
       [](double a, double b) { return a <= b; });
   const AugmentedAdt model(base.adt(), base.attribution(), custom,
                            base.attacker_domain());
-  EXPECT_FALSE(memoizable(model));
+  EXPECT_FALSE(cacheable(model));
   NodeFrontMemo memo;
   const AnalysisResult result =
       run_memoized(model, memo, Algorithm::BottomUp);
