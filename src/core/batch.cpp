@@ -107,29 +107,16 @@ void run_item(BatchContext& ctx, const BatchJob& job, BatchItem& item,
     if (cache != nullptr && cacheable(*job.model)) {
       // Single-flight: duplicated jobs in one batch (fleet scenarios,
       // sweeps with repeated points) analyze once; every other worker on
-      // the key blocks on the computer and takes the published result as
-      // a hit. The reservation MUST be resolved - publish on success,
-      // abandon on any failure - or waiters hang.
-      const FrontCacheKey key = front_cache_key(*job.model, opts);
-      FrontCache::FlightLookup flight = cache->lookup_or_reserve(key);
-      if (flight.result.has_value()) {
-        item.result = std::move(*flight.result);
-        item.cached = true;
-        item.ok = true;
-      } else {
-        try {
-          item.result = analyze(*job.model, opts);
-        } catch (...) {
-          cache->abandon(key);
-          throw;
-        }
-        item.ok = true;
-        cache->publish(key, item.result);
-      }
+      // the key waits for the computer and takes its result as a hit.
+      FrontCache::Served served =
+          cache->get_or_compute(front_cache_key(*job.model, opts),
+                                [&] { return analyze(*job.model, opts); });
+      item.result = std::move(served.result);
+      item.cached = served.cached;
     } else {
       item.result = analyze(*job.model, opts);
-      item.ok = true;
     }
+    item.ok = true;
     if (!item.cached) {
       item.memo_hits = item.result.memo_hits;
       item.memo_misses = item.result.memo_misses;
@@ -229,11 +216,6 @@ BatchReport analyze_batch(std::span<const BatchJob> jobs,
   return report;
 }
 
-BatchReport analyze_batch(const std::vector<BatchJob>& jobs,
-                          const BatchOptions& options) {
-  return analyze_batch(std::span<const BatchJob>(jobs), options);
-}
-
 BatchReport analyze_batch(const std::vector<AugmentedAdt>& models,
                           const AnalysisOptions& analysis,
                           const BatchOptions& options) {
@@ -242,7 +224,7 @@ BatchReport analyze_batch(const std::vector<AugmentedAdt>& models,
   for (const AugmentedAdt& model : models) {
     jobs.push_back(BatchJob{&model, analysis});
   }
-  return analyze_batch(std::span<const BatchJob>(jobs), options);
+  return analyze_batch(jobs, options);
 }
 
 }  // namespace adtp

@@ -184,10 +184,6 @@ struct BatchReport {
 [[nodiscard]] BatchReport analyze_batch(std::span<const BatchJob> jobs,
                                         const BatchOptions& options = {});
 
-/// Convenience overload over an owned job vector.
-[[nodiscard]] BatchReport analyze_batch(const std::vector<BatchJob>& jobs,
-                                        const BatchOptions& options = {});
-
 /// Convenience: every model analyzed with the same \p analysis options,
 /// with full serving knobs.
 [[nodiscard]] BatchReport analyze_batch(const std::vector<AugmentedAdt>& models,

@@ -1,5 +1,7 @@
 #include "core/front_cache.hpp"
 
+#include <utility>
+
 #include "util/error.hpp"
 #include "util/hash.hpp"
 
@@ -80,110 +82,76 @@ std::size_t FrontCache::KeyHash::operator()(
   return static_cast<std::size_t>(h);
 }
 
-FrontCache::FrontCache(std::size_t capacity) : capacity_(capacity) {}
+FrontCache::FrontCache(std::size_t capacity) : memory_(capacity) {}
 
 FrontCache::~FrontCache() = default;
 
 std::optional<AnalysisResult> FrontCache::lookup(const FrontCacheKey& key) {
-  std::shared_ptr<const AnalysisResult> hit;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    const auto it = map_.find(key);
-    if (it == map_.end()) {
-      ++stats_.misses;
-      return std::nullopt;
-    }
-    ++stats_.hits;
-    lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-    hit = it->second->second;
-  }
-  return *hit;  // deep copy outside the lock
+  AnalysisResult hit;
+  if (!memory_.lookup(key, hit)) return std::nullopt;
+  return hit;
 }
 
 bool FrontCache::insert(const FrontCacheKey& key,
                         const AnalysisResult& result) {
-  if (capacity_ == 0) return false;
-  // Deep-copy before taking the mutex for the same reason as lookup().
-  auto stored = std::make_shared<const AnalysisResult>(result);
-  const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = map_.find(key);
-  if (it != map_.end()) {
-    // First writer wins: the values are identical by the determinism
-    // contract, so only recency moves. Callers layering persistence key
-    // off the false return to avoid storing the same entry twice.
-    lru_.splice(lru_.begin(), lru_, it->second);
-    ++stats_.duplicate_inserts;
-    return false;
-  }
-  lru_.emplace_front(key, std::move(stored));
-  map_.emplace(key, lru_.begin());
-  ++stats_.insertions;
-  if (lru_.size() > capacity_) {
-    map_.erase(lru_.back().first);
-    lru_.pop_back();
-    ++stats_.evictions;
-  }
-  return true;
+  return memory_.insert(key, result);
 }
 
-void FrontCache::settle_flight_stats(std::uint64_t n, bool coalesced) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  stats_.misses -= n;
-  if (coalesced) ++stats_.coalesced;
-}
-
-FrontCache::FlightLookup FrontCache::lookup_or_reserve(
-    const FrontCacheKey& key) {
+FrontCache::Served FrontCache::get_or_compute(
+    const FrontCacheKey& key, const std::function<AnalysisResult()>& compute) {
   std::unique_lock<std::mutex> flight(flight_mutex_);
   // Each loop iteration's failed lookup() books a miss; all but the one
-  // that sticks (the reserving worker's first) are provisional and get
-  // uncounted on resolution, so a logical query counts exactly one of
-  // {hit, miss}.
+  // that sticks (the computing caller's first) are provisional and get
+  // uncounted, so a call counts exactly one of {hit, miss}.
   std::uint64_t provisional = 0;
   for (;;) {
-    if (auto hit = lookup(key)) {
-      settle_flight_stats(provisional, /*coalesced=*/provisional > 0);
-      return FlightLookup{std::move(hit), /*must_compute=*/false};
+    if (std::optional<AnalysisResult> hit = lookup(key)) {
+      uncounted_misses_ += provisional;
+      if (provisional > 0) ++coalesced_;
+      return {std::move(*hit), /*cached=*/true};
     }
     ++provisional;
-    if (in_flight_.insert(key).second) {
-      settle_flight_stats(provisional - 1, /*coalesced=*/false);
-      return FlightLookup{std::nullopt, /*must_compute=*/true};
-    }
+    if (in_flight_.insert(key).second) break;
     flight_cv_.wait(flight);
   }
-}
+  uncounted_misses_ += provisional - 1;
+  flight.unlock();
 
-void FrontCache::publish(const FrontCacheKey& key,
-                         const AnalysisResult& result) {
+  // The key is this caller's until the release below runs - after the
+  // insert on success, during unwinding when compute (or the insert)
+  // throws - and the release wakes every waiter either way.
+  struct Release {
+    FrontCache& cache;
+    const FrontCacheKey& key;
+    ~Release() {
+      {
+        const std::lock_guard<std::mutex> lock(cache.flight_mutex_);
+        cache.in_flight_.erase(key);
+      }
+      cache.flight_cv_.notify_all();
+    }
+  } release{*this, key};
+  AnalysisResult result = compute();
   {
-    const std::lock_guard<std::mutex> flight(flight_mutex_);
+    const std::lock_guard<std::mutex> lock(flight_mutex_);
     insert(key, result);
-    in_flight_.erase(key);
   }
-  flight_cv_.notify_all();
-}
-
-void FrontCache::abandon(const FrontCacheKey& key) {
-  {
-    const std::lock_guard<std::mutex> flight(flight_mutex_);
-    in_flight_.erase(key);
-  }
-  flight_cv_.notify_all();
+  return {std::move(result), /*cached=*/false};
 }
 
 FrontCache::Stats FrontCache::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  Stats out = stats_;
-  out.entries = lru_.size();
+  // The corrections are read first: each is booked only after the misses
+  // it uncounts, so the subtraction below never wraps.
+  const std::uint64_t uncounted = uncounted_misses_.load();
+  Stats out{memory_.stats(), coalesced_.load()};
+  out.misses -= uncounted;
   return out;
 }
 
 void FrontCache::clear() {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  lru_.clear();
-  map_.clear();
-  stats_ = Stats{};
+  uncounted_misses_ = 0;
+  coalesced_ = 0;
+  memory_.clear();
 }
 
 }  // namespace adtp

@@ -29,41 +29,42 @@
 /// successful results are cached - failures are cheap to rediscover and
 /// often depend on guards.
 ///
-/// Two concurrency rules keep multi-worker serving sane:
+/// The entries live in one LruCache (util/lru_cache.hpp), the LRU the
+/// per-node memo uses too. Two concurrency rules keep multi-worker
+/// serving sane:
 ///  - insert() is first-writer-wins: a second insert under a live key
 ///    refreshes recency but keeps the first value (results are
 ///    deterministic functions of the key, so the values are identical
 ///    and replacement would only churn shared_ptrs). The bool return
 ///    tells layered caches (the persistent store) whether the entry is
 ///    new - only fresh entries are worth persisting.
-///  - lookup_or_reserve()/publish()/abandon() single-flight misses: of N
-///    workers missing the same key at once, exactly one computes; the
-///    rest block and then count as hits (stats record them under
-///    \c coalesced, and every logical query counts exactly one of
-///    {hit, miss} - waiters' provisional misses are uncounted when their
-///    wait resolves).
+///  - get_or_compute() single-flights misses: of N callers missing the
+///    same key at once, exactly one runs its compute function; the rest
+///    wait and then take its result as a hit (stats record them under
+///    \c coalesced). When the computation throws, the key is released
+///    and a waiter takes over. Every call counts exactly one of
+///    {hit, miss}, however long it waited.
 ///
 /// lookup() and insert() are virtual so a persistence layer can slot
-/// underneath (store/persistent_cache.hpp) with the single-flight
-/// machinery inherited unchanged.
+/// underneath (store/persistent_cache.hpp) with get_or_compute()
+/// inherited unchanged.
 ///
 /// The in-process cache does not persist across processes; layer a
 /// store::PersistentFrontCache on top for that.
 
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
+#include <functional>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
 #include <unordered_set>
-#include <utility>
 
 #include "core/analyzer.hpp"
+#include "util/lru_cache.hpp"
 
 namespace adtp {
 
@@ -85,8 +86,8 @@ struct FrontCacheKey {
 [[nodiscard]] FrontCacheKey front_cache_key(const AugmentedAdt& aadt,
                                             const AnalysisOptions& options);
 
-/// Bounded LRU cache of AnalysisResults. All methods are thread-safe (one
-/// mutex; the critical sections copy a Front at worst, never analyze).
+/// Bounded LRU cache of AnalysisResults. All methods are thread-safe; the
+/// LRU's mutex never covers a copy, and no lock covers a computation.
 class FrontCache {
  public:
   /// \p capacity is the maximum number of entries; 0 disables the cache
@@ -107,53 +108,37 @@ class FrontCache {
   /// true means the entry is new.
   virtual bool insert(const FrontCacheKey& key, const AnalysisResult& result);
 
-  /// The outcome of lookup_or_reserve().
-  struct FlightLookup {
-    /// Set on a hit (immediate or after waiting out another worker's
-    /// computation of the same key).
-    std::optional<AnalysisResult> result;
-    /// True: the key is reserved for this caller, who MUST eventually
-    /// call publish() or abandon() for it (or every later worker on the
-    /// key blocks forever).
-    bool must_compute = false;
+  /// The outcome of get_or_compute().
+  struct Served {
+    AnalysisResult result;
+    /// True: a hit, immediate or after waiting out another caller's
+    /// computation of the key; this call's compute never ran.
+    bool cached = false;
   };
 
-  /// Single-flight lookup: a hit returns it; the first worker to miss a
-  /// key gets must_compute; further workers missing the same key block
-  /// until the computer publishes (then take the hit) or abandons (then
-  /// one of them becomes the computer). Exactly one of {hit, miss} is
-  /// counted per call, however long the wait.
-  [[nodiscard]] FlightLookup lookup_or_reserve(const FrontCacheKey& key);
-
-  /// Completes a reservation with its computed result; wakes waiters.
-  void publish(const FrontCacheKey& key, const AnalysisResult& result);
-
-  /// Releases a reservation without a result (the computation failed);
-  /// wakes waiters so another worker can take over.
-  void abandon(const FrontCacheKey& key);
+  /// Single-flight lookup: returns the cached result, or runs \p compute
+  /// with no lock held, inserts what it returns and returns that. Callers
+  /// missing a key that another caller is computing wait for it and take
+  /// its result as a hit. When \p compute throws, the key is released -
+  /// one waiter becomes the computer - and the exception propagates.
+  /// Exactly one of {hit, miss} is counted per call.
+  [[nodiscard]] Served get_or_compute(
+      const FrontCacheKey& key,
+      const std::function<AnalysisResult()>& compute);
 
   /// Cumulative counters since construction or the last clear().
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    /// insert() calls that found the key live and kept the first value.
-    std::uint64_t duplicate_inserts = 0;
+  struct Stats : LruStats {
     /// Hits (included in \c hits) that were resolved by waiting out
-    /// another worker's in-flight computation of the same key.
+    /// another caller's in-flight computation of the same key.
     std::uint64_t coalesced = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;  ///< current size
-
-    [[nodiscard]] double hit_rate() const noexcept {
-      const std::uint64_t total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) /
-                                    static_cast<double>(total);
-    }
   };
 
+  /// Never waits on get_or_compute(): a caller stuck in a slow lookup
+  /// (a store retry backoff) does not hold up the counters.
   [[nodiscard]] Stats stats() const;
-  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
+  [[nodiscard]] std::size_t capacity() const noexcept {
+    return memory_.capacity();
+  }
 
   /// Drops every entry and resets the counters.
   void clear();
@@ -162,30 +147,22 @@ class FrontCache {
   struct KeyHash {
     std::size_t operator()(const FrontCacheKey& k) const noexcept;
   };
-  /// Results are held behind shared_ptr so the mutex only ever guards
-  /// pointer and list-node operations; the deep Front copy handed to the
-  /// caller happens outside the lock (workers on the warm path would
-  /// otherwise serialize on multi-thousand-point copies).
-  using Entry =
-      std::pair<FrontCacheKey, std::shared_ptr<const AnalysisResult>>;
 
-  /// Subtracts \p n provisional misses (recorded by a waiter's repeated
-  /// failed lookups) and, when \p coalesced, books the surviving hit as
-  /// resolved-by-waiting.
-  void settle_flight_stats(std::uint64_t n, bool coalesced);
+  LruCache<FrontCacheKey, AnalysisResult, KeyHash> memory_;
 
-  std::size_t capacity_;
-  mutable std::mutex mutex_;
-  std::list<Entry> lru_;  ///< most recent first
-  std::unordered_map<FrontCacheKey, std::list<Entry>::iterator, KeyHash> map_;
-  Stats stats_;
-
-  /// Single-flight state. Lock order: flight_mutex_ before mutex_ (the
-  /// flight methods call the virtual lookup/insert while holding
-  /// flight_mutex_); nothing ever takes them the other way around.
+  /// Single-flight state. Lock order: flight_mutex_ before the LRU's
+  /// mutex (get_or_compute calls the virtual lookup/insert while holding
+  /// flight_mutex_ - for a PersistentFrontCache that span covers a
+  /// memory miss's store read and decode and a fresh entry's store
+  /// write); nothing ever takes them the other way around.
   std::mutex flight_mutex_;
   std::condition_variable flight_cv_;
   std::unordered_set<FrontCacheKey, KeyHash> in_flight_;
+  /// A waiter's repeated failed lookups each book a miss in memory_;
+  /// all but the one that sticks are subtracted here. Atomic, like
+  /// coalesced_, so stats() never takes flight_mutex_.
+  std::atomic<std::uint64_t> uncounted_misses_{0};
+  std::atomic<std::uint64_t> coalesced_{0};
 };
 
 }  // namespace adtp

@@ -33,25 +33,24 @@
 /// Determinism contract (docs/CONTRACTS.md): a memo hit replays a front
 /// that an identically-keyed computation produced, so memoized results
 /// are bit-identical to a cold analysis at every thread count, and the
-/// memo knobs stay out of the FrontCacheKey. The memo's *eviction state*
-/// may depend on scheduling (parallel kernels insert from worker
-/// threads); results never do.
+/// memo knobs stay out of the FrontCacheKey. The same contract lets the
+/// memo keep the first front inserted under a key: a later insert under
+/// the live key carries an equal front and only refreshes its recency
+/// (first writer wins, as in the FrontCache; both tiers share one
+/// LruCache). The memo's *eviction state* may depend on scheduling
+/// (parallel kernels insert from worker threads); results never do.
 
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <memory>
-#include <mutex>
 #include <type_traits>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "core/attribution.hpp"
 #include "core/pareto.hpp"
 #include "util/hash.hpp"
+#include "util/lru_cache.hpp"
 
 namespace adtp {
 
@@ -90,12 +89,10 @@ struct NodeMemoKey {
 [[nodiscard]] std::uint64_t hybrid_memo_context(const AugmentedAdt& aadt,
                                                 const BddBuOptions& bdd);
 
-/// Bounded, thread-safe LRU memo of per-node fronts - value and witness
-/// fronts in separate stores (they never share a key shape). Entries are
-/// held behind shared_ptr so the mutex only guards pointer and list-node
-/// operations; deep copies and frees happen outside the lock. Every
-/// entry owns a buffer sized to its own front, so resident memory tracks
-/// the fronts held, not the largest front ever evicted.
+/// Bounded, thread-safe memo of per-node fronts: value and witness fronts
+/// in two LruCaches (util/lru_cache.hpp; they never share a key shape).
+/// Every entry owns a buffer sized to its own front, so resident memory
+/// tracks the fronts held, not the largest front ever evicted.
 class NodeFrontMemo {
  public:
   /// \p capacity bounds each store's entry count; 0 disables the memo
@@ -110,8 +107,9 @@ class NodeFrontMemo {
     return store<P>().lookup(key, out);
   }
 
-  /// Inserts (or refreshes) a deep copy of \p front under \p key,
-  /// evicting the least recently used entry when over capacity.
+  /// Inserts a deep copy of \p front under \p key, evicting the least
+  /// recently used entry when over capacity. A live key keeps its first
+  /// front (contract 4 makes both equal) and only refreshes its recency.
   template <typename P>
   void insert(const NodeMemoKey& key, const BasicFront<P>& front) {
     store<P>().insert(key, front);
@@ -119,29 +117,22 @@ class NodeFrontMemo {
 
   /// Cumulative counters across both stores since construction or the
   /// last clear().
-  struct Stats {
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-    std::size_t entries = 0;  ///< current size (both stores)
-
-    [[nodiscard]] double hit_rate() const noexcept {
-      const std::uint64_t total = hits + misses;
-      return total == 0 ? 0.0 : static_cast<double>(hits) /
-                                    static_cast<double>(total);
-    }
-  };
+  using Stats = LruStats;
 
   [[nodiscard]] Stats stats() const {
-    Stats out;
-    values_.add_stats(out);
-    witnesses_.add_stats(out);
+    Stats out = values_.stats();
+    const Stats w = witnesses_.stats();
+    out.hits += w.hits;
+    out.misses += w.misses;
+    out.insertions += w.insertions;
+    out.duplicate_inserts += w.duplicate_inserts;
+    out.evictions += w.evictions;
+    out.entries += w.entries;
     return out;
   }
 
   [[nodiscard]] std::size_t capacity() const noexcept {
-    return values_.capacity;
+    return values_.capacity();
   }
 
   /// Drops every entry and resets the counters.
@@ -159,86 +150,7 @@ class NodeFrontMemo {
   };
 
   template <typename P>
-  struct Store {
-    using Entry = std::pair<NodeMemoKey, std::shared_ptr<BasicFront<P>>>;
-
-    explicit Store(std::size_t capacity_) : capacity(capacity_) {}
-
-    bool lookup(const NodeMemoKey& key, BasicFront<P>& out) {
-      std::shared_ptr<const BasicFront<P>> hit;
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        const auto it = map.find(key);
-        if (it == map.end()) {
-          ++misses;
-          return false;
-        }
-        ++hits;
-        lru.splice(lru.begin(), lru, it->second);  // refresh recency
-        hit = it->second->second;
-      }
-      out = *hit;  // deep copy outside the lock
-      return true;
-    }
-
-    void insert(const NodeMemoKey& key, const BasicFront<P>& front) {
-      if (capacity == 0) return;
-      // Deep-copy before taking the mutex, so concurrent workers never
-      // serialize on point copies.
-      auto stored = std::make_shared<BasicFront<P>>(front);
-      // Replaced and evicted fronts are released after the lock, so their
-      // frees stay off the critical section.
-      std::shared_ptr<BasicFront<P>> evicted;
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        const auto it = map.find(key);
-        if (it != map.end()) {
-          it->second->second.swap(stored);
-          lru.splice(lru.begin(), lru, it->second);
-          return;
-        }
-        lru.emplace_front(key, std::move(stored));
-        map.emplace(key, lru.begin());
-        ++insertions;
-        if (lru.size() > capacity) {
-          map.erase(lru.back().first);
-          evicted = std::move(lru.back().second);
-          lru.pop_back();
-          ++evictions;
-        }
-      }
-    }
-
-    void add_stats(Stats& out) const {
-      const std::lock_guard<std::mutex> lock(mutex);
-      out.hits += hits;
-      out.misses += misses;
-      out.insertions += insertions;
-      out.evictions += evictions;
-      out.entries += lru.size();
-    }
-
-    void clear() {
-      const std::lock_guard<std::mutex> lock(mutex);
-      lru.clear();
-      map.clear();
-      hits = misses = insertions = evictions = 0;
-    }
-
-    std::size_t capacity;
-    mutable std::mutex mutex;
-    std::list<Entry> lru;  ///< most recent first
-    std::unordered_map<NodeMemoKey, typename std::list<Entry>::iterator,
-                       KeyHash>
-        map;
-    std::uint64_t hits = 0;
-    std::uint64_t misses = 0;
-    std::uint64_t insertions = 0;
-    std::uint64_t evictions = 0;
-  };
-
-  template <typename P>
-  Store<P>& store() {
+  auto& store() {
     if constexpr (std::is_same_v<P, ValuePoint>) {
       return values_;
     } else {
@@ -246,8 +158,8 @@ class NodeFrontMemo {
     }
   }
 
-  Store<ValuePoint> values_;
-  Store<WitnessPoint> witnesses_;
+  LruCache<NodeMemoKey, Front, KeyHash> values_;
+  LruCache<NodeMemoKey, WitnessFront, KeyHash> witnesses_;
 };
 
 }  // namespace adtp

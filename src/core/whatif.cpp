@@ -201,15 +201,9 @@ CounterfactualReport counterfactual_sweep(const AugmentedAdt& aadt,
   report.memo_hits += report.baseline.memo_hits;
   report.memo_misses += report.baseline.memo_misses;
 
-  std::vector<NodeId> steps;
-  if (options.include_attacks) {
-    steps.insert(steps.end(), adt.attack_steps().begin(),
-                 adt.attack_steps().end());
-  }
-  if (options.include_defenses) {
-    steps.insert(steps.end(), adt.defense_steps().begin(),
-                 adt.defense_steps().end());
-  }
+  std::vector<NodeId> steps = adt.attack_steps();
+  steps.insert(steps.end(), adt.defense_steps().begin(),
+               adt.defense_steps().end());
   std::sort(steps.begin(), steps.end());
 
   report.variants.reserve(steps.size());

@@ -61,9 +61,6 @@ struct CounterfactualOptions {
   /// private one sized for the model. Pass a long-lived memo to share
   /// fronts across sweeps (the interactive what-if workload).
   AnalysisOptions analysis;
-
-  bool include_attacks = true;   ///< sweep attacker basic steps
-  bool include_defenses = true;  ///< sweep defender basic steps
 };
 
 /// Outcome of one single-deletion variant.
@@ -89,7 +86,7 @@ struct CounterfactualVariant {
 /// Outcome of a whole sweep.
 struct CounterfactualReport {
   AnalysisResult baseline;  ///< the unmodified model's front
-  /// One entry per swept basic step, ascending baseline NodeId.
+  /// One entry per basic step, ascending baseline NodeId.
   std::vector<CounterfactualVariant> variants;
   /// Indices into \p variants, most critical first (front_shift
   /// descending, name ascending as the deterministic tie-break).

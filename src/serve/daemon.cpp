@@ -368,24 +368,17 @@ std::string DaemonServer::serve_analyze(const std::string& format,
   req.options.run.deadline = &deadline;
   if (config_.threads > 0) req.options.intra_model_threads = config_.threads;
 
-  const FrontCacheKey key = front_cache_key(*req.aadt, req.options);
-  FrontCache::FlightLookup flight = cache_.lookup_or_reserve(key);
-  if (flight.result.has_value()) {
-    metrics_.cache_hits.fetch_add(1);
-    return result_json(*flight.result, /*cached=*/true,
-                       req.aadt->adt().size());
-  }
-  AnalysisResult result;
+  FrontCache::Served served;
   try {
-    result = analyze(*req.aadt, req.options);
+    served = cache_.get_or_compute(
+        front_cache_key(*req.aadt, req.options),
+        [&] { return analyze(*req.aadt, req.options); });
   } catch (const std::exception& e) {
-    cache_.abandon(key);
     metrics_.failed.fetch_add(1);
     return error_json(e.what(), /*retryable=*/false);
   }
-  cache_.publish(key, result);
-  metrics_.computed.fetch_add(1);
-  return result_json(result, /*cached=*/false, req.aadt->adt().size());
+  (served.cached ? metrics_.cache_hits : metrics_.computed).fetch_add(1);
+  return result_json(served.result, served.cached, req.aadt->adt().size());
 }
 
 std::string DaemonServer::stats_json() {

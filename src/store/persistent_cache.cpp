@@ -111,7 +111,9 @@ std::optional<AnalysisResult> PersistentFrontCache::lookup(
 bool PersistentFrontCache::insert(const FrontCacheKey& key,
                                   const AnalysisResult& result) {
   const bool fresh = FrontCache::insert(key, result);
-  if (!fresh) return false;
+  // A disabled memory tier never reports an entry fresh; the store's own
+  // duplicate check decides then.
+  if (!fresh && capacity() != 0) return false;
   const std::shared_ptr<FrontStore> store = snapshot();
   // A follower never appends; the entry stays memory-only until this
   // process is promoted to writer (the check is the store's live mode,

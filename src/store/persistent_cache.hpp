@@ -2,14 +2,21 @@
 /// \brief The in-process FrontCache layered over a crash-safe FrontStore.
 ///
 /// A PersistentFrontCache behaves exactly like the FrontCache it
-/// subclasses - same lookup/insert/single-flight surface, so
+/// subclasses - same lookup/insert/get_or_compute surface, so
 /// analyze_batch() and the serving daemon take it through a plain
 /// FrontCache* - with a disk tier underneath:
 ///
 ///   lookup: memory -> store (decode, promote to memory) -> miss
 ///   insert: memory first; a *fresh* entry is also encoded and appended
 ///           to the store (first-writer-wins upstream means each result
-///           is persisted once)
+///           is persisted once). With memory_capacity 0 the memory tier
+///           never reports an entry fresh, so every insert reaches the
+///           store, whose own duplicate check keeps the first write.
+///
+/// get_or_compute() runs lookup() under FrontCache's single-flight
+/// mutex, so a memory miss's store read and decode, like the store
+/// write of a computed result, serialize the callers of get_or_compute;
+/// plain lookup() callers and stats() never wait on it.
 ///
 /// The store is strictly advisory. The constructor never throws for
 /// store trouble, and no store failure ever surfaces to an analysis
@@ -52,7 +59,8 @@
 namespace adtp::store {
 
 struct PersistentCacheOptions {
-  /// Capacity of the in-memory FrontCache tier.
+  /// Capacity of the in-memory FrontCache tier; 0 disables it (every
+  /// lookup reads the store, and inserts still persist).
   std::size_t memory_capacity = 256;
   /// Passed through to the FrontStore (seam, bounds, sync policy).
   StoreOptions store;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <limits>
 #include <set>
 #include <string>
@@ -197,30 +198,31 @@ TEST(FrontCache, ReinsertKeepsFirstValueAndRefreshesRecency) {
 }
 
 TEST(FrontCache, ConcurrentSameKeyInsertsConvergeToOneEntry) {
-  // Many workers racing lookup_or_reserve/publish on one key: exactly
-  // one computes, everyone gets the first value, and hits + misses add
-  // up to the number of logical queries (no double counting).
+  // Many workers racing get_or_compute on one key: exactly one computes,
+  // everyone gets the first value, and hits + misses add up to the
+  // number of logical queries (no double counting).
   constexpr int kWorkers = 8;
   constexpr int kRounds = 25;
   FrontCache cache(16);
   for (int round = 0; round < kRounds; ++round) {
     const FrontCacheKey key{static_cast<std::uint64_t>(round) + 1, 2, 3};
     std::atomic<int> computed{0};
+    std::atomic<int> served_cold{0};
     std::vector<std::thread> workers;
     workers.reserve(kWorkers);
     for (int w = 0; w < kWorkers; ++w) {
       workers.emplace_back([&, w] {
-        FrontCache::FlightLookup flight = cache.lookup_or_reserve(key);
-        if (flight.must_compute) {
+        const FrontCache::Served served = cache.get_or_compute(key, [&] {
           computed.fetch_add(1);
-          cache.publish(key, result_with_front(w + 1, w + 1));
-        } else {
-          ASSERT_TRUE(flight.result.has_value());
-        }
+          return result_with_front(w + 1, w + 1);
+        });
+        if (!served.cached) served_cold.fetch_add(1);
+        EXPECT_EQ(served.result.front.size(), 1u);
       });
     }
     for (std::thread& t : workers) t.join();
     EXPECT_EQ(computed.load(), 1) << "round " << round;
+    EXPECT_EQ(served_cold.load(), 1) << "round " << round;
     const auto hit = cache.lookup(key);
     ASSERT_TRUE(hit.has_value());
     EXPECT_EQ(hit->front.size(), 1u);
@@ -239,23 +241,41 @@ TEST(FrontCache, ConcurrentSameKeyInsertsConvergeToOneEntry) {
             static_cast<std::uint64_t>(kWorkers - 1) * kRounds);
 }
 
-TEST(FrontCache, AbandonedReservationHandsOffToAWaiter) {
-  // The computer failing must not strand waiters: abandon() wakes them
-  // and one takes over the computation.
+TEST(FrontCache, ThrowingComputeHandsOffToAWaiter) {
+  // A compute that throws must not strand waiters: get_or_compute
+  // releases the key, the waiter takes over the computation, and each
+  // call still counts exactly one miss.
+  using Clock = std::chrono::steady_clock;
   FrontCache cache(4);
   const FrontCacheKey key{1, 2, 3};
-  FrontCache::FlightLookup first = cache.lookup_or_reserve(key);
-  ASSERT_TRUE(first.must_compute);
-  std::thread waiter([&] {
-    FrontCache::FlightLookup takeover = cache.lookup_or_reserve(key);
-    EXPECT_TRUE(takeover.must_compute);
-    cache.publish(key, result_with_front(5, 5));
-  });
-  cache.abandon(key);
+  std::thread waiter;
+  EXPECT_THROW(
+      (void)cache.get_or_compute(key, [&]() -> AnalysisResult {
+        waiter = std::thread([&] {
+          const FrontCache::Served takeover = cache.get_or_compute(
+              key, [] { return result_with_front(5, 5); });
+          EXPECT_FALSE(takeover.cached);
+        });
+        // The waiter's first lookup books its (provisional) miss; it
+        // then holds the flight mutex until it waits, so the throw
+        // below hands the key over to a waiting caller.
+        const Clock::time_point deadline =
+            Clock::now() + std::chrono::seconds(10);
+        while (cache.stats().misses < 2 && Clock::now() < deadline) {
+          std::this_thread::yield();
+        }
+        throw Error("analysis failed");
+      }),
+      Error);
   waiter.join();
   const auto hit = cache.lookup(key);
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->front.front_point().def, 5);
+  const FrontCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.coalesced, 0u);
+  EXPECT_EQ(stats.insertions, 1u);
 }
 
 TEST(FrontCache, ZeroCapacityDisablesCaching) {

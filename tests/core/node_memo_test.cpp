@@ -95,6 +95,15 @@ TEST(NodeFrontMemoStore, LookupInsertRoundTripIsBitIdentical) {
   EXPECT_EQ(stats.misses, 1u);
   EXPECT_EQ(stats.insertions, 1u);
   EXPECT_EQ(stats.entries, 1u);
+
+  // First writer wins: a second front under the live key is dropped.
+  memo.insert(key, Front::singleton(ValuePoint{5, 5}));
+  ASSERT_TRUE(memo.lookup(key, out));
+  EXPECT_TRUE(out.bit_identical_values(front));
+  const NodeFrontMemo::Stats after = memo.stats();
+  EXPECT_EQ(after.insertions, 1u);
+  EXPECT_EQ(after.duplicate_inserts, 1u);
+  EXPECT_EQ(after.entries, 1u);
 }
 
 TEST(NodeFrontMemoStore, ValueAndWitnessStoresAreIndependent) {

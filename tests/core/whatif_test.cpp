@@ -189,18 +189,6 @@ TEST(CounterfactualSweep, SharedMemoDoesNotChangeAnyFront) {
   EXPECT_EQ(c.ranking, a.ranking);
 }
 
-TEST(CounterfactualSweep, AgentFiltersSelectTheSweptSteps) {
-  const AugmentedAdt model = catalog::fig4_exponential(3);
-  CounterfactualOptions defenses_only;
-  defenses_only.include_attacks = false;
-  const CounterfactualReport report =
-      counterfactual_sweep(model, defenses_only);
-  ASSERT_EQ(report.variants.size(), model.adt().num_defenses());
-  for (const CounterfactualVariant& v : report.variants) {
-    EXPECT_EQ(v.agent, Agent::Defender);
-  }
-}
-
 TEST(CounterfactualSweep, RemovingDeadDefenseShiftsNothing) {
   // fig3's front is unaffected by... use an explicit construction: a
   // defense whose INH trigger never fires cheaply enough to matter would

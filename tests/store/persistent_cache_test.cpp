@@ -62,6 +62,29 @@ TEST(PersistentCache, DuplicateInsertIsPersistedOnce) {
   EXPECT_EQ(cache.persistence_stats().store_writes, 1u);
 }
 
+TEST(PersistentCache, ZeroMemoryCapacityStillPersists) {
+  // A disabled memory tier never reports an entry fresh, so the store's
+  // own duplicate check decides what is written: once per key.
+  const ScratchDir dir("zeromem");
+  PersistentCacheOptions options;
+  options.memory_capacity = 0;
+  {
+    PersistentFrontCache cache(dir.str(), options);
+    cache.insert(make_key(1), make_result({{1, 10}}));
+    cache.insert(make_key(1), make_result({{1, 10}}));
+    EXPECT_EQ(cache.persistence_stats().store_writes, 1u);
+    const auto stats = cache.store_stats();
+    ASSERT_TRUE(stats.has_value());
+    EXPECT_EQ(stats->puts, 1u);
+  }
+  PersistentFrontCache restarted(dir.str(), options);
+  ASSERT_TRUE(restarted.recovery().has_value());
+  EXPECT_EQ(restarted.recovery()->entries_recovered, 1u);
+  const auto hit = restarted.lookup(make_key(1));
+  ASSERT_TRUE(hit.has_value());
+  EXPECT_EQ(hit->front.front_point().att, 10);
+}
+
 TEST(PersistentCache, ResultMetadataSurvivesTheStore) {
   const ScratchDir dir("metadata");
   AnalysisResult in = make_result({{1, 2}, {3, 1}}, Algorithm::Hybrid);
@@ -182,6 +205,52 @@ TEST(PersistentCache, RetryBackoffNeverSerializesLookupsOnOtherKeys) {
   EXPECT_EQ(slow->front.front_point().def, 1);
   EXPECT_FALSE(cache.persistence_stats().degraded);
   EXPECT_GE(cache.persistence_stats().retries, 1u);
+}
+
+TEST(PersistentCache, StatsNeverWaitBehindAnInFlightLookup) {
+  // get_or_compute looks key 1 up under the single-flight mutex, and the
+  // store read behind that lookup enters a 1s retry backoff. stats()
+  // must answer meanwhile: it reads the counters without that mutex.
+  using Clock = std::chrono::steady_clock;
+  const ScratchDir dir("statswait");
+  FaultFileOps ops(real_file_ops());
+  PersistentCacheOptions options;
+  options.memory_capacity = 1;  // key 1 lives only in the store
+  options.store.ops = &ops;
+  options.retry_backoff_seconds = 1.0;
+  options.max_retries = 3;
+  PersistentFrontCache cache(dir.str(), options);
+  ASSERT_TRUE(cache.insert(make_key(1), make_result({{1, 10}})));
+  ASSERT_TRUE(cache.insert(make_key(2), make_result({{2, 20}})));
+
+  ops.fail_op(FaultFileOps::Op::Read, /*countdown=*/0, /*transient=*/true);
+  std::optional<FrontCache::Served> slow;
+  std::thread a([&] {
+    slow = cache.get_or_compute(make_key(1), []() -> AnalysisResult {
+      ADD_FAILURE() << "key 1 is in the store; nothing to compute";
+      return {};
+    });
+  });
+
+  const Clock::time_point poll_deadline =
+      Clock::now() + std::chrono::seconds(10);
+  while (cache.persistence_stats().retries == 0) {
+    ASSERT_LT(Clock::now(), poll_deadline) << "retry never happened";
+    std::this_thread::yield();
+  }
+
+  const Clock::time_point start = Clock::now();
+  const FrontCache::Stats stats = cache.stats();
+  const double seconds =
+      std::chrono::duration<double>(Clock::now() - start).count();
+  EXPECT_LT(seconds, 0.5) << "stats() waited behind an in-flight lookup";
+  EXPECT_EQ(stats.entries, 1u);
+
+  a.join();
+  ASSERT_TRUE(slow.has_value());
+  EXPECT_TRUE(slow->cached);
+  EXPECT_EQ(slow->result.front.front_point().def, 1);
+  EXPECT_FALSE(cache.persistence_stats().degraded);
 }
 
 TEST(PersistentCache, DegradedCacheStillServesBatches) {
