@@ -17,9 +17,9 @@
 /// gating.
 ///
 /// Every incremental run is gated on the determinism contract
-/// (docs/CONTRACTS.md, "Incremental equals cold"): fronts AND witnesses
-/// bit-identical to the cold run, sequentially and at --threads workers;
-/// any mismatch fails the process.
+/// (docs/CONTRACTS.md, "Incremental equals cold"): fronts bit-identical
+/// to the cold run, sequentially and at --threads workers; any mismatch
+/// fails the process.
 ///
 /// Usage: bench_incremental [--blocks K] [--block-n N] [--repeats R]
 ///                          [--threads T] [--cf-n N] [--json PATH]
@@ -55,15 +55,6 @@ AugmentedAdt edited_variant(const AugmentedAdt& base, std::size_t blocks,
   beta.set(leaf, beta.get(leaf) + 0.5 + static_cast<double>(r));
   return AugmentedAdt(base.adt(), std::move(beta), base.defender_domain(),
                       base.attacker_domain());
-}
-
-bool witnesses_identical(const WitnessFront& a, const WitnessFront& b) {
-  if (!a.bit_identical_values(b)) return false;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a.points()[i].defense != b.points()[i].defense) return false;
-    if (a.points()[i].attack != b.points()[i].attack) return false;
-  }
-  return true;
 }
 
 struct BenchResult {
@@ -171,32 +162,6 @@ int main(int argc, char** argv) {
       result.identical = false;
       std::cerr << "MISMATCH: incremental front diverged at " << threads
                 << " threads (repeat " << r << ")\n";
-    }
-  }
-
-  // Witness determinism gate, once: memoized witness fronts replayed
-  // through the same memo must match the cold witness run bit for bit.
-  // Witness folds are several times the value-fold cost, so the gate runs
-  // on a capped forest - it checks the contract, not throughput.
-  {
-    const std::size_t gate_n = std::min<std::size_t>(block_n, 11);
-    const AugmentedAdt gate_model =
-        gate_n == block_n ? base : catalog::fig4_forest(blocks, gate_n);
-    NodeFrontMemo gate_memo(memo.capacity());
-    (void)analyze_incremental(gate_model, gate_memo);
-    const AugmentedAdt variant = edited_variant(gate_model, blocks, repeats);
-    const WitnessFront cold_witness = bottom_up_front_witness(variant);
-    for (const unsigned t : {1u, threads}) {
-      TaskScheduler pool(t);
-      RunContext run;
-      run.pool = &pool;
-      run.memo = &gate_memo;
-      if (!witnesses_identical(bottom_up_front_witness(variant, {}, run),
-                               cold_witness)) {
-        result.identical = false;
-        std::cerr << "MISMATCH: memoized witnesses diverged at " << t
-                  << " threads\n";
-      }
     }
   }
 

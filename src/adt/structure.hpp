@@ -50,7 +50,8 @@ struct Event {
                                    const BitVec& attack);
 
 /// A reusable evaluator that avoids reallocating the per-node scratch
-/// buffer; used by the Naive algorithm's inner loop. Holds the Adt by
+/// buffer, for callers that evaluate many events of one model (the
+/// naive kernel runs its own bitmask evaluator). Holds the Adt by
 /// reference: it must outlive the evaluator (temporaries are rejected).
 class StructureEvaluator {
  public:

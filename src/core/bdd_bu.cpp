@@ -275,13 +275,6 @@ BasicFront<P> propagate(const AugmentedAdt& aadt, bdd::Manager& manager,
       });
 }
 
-bdd::VarOrder resolve_order(const AugmentedAdt& aadt,
-                            const BddBuOptions& options) {
-  if (options.order.has_value()) return *options.order;
-  return bdd::VarOrder::defense_first(aadt.adt(), options.order_heuristic,
-                                      options.order_seed);
-}
-
 /// BDD managers below this many allocated nodes never trigger the
 /// late (post-build) engagement: their whole propagation costs less than
 /// the per-node task bookkeeping. Models over the ADT-node floor engage
@@ -302,7 +295,7 @@ constexpr std::size_t kMinBddNodesForPool = 4096;
 template <typename P>
 BasicFront<P> run_bdd_bu(const AugmentedAdt& aadt, const BddBuOptions& options,
                          const RunContext& run, AnalysisTrace* trace) {
-  const bdd::VarOrder order = resolve_order(aadt, options);
+  const bdd::VarOrder order = resolve_order(aadt.adt(), options);
   bdd::Manager manager(order.num_vars(), options.node_limit);
   TaskScheduler* const wide =
       run.pool != nullptr && run.pool->threads() > 1 ? run.pool : nullptr;
@@ -331,6 +324,12 @@ BasicFront<P> run_bdd_bu(const AugmentedAdt& aadt, const BddBuOptions& options,
 }
 
 }  // namespace
+
+bdd::VarOrder resolve_order(const Adt& adt, const BddBuOptions& options) {
+  if (options.order.has_value()) return *options.order;
+  return bdd::VarOrder::defense_first(adt, options.order_heuristic,
+                                      options.order_seed);
+}
 
 Front bdd_bu_front(const AugmentedAdt& aadt, const BddBuOptions& options,
                    const RunContext& run, AnalysisTrace* trace) {

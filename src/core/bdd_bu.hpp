@@ -66,6 +66,11 @@ struct BddBuOptions {
 /// field is hashed in one place.
 void hash_result_fields(Fnv1a& h, const BddBuOptions& options);
 
+/// The variable order a BDDBU run over \p adt uses: options.order when
+/// set, else the defense-first order of options.order_heuristic.
+[[nodiscard]] bdd::VarOrder resolve_order(const Adt& adt,
+                                          const BddBuOptions& options);
+
 /// Algorithm 3 at the root of the ROBDD. Works for arbitrary (tree- or
 /// DAG-shaped) ADTs. When \p trace is set, the run's counters (BDD size,
 /// phase times, merges, scheduler) are added into it (trace.hpp).

@@ -159,12 +159,13 @@ void compute_node(const AugmentedAdt& aadt, NodeId v,
 /// from the NodeFrontMemo and which must be computed. Built once on the
 /// caller thread before a kernel is chosen (its size decides whether the
 /// walk is worth a scheduler); both kernels consume it. When the memo is
-/// off (or the model is not cacheable) and there are no blobs, the plan
+/// off (or the model is not cacheable, or this is a witness run - the
+/// memo holds value fronts only) and there are no blobs, the plan
 /// degenerates to "compute everything" and store() is a no-op, so the
 /// kernels have a single code path.
 template <typename P>
 struct MemoPlan {
-  NodeFrontMemo* memo = nullptr;
+  NodeFrontMemo* memo = nullptr;  ///< null unless P is ValuePoint
   std::vector<NodeMemoKey> keys;  ///< per NodeId; empty when memo off
   std::vector<NodeId> order;      ///< nodes to compute, topological
   std::uint64_t hits = 0;         ///< gates preloaded from the memo
@@ -179,21 +180,13 @@ struct MemoPlan {
                         std::vector<BasicFront<P>>& fronts) {
     MemoPlan plan;
     const Adt& adt = aadt.adt();
-    if (run.memo != nullptr && run.memo->capacity() != 0 &&
-        cacheable(aadt)) {
+    if (std::is_same_v<P, ValuePoint> && run.memo != nullptr &&
+        run.memo->capacity() != 0 && cacheable(aadt)) {
       plan.memo = run.memo;
       const std::vector<std::uint64_t> subtree = subtree_value_hashes(aadt);
-      std::uint64_t layout_root = 0;
-      std::vector<std::uint64_t> layout;
-      if constexpr (std::is_same_v<P, WitnessPoint>) {
-        layout = subtree_layout_hashes(adt);
-      }
       plan.keys.resize(adt.size());
       for (NodeId v = 0; v < adt.size(); ++v) {
-        if constexpr (std::is_same_v<P, WitnessPoint>) {
-          layout_root = layout[v];
-        }
-        plan.keys[v] = NodeMemoKey{subtree[v], context, layout_root};
+        plan.keys[v] = NodeMemoKey{subtree[v], context};
       }
     } else if (blobs == nullptr) {
       plan.order = adt.topological_order();
@@ -211,8 +204,7 @@ struct MemoPlan {
       stack.pop_back();
       if (state[v] != kUnvisited) continue;
       const Node& n = adt.node(v);
-      if (n.type != GateType::BasicStep && plan.memo != nullptr &&
-          plan.memo->template lookup<P>(plan.keys[v], fronts[v])) {
+      if (n.type != GateType::BasicStep && plan.lookup(v, fronts[v])) {
         state[v] = kPreloaded;
         ++plan.hits;
         continue;
@@ -230,13 +222,25 @@ struct MemoPlan {
     return plan;
   }
 
+  /// Copies gate \p v's memoized front into \p out; false on a miss and
+  /// whenever the memo is off.
+  bool lookup(NodeId v, BasicFront<P>& out) const {
+    if constexpr (std::is_same_v<P, ValuePoint>) {
+      return memo != nullptr && memo->lookup(keys[v], out);
+    } else {
+      return false;
+    }
+  }
+
   /// Memoizes a freshly computed gate front. Thread-safe; called from
   /// worker tasks by the parallel kernel.
   void store(const AugmentedAdt& aadt, NodeId v,
              const BasicFront<P>& front) const {
-    if (memo == nullptr) return;
-    if (aadt.adt().type(v) == GateType::BasicStep) return;
-    memo->template insert<P>(keys[v], front);
+    if constexpr (std::is_same_v<P, ValuePoint>) {
+      if (memo == nullptr) return;
+      if (aadt.adt().type(v) == GateType::BasicStep) return;
+      memo->insert(keys[v], front);
+    }
   }
 };
 

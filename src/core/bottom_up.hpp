@@ -53,6 +53,7 @@ struct BottomUpOptions {
                                     AnalysisTrace* trace = nullptr);
 
 /// As bottom_up_front(), with witness events attached to every point.
+/// Never consults run.memo, which holds value fronts only.
 [[nodiscard]] WitnessFront bottom_up_front_witness(
     const AugmentedAdt& aadt, const BottomUpOptions& options = {},
     const RunContext& run = {});

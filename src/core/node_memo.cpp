@@ -23,29 +23,6 @@ std::vector<std::uint64_t> subtree_value_hashes(const AugmentedAdt& aadt) {
   return hashes;
 }
 
-std::vector<std::uint64_t> subtree_layout_hashes(const Adt& adt) {
-  std::vector<std::uint64_t> hashes(adt.size(), 0);
-  for (NodeId v : adt.topological_order()) {
-    const Node& n = adt.node(v);
-    Fnv1a h;
-    if (n.type == GateType::BasicStep) {
-      // Fold the model-wide widths into every leaf: a witness BitVec of a
-      // different width is a different bit pattern even when the dense
-      // indices below this subtree agree.
-      h.u8(static_cast<std::uint8_t>(n.agent));
-      h.size(adt.num_attacks());
-      h.size(adt.num_defenses());
-      h.size(n.agent == Agent::Attacker ? adt.attack_index(v)
-                                        : adt.defense_index(v));
-    } else {
-      h.size(n.children.size());
-      for (NodeId c : n.children) h.u64(hashes[c]);
-    }
-    hashes[v] = h.digest();
-  }
-  return hashes;
-}
-
 std::uint64_t bottom_up_memo_context(const AugmentedAdt& aadt,
                                      std::size_t max_front_points) {
   Fnv1a h;

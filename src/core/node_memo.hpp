@@ -24,11 +24,10 @@
 ///  - context: everything outside the subtree that can change its front -
 ///    the two domain kinds, the algorithm family, and its result-affecting
 ///    limits (see bottom_up_memo_context / hybrid_memo_context).
-///  - layout: for witness fronts only (0 for value fronts). Witness bit
-///    vectors are indexed by the *model's* dense BAS/BDS indices and sized
-///    by its |A| / |D|, so a witness front is reusable only when the
-///    subtree's leaves keep their dense indices and the global widths
-///    match; the layout hash pins both.
+///
+/// The memo holds value fronts only. Witness runs (strategy extraction)
+/// never consult it: their bit vectors are indexed by the model's dense
+/// leaf indices, so they are not a function of subtree content alone.
 ///
 /// Determinism contract (docs/CONTRACTS.md): a memo hit replays a front
 /// that an identically-keyed computation produced, so memoized results
@@ -44,7 +43,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <type_traits>
 #include <vector>
 
 #include "core/attribution.hpp"
@@ -61,8 +59,14 @@ struct BddBuOptions;  // node_memo.cpp hashes its result fields
 struct NodeMemoKey {
   std::uint64_t subtree = 0;
   std::uint64_t context = 0;
-  std::uint64_t layout = 0;  ///< 0 for value fronts
   bool operator==(const NodeMemoKey&) const = default;
+};
+
+/// Routes a key to its bucket; the full key is still compared.
+struct NodeMemoKeyHash {
+  std::size_t operator()(const NodeMemoKey& k) const noexcept {
+    return static_cast<std::size_t>(hash_combine(k.subtree, k.context));
+  }
 };
 
 /// The recursive subtree content hash of every node, indexed by NodeId:
@@ -70,12 +74,6 @@ struct NodeMemoKey {
 /// child subtree hashes in child order). One topological pass.
 [[nodiscard]] std::vector<std::uint64_t> subtree_value_hashes(
     const AugmentedAdt& aadt);
-
-/// The witness-layout hash of every node: the dense BAS/BDS index of each
-/// reachable leaf plus the model-wide |A| and |D| (witness BitVec widths).
-/// Value fronts do not need it; witness fronts are reusable only under an
-/// identical layout.
-[[nodiscard]] std::vector<std::uint64_t> subtree_layout_hashes(const Adt& adt);
 
 /// Context hash for the bottom-up kernels: domain kinds plus
 /// max_front_points (the only bottom-up option that can change a front or
@@ -89,77 +87,17 @@ struct NodeMemoKey {
 [[nodiscard]] std::uint64_t hybrid_memo_context(const AugmentedAdt& aadt,
                                                 const BddBuOptions& bdd);
 
-/// Bounded, thread-safe memo of per-node fronts: value and witness fronts
-/// in two LruCaches (util/lru_cache.hpp; they never share a key shape).
-/// Every entry owns a buffer sized to its own front, so resident memory
-/// tracks the fronts held, not the largest front ever evicted.
-class NodeFrontMemo {
+/// Bounded, thread-safe memo of per-node value fronts: an LruCache
+/// (util/lru_cache.hpp) whose lookup() deep-copies a stored front out and
+/// whose insert() keeps the first front under a live key (contract 4
+/// makes both equal). Every entry owns a buffer sized to its own front,
+/// so resident memory tracks the fronts held, not the largest front ever
+/// evicted. Capacity 0 disables the memo.
+class NodeFrontMemo : public LruCache<NodeMemoKey, Front, NodeMemoKeyHash> {
  public:
-  /// \p capacity bounds each store's entry count; 0 disables the memo
-  /// (every lookup misses, every insert is dropped).
-  explicit NodeFrontMemo(std::size_t capacity = 4096)
-      : values_(capacity), witnesses_(capacity) {}
+  explicit NodeFrontMemo(std::size_t capacity = 4096) : LruCache(capacity) {}
 
-  /// On hit, deep-copies the stored front into \p out, refreshes its
-  /// recency, and returns true.
-  template <typename P>
-  [[nodiscard]] bool lookup(const NodeMemoKey& key, BasicFront<P>& out) {
-    return store<P>().lookup(key, out);
-  }
-
-  /// Inserts a deep copy of \p front under \p key, evicting the least
-  /// recently used entry when over capacity. A live key keeps its first
-  /// front (contract 4 makes both equal) and only refreshes its recency.
-  template <typename P>
-  void insert(const NodeMemoKey& key, const BasicFront<P>& front) {
-    store<P>().insert(key, front);
-  }
-
-  /// Cumulative counters across both stores since construction or the
-  /// last clear().
   using Stats = LruStats;
-
-  [[nodiscard]] Stats stats() const {
-    Stats out = values_.stats();
-    const Stats w = witnesses_.stats();
-    out.hits += w.hits;
-    out.misses += w.misses;
-    out.insertions += w.insertions;
-    out.duplicate_inserts += w.duplicate_inserts;
-    out.evictions += w.evictions;
-    out.entries += w.entries;
-    return out;
-  }
-
-  [[nodiscard]] std::size_t capacity() const noexcept {
-    return values_.capacity();
-  }
-
-  /// Drops every entry and resets the counters.
-  void clear() {
-    values_.clear();
-    witnesses_.clear();
-  }
-
- private:
-  struct KeyHash {
-    std::size_t operator()(const NodeMemoKey& k) const noexcept {
-      return static_cast<std::size_t>(
-          hash_combine(hash_combine(k.subtree, k.context), k.layout));
-    }
-  };
-
-  template <typename P>
-  auto& store() {
-    if constexpr (std::is_same_v<P, ValuePoint>) {
-      return values_;
-    } else {
-      return witnesses_;
-    }
-  }
-
-  LruCache<NodeMemoKey, Front, KeyHash> values_;
-  LruCache<NodeMemoKey, WitnessFront, KeyHash> witnesses_;
 };
 
 }  // namespace adtp

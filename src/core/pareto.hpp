@@ -139,18 +139,24 @@ void staircase_push(std::vector<P>& out, P&& p, const Dd& dd, const Da& da) {
   out.push_back(std::move(p));
 }
 
-/// Copies a point span's value coordinates into SoA columns for the
-/// batch kernels (payloads never leave the point vector; kernels return
-/// index selections and the caller gathers).
+/// A point span's value coordinates as the interleaved (def, att)
+/// doubles the pairs kernels read: a ValuePoint span is that layout
+/// already and is returned as is; payload-carrying points copy their
+/// values into \p scratch (payloads never leave the point vector;
+/// kernels return index selections and the caller gathers).
 template <typename P>
-void soa_transpose(const std::vector<P>& pts, AlignedVec<double>& def,
-                   AlignedVec<double>& att) {
-  const std::size_t n = pts.size();
-  def.resize(n);
-  att.resize(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    def[i] = pts[i].def;
-    att[i] = pts[i].att;
+const double* value_pairs(const std::vector<P>& pts,
+                          AlignedVec<double>& scratch) {
+  if constexpr (std::is_same_v<P, ValuePoint>) {
+    static_assert(sizeof(ValuePoint) == 2 * sizeof(double));
+    return reinterpret_cast<const double*>(pts.data());
+  } else {
+    scratch.resize(2 * pts.size());
+    for (std::size_t i = 0; i < pts.size(); ++i) {
+      scratch[2 * i] = pts[i].def;
+      scratch[2 * i + 1] = pts[i].att;
+    }
+    return scratch.data();
   }
 }
 
@@ -161,7 +167,7 @@ void soa_transpose(const std::vector<P>& pts, AlignedVec<double>& def,
 /// Domain pairs carrying the SIMD markers dispatch large spans to the
 /// batch select kernel of the active CPU level (bit-identical to the
 /// scalar loop below, which is the oracle the kernels are fuzzed
-/// against); \p soa borrows transpose scratch (thread-local fallback)
+/// against); \p soa borrows value_pairs scratch (thread-local fallback)
 /// and \p simd_lanes, when given, accumulates kernel throughput into
 /// CombineStats::simd_lanes_used.
 template <typename P, typename Dd, typename Da>
@@ -175,20 +181,10 @@ void staircase_sweep_in_place(std::vector<P>& points, const Dd& dd,
         simd::SoaScratch& s = soa != nullptr ? *soa : simd::tls_soa_scratch();
         s.sel.resize(points.size());
         simd::PushTail tail;
-        simd::SelectResult r;
-        if constexpr (std::is_same_v<P, ValuePoint>) {
-          // ValuePoint is exactly the interleaved layout the pairs
-          // kernels read; skip the transpose pass.
-          static_assert(sizeof(ValuePoint) == 2 * sizeof(double));
-          r = kt->push_select_pairs[simd::pref_index(Da::kSimdPrefer)](
-              reinterpret_cast<const double*>(points.data()), points.size(),
-              s.sel.data(), &tail);
-        } else {
-          soa_transpose(points, s.a_def, s.a_att);
-          r = kt->push_select[simd::pref_index(Da::kSimdPrefer)](
-              s.a_def.data(), s.a_att.data(), points.size(), s.sel.data(),
-              &tail);
-        }
+        const simd::SelectResult r =
+            kt->push_select_pairs[simd::pref_index(Da::kSimdPrefer)](
+                value_pairs(points, s.a_pairs), points.size(), s.sel.data(),
+                &tail);
         // Kept indices are strictly increasing with sel[j] >= j, so the
         // forward gather never overwrites a pending source; and when
         // everything is kept that forces sel to be the identity, so the
@@ -261,23 +257,11 @@ void pareto_merge_staircases(const std::vector<P>& a, const std::vector<P>& b,
       if (const simd::KernelTable* kt = simd::active_kernels()) {
         simd::SoaScratch& s = soa != nullptr ? *soa : simd::tls_soa_scratch();
         s.sel.resize(a.size() + b.size());
-        simd::MergeResult r;
-        if constexpr (std::is_same_v<P, ValuePoint>) {
-          // Interleaved layout matches the pairs kernel; no transposes.
-          static_assert(sizeof(ValuePoint) == 2 * sizeof(double));
-          r = kt->merge_select_pairs[simd::pref_index(Dd::kSimdPrefer)]
-                                    [simd::pref_index(Da::kSimdPrefer)](
-              reinterpret_cast<const double*>(a.data()), a.size(),
-              reinterpret_cast<const double*>(b.data()), b.size(),
-              s.sel.data());
-        } else {
-          soa_transpose(a, s.a_def, s.a_att);
-          soa_transpose(b, s.b_def, s.b_att);
-          r = kt->merge_select[simd::pref_index(Dd::kSimdPrefer)]
-                              [simd::pref_index(Da::kSimdPrefer)](
-              s.a_def.data(), s.a_att.data(), a.size(), s.b_def.data(),
-              s.b_att.data(), b.size(), s.sel.data());
-        }
+        const simd::MergeResult r =
+            kt->merge_select_pairs[simd::pref_index(Dd::kSimdPrefer)]
+                                  [simd::pref_index(Da::kSimdPrefer)](
+                value_pairs(a, s.a_pairs), a.size(),
+                value_pairs(b, s.b_pairs), b.size(), s.sel.data());
         out.clear();
         out.reserve(r.kept);
         const P* abase = a.data();
@@ -433,8 +417,8 @@ std::size_t kway_endgame(const P& rp, const std::vector<P>& cols,
   // carries the staircase tail from one chunk to the next.
   constexpr std::size_t kChunk = 256;
   const std::size_t width = std::min(len, kChunk);
-  s.b_def.resize(width);
-  s.b_att.resize(width);
+  s.c_def.resize(width);
+  s.c_att.resize(width);
   s.p_def.resize(width);
   s.p_att.resize(width);
   s.sel.resize(width);
@@ -444,11 +428,11 @@ std::size_t kway_endgame(const P& rp, const std::vector<P>& cols,
     const std::size_t w = std::min(width, len - base);
     const P* chunk = cols.data() + c0 + base;
     for (std::size_t i = 0; i < w; ++i) {
-      s.b_def[i] = chunk[i].def;
-      s.b_att[i] = chunk[i].att;
+      s.c_def[i] = chunk[i].def;
+      s.c_att[i] = chunk[i].att;
     }
-    def_col(s.b_def.data(), w, rp.def, s.p_def.data());
-    att_col(s.b_att.data(), w, rp.att, s.p_att.data());
+    def_col(s.c_def.data(), w, rp.def, s.p_def.data());
+    att_col(s.c_att.data(), w, rp.att, s.p_att.data());
     const simd::SelectResult r =
         select(s.p_def.data(), s.p_att.data(), w, s.sel.data(), &tail);
     lanes += r.lanes + 2 * static_cast<std::uint64_t>(w);
@@ -963,7 +947,7 @@ template <typename P, typename Dd, typename Da>
   const std::vector<P>& pts = front.points();
   // Only the payload-free ValuePoint takes the kernel: its layout is the
   // interleaved pairs form the kernel reads directly. A per-query
-  // transpose of a payload-carrying front costs more than the scan it
+  // value_pairs copy of a payload-carrying front costs more than the scan it
   // would accelerate, so WitnessPoint stays on the scalar loop.
   if constexpr (is_simd_pair_eligible_v<Dd, Da> &&
                 std::is_same_v<P, ValuePoint>) {
@@ -1141,7 +1125,7 @@ class FrontArena {
   std::vector<P> scratch_;  ///< cross-product / transform buffer
   std::vector<P> spare_;    ///< recycled output buffer
   std::vector<std::vector<P>> runs_;  ///< tensor_A group staircases
-  simd::SoaScratch soa_;  ///< SoA column view for the batch kernels
+  simd::SoaScratch soa_;  ///< batch-kernel scratch
   CombineStats stats_;
 };
 

@@ -8,11 +8,7 @@ namespace adtp {
 RelevanceReport analyze_defense_relevance(const AugmentedAdt& aadt,
                                           const BddBuOptions& options) {
   const Adt& adt = aadt.adt();
-  bdd::VarOrder order =
-      options.order.has_value()
-          ? *options.order
-          : bdd::VarOrder::defense_first(adt, options.order_heuristic,
-                                         options.order_seed);
+  const bdd::VarOrder order = resolve_order(adt, options);
   bdd::Manager manager(order.num_vars(), options.node_limit);
   const bdd::Ref root = bdd::build_structure_function(manager, adt, order);
 

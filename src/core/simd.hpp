@@ -1,15 +1,18 @@
 /// \file simd.hpp
-/// \brief Batch (SoA) Pareto kernels with runtime CPU dispatch.
+/// \brief Batch Pareto kernels with runtime CPU dispatch.
 ///
 /// The hot loops of every algorithm - dominance scans, staircase sweeps,
 /// two-staircase merges, and the tensor_A combine's endgame - reduce to
-/// streaming two double columns (defender value, attacker value) through
-/// a handful of compare/combine patterns. This header defines those
-/// kernels as a table of function pointers over *structure-of-arrays*
-/// columns; core/pareto.hpp transposes point spans into scratch columns,
-/// runs a kernel, and gathers the surviving points (payloads - witness
-/// bit vectors - never enter a kernel, so select-then-gather keeps them
-/// untouched and bit-identical).
+/// streaming (defender value, attacker value) pairs through a handful of
+/// compare/combine patterns. This header defines those kernels as a table
+/// of function pointers. Sweeps, merges and dominance scans read
+/// interleaved (def, att) pairs - ValuePoint's own layout; witness spans
+/// first copy their value pairs into scratch (value_pairs in
+/// core/pareto.hpp). Only the tensor_A endgame streams structure-of-arrays
+/// columns, the products it computes column-wise. Kernels return index
+/// selections and core/pareto.hpp gathers the surviving points (payloads
+/// - witness bit vectors - never enter a kernel, so select-then-gather
+/// keeps them untouched and bit-identical).
 ///
 /// Determinism contract: every kernel performs exactly the comparisons
 /// and arithmetic of the scalar code it replaces, in an order that cannot
@@ -75,7 +78,8 @@ inline constexpr std::size_t kTensorGroupRows = 8;
 /// scalar (fronts this large exceed every configured front cap anyway).
 inline constexpr std::size_t kMaxSelectSpan = 0x7fffffffu;
 
-/// In merge_select output, this bit marks an index into the second input.
+/// In merge_select_pairs output, this bit marks an index into the second
+/// input.
 inline constexpr std::uint32_t kMergeSrcB = 0x80000000u;
 
 /// The staircase tail a push kernel starts from (out.back() of the
@@ -103,28 +107,24 @@ struct MergeResult {
 /// staircase_push over a batch: emits indices of surviving points into
 /// sel (caller-sized to n), resolving skip/replace/append exactly like
 /// the scalar loop. Kept indices are strictly increasing with
-/// sel[j] >= j, so an in-place forward gather is safe.
+/// sel[j] >= j, so an in-place forward gather is safe. This form reads
+/// SoA columns (the tensor_A endgame's products).
 using PushSelectFn = SelectResult (*)(const double* def, const double* att,
                                       std::size_t n, std::uint32_t* sel,
                                       PushTail* tail);
 
-/// pareto_merge_staircases over two staircase columns: emits the merged
-/// selection (kMergeSrcB tags source b) into sel (sized to na + nb).
-using MergeSelectFn = MergeResult (*)(const double* adef, const double* aatt,
-                                      std::size_t na, const double* bdef,
-                                      const double* batt, std::size_t nb,
-                                      std::uint32_t* sel);
-
 /// AoS ("pairs") variants: the input is interleaved (def, att) doubles -
-/// exactly ValuePoint's layout - deinterleaved in registers, so payload-
-/// free spans skip the transpose pass entirely (the transpose costs as
-/// much as the kernel on short-lived spans; see BENCH_6).
+/// exactly ValuePoint's layout - deinterleaved in registers, so value
+/// spans need no copy at all (a transpose pass costs as much as the
+/// kernel on short-lived spans; see BENCH_6).
 using PushSelectPairsFn = SelectResult (*)(const double* pts, std::size_t n,
                                            std::uint32_t* sel,
                                            PushTail* tail);
 using AnyDominatesPairsFn = bool (*)(const double* pts, std::size_t n,
                                      double qdef, double qatt,
                                      std::uint64_t* lanes);
+/// pareto_merge_staircases over two staircases: emits the merged
+/// selection (kMergeSrcB tags source b) into sel (sized to na + nb).
 using MergeSelectPairsFn = MergeResult (*)(const double* apts, std::size_t na,
                                            const double* bpts, std::size_t nb,
                                            std::uint32_t* sel);
@@ -137,10 +137,8 @@ using CombineColFn = void (*)(const double* src, std::size_t n, double c,
 /// One dispatch level's kernels. Two-way axes: [pref_index(dd or da)]
 /// for direction, [swapped] for operand roles of the non-commutative Max.
 struct KernelTable {
-  int width = 1;  ///< double lanes per vector op
   PushSelectFn push_select[2] = {};          ///< [da]
   PushSelectPairsFn push_select_pairs[2] = {};        ///< [da], AoS input
-  MergeSelectFn merge_select[2][2] = {};     ///< [dd][da]
   MergeSelectPairsFn merge_select_pairs[2][2] = {};    ///< [dd][da], AoS
   AnyDominatesPairsFn any_dominates_pairs[2][2] = {};  ///< [dd][da], AoS
   CombineColFn combine_add = nullptr;
@@ -174,20 +172,13 @@ template <typename D>
   }
 }
 
-/// Reusable SoA scratch columns. FrontArena owns one; free-function
-/// entry points share a thread-local instance (tls_soa_scratch).
+/// Reusable kernel scratch. FrontArena owns one; free-function entry
+/// points share a thread-local instance (tls_soa_scratch).
 struct SoaScratch {
-  AlignedVec<double> a_def, a_att;  ///< first input columns
-  AlignedVec<double> b_def, b_att;  ///< second input columns
-  AlignedVec<double> p_def, p_att;  ///< product / result columns
-  std::vector<std::uint32_t> sel;   ///< selection output
-
-  void release() {
-    a_def = {}; a_att = {};
-    b_def = {}; b_att = {};
-    p_def = {}; p_att = {};
-    sel = {};
-  }
+  AlignedVec<double> a_pairs, b_pairs;  ///< value_pairs() copies
+  AlignedVec<double> c_def, c_att;      ///< endgame column chunk
+  AlignedVec<double> p_def, p_att;      ///< endgame product columns
+  std::vector<std::uint32_t> sel;       ///< selection output
 };
 
 /// The calling thread's shared scratch (for pareto.hpp free functions

@@ -1,5 +1,5 @@
 /// \file simd_kernels_impl.hpp
-/// \brief Width-generic bodies of the SoA Pareto kernels.
+/// \brief Width-generic bodies of the batch Pareto kernels.
 ///
 /// Included ONLY by the per-ISA translation units (simd_sse2.cpp,
 /// simd_avx2.cpp), each of which supplies a Pack type wrapping its
@@ -8,11 +8,11 @@
 /// scalar-exact semantics; the Pack layer is a thin register veneer.
 ///
 /// Every kernel mirrors a specific scalar loop in core/pareto.hpp:
-///  - push_select        <-> detail::staircase_push driven in a loop
-///                           (detail::staircase_sweep_in_place, and the
-///                           combine_kway single-row endgame)
-///  - merge_select       <-> detail::pareto_merge_staircases
-///  - combine_*          <-> product_point's per-coordinate tensor ops
+///  - push_select(_pairs) <-> detail::staircase_push driven in a loop
+///                            (pairs: detail::staircase_sweep_in_place;
+///                            SoA: the combine_kway single-row endgame)
+///  - merge_select_pairs  <-> detail::pareto_merge_staircases
+///  - combine_*           <-> product_point's per-coordinate tensor ops
 ///
 /// The vector fast paths only ever *batch* decisions whose outcome is
 /// provably identical to running the scalar loop element by element
@@ -65,6 +65,34 @@ struct Kern {
     return first_set(~mask & kFull);
   }
 
+  /// Column accessors letting one push body read either SoA columns (the
+  /// tensor_A endgame's products) or interleaved (def, att) pairs; the
+  /// pairs form uses the ordered deinterleave because push and merge
+  /// consume points in order.
+  struct SoaCols {
+    const double* def;
+    const double* att;
+    double d(std::size_t i) const { return def[i]; }
+    double a(std::size_t i) const { return att[i]; }
+    void load(std::size_t i, V* vd, V* va) const {
+      *vd = PK::loadu(def + i);
+      *va = PK::loadu(att + i);
+    }
+  };
+  struct PairsCols {
+    const double* pts;
+    double d(std::size_t i) const { return pts[2 * i]; }
+    double a(std::size_t i) const { return pts[2 * i + 1]; }
+    void load(std::size_t i, V* vd, V* va) const {
+      PK::load_pairs(pts + 2 * i, vd, va);
+    }
+    V load_att(std::size_t i) const {
+      V vd, va;
+      PK::load_pairs(pts + 2 * i, &vd, &va);
+      return va;
+    }
+  };
+
   /// staircase_push over a batch. The scalar_step lambda is a verbatim
   /// transcription of detail::staircase_push resolving against the
   /// running tail; the vector path batches two provably-equivalent
@@ -73,10 +101,11 @@ struct Kern {
   /// every lane's decision - is final) and "whole block appended" (each
   /// lane strictly worsens its predecessor's attacker value with a
   /// distinct defender value, which chains the per-lane tails exactly).
-  template <int DA>
-  static SelectResult push_select(const double* def, const double* att,
-                                  std::size_t n, std::uint32_t* sel,
-                                  PushTail* tail) {
+  /// Each block loads both columns once, so the pairs layout pays one
+  /// deinterleave per block.
+  template <int DA, typename C>
+  static SelectResult push_core(C cols, std::size_t n, std::uint32_t* sel,
+                                PushTail* tail) {
     SelectResult res;
     std::size_t m = 0;
     bool has = tail->has;
@@ -84,8 +113,8 @@ struct Kern {
     double tatt = tail->att;
     bool replaced_first = false;
     const auto scalar_step = [&](std::size_t p) {
-      const double d = def[p];
-      const double a = att[p];
+      const double d = cols.d(p);
+      const double a = cols.a(p);
       if (has) {
         if (!sp<DA>(tatt, a)) return;  // not strictly more adverse: skip
         if (d == tdef) {               // equivalent defender value: replace
@@ -113,7 +142,8 @@ struct Kern {
       i = 1;
     }
     while (i + static_cast<std::size_t>(W) <= n) {
-      const V va = PK::loadu(att + i);
+      V vd, va;
+      cols.load(i, &vd, &va);
       res.lanes += W;
       const int keep = sp_mask<DA>(PK::set1(tatt), va);
       if (keep == 0) {  // block skipped; tail unchanged so this is exact
@@ -121,7 +151,6 @@ struct Kern {
         continue;
       }
       if (keep == kFull) {
-        const V vd = PK::loadu(def + i);
         const V pa = PK::shift_in(va, tatt);  // lane l's predecessor att
         const V pd = PK::shift_in(vd, tdef);
         const int chain = sp_mask<DA>(pa, va);
@@ -133,8 +162,8 @@ struct Kern {
                 static_cast<std::uint32_t>(i + static_cast<std::size_t>(l));
           }
           m += W;
-          tdef = def[i + W - 1];
-          tatt = att[i + W - 1];
+          tdef = cols.d(i + W - 1);
+          tatt = cols.a(i + W - 1);
           has = true;
           i += W;
           continue;
@@ -153,114 +182,18 @@ struct Kern {
     return res;
   }
 
-  /// push_select over interleaved (def, att) pairs - ValuePoint's exact
-  /// memory layout - so payload-free sweeps skip the transpose pass. The
-  /// decision logic is a lockstep copy of push_select above (any change
-  /// must touch both); only the loads differ.
+  template <int DA>
+  static SelectResult push_select(const double* def, const double* att,
+                                  std::size_t n, std::uint32_t* sel,
+                                  PushTail* tail) {
+    return push_core<DA>(SoaCols{def, att}, n, sel, tail);
+  }
+
   template <int DA>
   static SelectResult push_select_pairs(const double* pts, std::size_t n,
                                         std::uint32_t* sel, PushTail* tail) {
-    SelectResult res;
-    std::size_t m = 0;
-    bool has = tail->has;
-    double tdef = tail->def;
-    double tatt = tail->att;
-    bool replaced_first = false;
-    const auto scalar_step = [&](std::size_t p) {
-      const double d = pts[2 * p];
-      const double a = pts[2 * p + 1];
-      if (has) {
-        if (!sp<DA>(tatt, a)) return;  // not strictly more adverse: skip
-        if (d == tdef) {               // equivalent defender value: replace
-          if (m == 0) {
-            replaced_first = true;
-            sel[m++] = static_cast<std::uint32_t>(p);
-          } else {
-            sel[m - 1] = static_cast<std::uint32_t>(p);
-          }
-          tatt = a;
-          return;
-        }
-      }
-      sel[m++] = static_cast<std::uint32_t>(p);
-      tdef = d;
-      tatt = a;
-      has = true;
-    };
-
-    std::size_t i = 0;
-    if (!has && n > 0) {
-      scalar_step(0);
-      i = 1;
-    }
-    while (i + static_cast<std::size_t>(W) <= n) {
-      V vd, va;
-      PK::load_pairs(pts + 2 * i, &vd, &va);
-      res.lanes += W;
-      const int keep = sp_mask<DA>(PK::set1(tatt), va);
-      if (keep == 0) {  // block skipped; tail unchanged so this is exact
-        i += W;
-        continue;
-      }
-      if (keep == kFull) {
-        const V pa = PK::shift_in(va, tatt);  // lane l's predecessor att
-        const V pd = PK::shift_in(vd, tdef);
-        const int chain = sp_mask<DA>(pa, va);
-        const int distinct = PK::neq_mask(pd, vd);
-        res.lanes += 2 * W;
-        if ((chain & distinct) == kFull) {  // block appended wholesale
-          for (int l = 0; l < W; ++l) {
-            sel[m + static_cast<std::size_t>(l)] =
-                static_cast<std::uint32_t>(i + static_cast<std::size_t>(l));
-          }
-          m += W;
-          tdef = pts[2 * (i + W - 1)];
-          tatt = pts[2 * (i + W - 1) + 1];
-          has = true;
-          i += W;
-          continue;
-        }
-      }
-      for (int l = 0; l < W; ++l) scalar_step(i + static_cast<std::size_t>(l));
-      i += W;
-    }
-    for (; i < n; ++i) scalar_step(i);
-
-    tail->has = has;
-    tail->def = tdef;
-    tail->att = tatt;
-    res.kept = m;
-    res.replaced_first = replaced_first;
-    return res;
+    return push_core<DA>(PairsCols{pts}, n, sel, tail);
   }
-
-  /// Column accessors letting one merge implementation read either SoA
-  /// columns or interleaved (def, att) pairs; the pairs form uses the
-  /// ordered deinterleave because galloping consumes points in order.
-  struct SoaCols {
-    const double* def;
-    const double* att;
-    double d(std::size_t i) const { return def[i]; }
-    double a(std::size_t i) const { return att[i]; }
-    void load(std::size_t i, V* vd, V* va) const {
-      *vd = PK::loadu(def + i);
-      *va = PK::loadu(att + i);
-    }
-    V load_att(std::size_t i) const { return PK::loadu(att + i); }
-  };
-  struct PairsCols {
-    const double* pts;
-    double d(std::size_t i) const { return pts[2 * i]; }
-    double a(std::size_t i) const { return pts[2 * i + 1]; }
-    void load(std::size_t i, V* vd, V* va) const {
-      PK::load_pairs(pts + 2 * i, vd, va);
-    }
-    V load_att(std::size_t i) const {
-      V vd, va;
-      PK::load_pairs(pts + 2 * i, &vd, &va);
-      return va;
-    }
-  };
 
   /// pareto_merge_staircases as run-at-a-time galloping. The scalar loop
   /// repeatedly takes from `a` while !FrontLess(b[j], a[i]) (b[j] fixed),
@@ -270,9 +203,12 @@ struct Kern {
   /// defender, strictly more adverse attacker), so staircase_push keeps
   /// a suffix of it: scan for the first survivor, resolve its
   /// replace/append against the tail, then append the rest wholesale.
-  template <int DD, int DA, typename CA, typename CB>
-  static MergeResult merge_core(CA ca, std::size_t na, CB cb, std::size_t nb,
-                                std::uint32_t* sel) {
+  template <int DD, int DA>
+  static MergeResult merge_select_pairs(const double* apts, std::size_t na,
+                                        const double* bpts, std::size_t nb,
+                                        std::uint32_t* sel) {
+    const PairsCols ca{apts};
+    const PairsCols cb{bpts};
     MergeResult res;
     std::size_t m = 0;
     bool has = false;
@@ -445,22 +381,6 @@ struct Kern {
     return res;
   }
 
-  template <int DD, int DA>
-  static MergeResult merge_select(const double* adef, const double* aatt,
-                                  std::size_t na, const double* bdef,
-                                  const double* batt, std::size_t nb,
-                                  std::uint32_t* sel) {
-    return merge_core<DD, DA>(SoaCols{adef, aatt}, na, SoaCols{bdef, batt},
-                              nb, sel);
-  }
-
-  template <int DD, int DA>
-  static MergeResult merge_select_pairs(const double* apts, std::size_t na,
-                                        const double* bpts, std::size_t nb,
-                                        std::uint32_t* sel) {
-    return merge_core<DD, DA>(PairsCols{apts}, na, PairsCols{bpts}, nb, sel);
-  }
-
   /// Dominance scan over interleaved (def, att) pairs: whether any point
   /// has a defender value no worse than the query's AND an attacker
   /// value no less adverse. The reduction is
@@ -548,15 +468,10 @@ template <typename PK>
 KernelTable make_kernel_table() {
   using K = Kern<PK>;
   KernelTable t;
-  t.width = PK::kWidth;
   t.push_select[0] = &K::template push_select<0>;
   t.push_select[1] = &K::template push_select<1>;
   t.push_select_pairs[0] = &K::template push_select_pairs<0>;
   t.push_select_pairs[1] = &K::template push_select_pairs<1>;
-  t.merge_select[0][0] = &K::template merge_select<0, 0>;
-  t.merge_select[0][1] = &K::template merge_select<0, 1>;
-  t.merge_select[1][0] = &K::template merge_select<1, 0>;
-  t.merge_select[1][1] = &K::template merge_select<1, 1>;
   t.merge_select_pairs[0][0] = &K::template merge_select_pairs<0, 0>;
   t.merge_select_pairs[0][1] = &K::template merge_select_pairs<0, 1>;
   t.merge_select_pairs[1][0] = &K::template merge_select_pairs<1, 0>;

@@ -64,7 +64,8 @@ struct RunContext {
   /// Per-node front memo (node_memo.hpp) of the bottom-up and hybrid
   /// kernels: gate fronts found under their subtree content key are
   /// replayed, so a one-node edit recomputes only the dirty spine.
-  /// Models with Custom domains bypass it; naive and BDDBU ignore it.
+  /// Models with Custom domains and witness runs bypass it; naive and
+  /// BDDBU ignore it.
   NodeFrontMemo* memo = nullptr;
 
   /// Runs computing fewer nodes than this never engage \p pool: bottom-up

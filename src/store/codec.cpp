@@ -101,28 +101,6 @@ void check_version(std::uint16_t version, const char* what) {
   }
 }
 
-void put_bitvec(std::vector<std::uint8_t>& out, const BitVec& v) {
-  put_u32(out, static_cast<std::uint32_t>(v.size()));
-  const std::vector<std::size_t> bits = v.set_bits();
-  put_u32(out, static_cast<std::uint32_t>(bits.size()));
-  for (const std::size_t bit : bits) {
-    put_u32(out, static_cast<std::uint32_t>(bit));
-  }
-}
-
-BitVec get_bitvec(Reader& r) {
-  const std::uint32_t size = r.u32();
-  const std::uint32_t count = r.u32();
-  if (count > size) throw CodecError("codec: bit vector count exceeds size");
-  BitVec v(size);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    const std::uint32_t bit = r.u32();
-    if (bit >= size) throw CodecError("codec: bit index out of range");
-    v.set(bit);
-  }
-  return v;
-}
-
 }  // namespace
 
 void encode_result(const AnalysisResult& result,
@@ -179,40 +157,6 @@ AnalysisResult decode_result(const std::uint8_t* data, std::size_t size) {
   // adopt verbatim (re-minimizing could alter bits).
   result.front = Front::from_staircase(std::move(points));
   return result;
-}
-
-void encode_witness_front(const WitnessFront& front,
-                          std::vector<std::uint8_t>& out) {
-  put_u16(out, kCodecVersion);
-  put_u32(out, static_cast<std::uint32_t>(front.size()));
-  for (const WitnessPoint& p : front.points()) {
-    put_f64(out, p.def);
-    put_f64(out, p.att);
-    put_bitvec(out, p.defense);
-    put_bitvec(out, p.attack);
-  }
-}
-
-WitnessFront decode_witness_front(const std::uint8_t* data, std::size_t size) {
-  Reader r(data, size);
-  check_version(r.u16(), "witness front");
-  const std::uint32_t n = r.u32();
-  std::vector<WitnessPoint> points;
-  // 16 value bytes + two minimal (8-byte) bit vectors per point.
-  if (static_cast<std::uint64_t>(n) * 32 > r.remaining()) {
-    throw CodecError("codec: point count exceeds buffer");
-  }
-  points.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    WitnessPoint p;
-    p.def = r.f64();
-    p.att = r.f64();
-    p.defense = get_bitvec(r);
-    p.attack = get_bitvec(r);
-    points.push_back(std::move(p));
-  }
-  r.expect_end();
-  return WitnessFront::from_staircase(std::move(points));
 }
 
 }  // namespace adtp::store

@@ -14,10 +14,6 @@
 /// and trailing bytes with CodecError - a corrupt or stale payload is
 /// detected, never misread. The shard layer adds its own checksums on
 /// top; the codec's checks are the second line of defense.
-///
-/// WitnessFront encoding rides along for strategy extraction consumers:
-/// witness bit vectors serialize as (size, set-bit indices), which is
-/// compact for the sparse vectors real witnesses are.
 
 #pragma once
 
@@ -53,13 +49,5 @@ void encode_result(const AnalysisResult& result,
 /// with no trailing bytes.
 [[nodiscard]] AnalysisResult decode_result(const std::uint8_t* data,
                                            std::size_t size);
-
-/// Appends the encoding of \p front (witness payloads included).
-void encode_witness_front(const WitnessFront& front,
-                          std::vector<std::uint8_t>& out);
-
-/// Decodes exactly one witness front; same strictness as decode_result.
-[[nodiscard]] WitnessFront decode_witness_front(const std::uint8_t* data,
-                                                std::size_t size);
 
 }  // namespace adtp::store

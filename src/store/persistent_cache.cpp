@@ -155,13 +155,6 @@ std::optional<StoreStats> PersistentFrontCache::store_stats() const {
   return store->stats();
 }
 
-void PersistentFrontCache::compact() {
-  (void)with_retry("compact", [&](FrontStore& store) {
-    store.compact(/*force=*/true);
-    return true;
-  });
-}
-
 std::optional<RefreshReport> PersistentFrontCache::refresh() {
   return with_retry("refresh",
                     [&](FrontStore& store) { return store.refresh(); });

@@ -115,8 +115,6 @@ class PersistentFrontCache final : public FrontCache {
   /// What recovery found at open; nullopt when the store never opened.
   [[nodiscard]] std::optional<RecoveryReport> recovery() const;
   [[nodiscard]] std::optional<StoreStats> store_stats() const;
-  /// Forces a store compaction (no-op when degraded).
-  void compact();
 
   /// Follower only: picks up entries the writer committed since attach
   /// or the last refresh (transient trouble retried as usual). Returns

@@ -2,8 +2,8 @@
 /// \brief A bounded, thread-safe, first-writer-wins LRU map: the one
 ///        eviction policy behind both in-process cache tiers.
 ///
-/// FrontCache's memory tier (whole analysis results) and NodeFrontMemo's
-/// two stores (per-node value and witness fronts) are each an LruCache.
+/// FrontCache's memory tier (whole analysis results) and NodeFrontMemo
+/// (per-node value fronts) are each an LruCache.
 /// Every instance keeps three rules:
 ///  - Bounded: at most capacity() entries; an insert past the bound
 ///    evicts the least recently used entry. Capacity 0 disables the

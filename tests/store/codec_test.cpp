@@ -162,73 +162,5 @@ TEST(Codec, LyingPointCountFailsToDecode) {
   EXPECT_THROW((void)decode_result(bytes.data(), bytes.size()), CodecError);
 }
 
-TEST(Codec, WitnessFrontRoundTripsVectorsAndBits) {
-  std::vector<WitnessPoint> points;
-  WitnessPoint a;
-  a.def = 0;
-  a.att = kInf;
-  a.defense = BitVec(10);
-  a.attack = BitVec(17);
-  WitnessPoint b;
-  b.def = 4.5;
-  b.att = 12;
-  b.defense = BitVec(10);
-  b.defense.set(0);
-  b.defense.set(9);
-  b.attack = BitVec(17);
-  b.attack.set(16);
-  points.push_back(std::move(a));
-  points.push_back(std::move(b));
-  WitnessFront in = WitnessFront::from_staircase(std::move(points));
-
-  std::vector<std::uint8_t> bytes;
-  encode_witness_front(in, bytes);
-  const WitnessFront out = decode_witness_front(bytes.data(), bytes.size());
-  ASSERT_EQ(out.size(), 2u);
-  EXPECT_EQ(out.points()[0].att, kInf);
-  EXPECT_EQ(out.points()[0].defense.size(), 10u);
-  EXPECT_EQ(out.points()[0].defense.set_bits().size(), 0u);
-  EXPECT_EQ(out.points()[1].defense.set_bits(),
-            (std::vector<std::size_t>{0, 9}));
-  EXPECT_EQ(out.points()[1].attack.set_bits(),
-            (std::vector<std::size_t>{16}));
-  EXPECT_EQ(out.points()[1].attack.size(), 17u);
-}
-
-TEST(Codec, WitnessFrontPrefixesFailToDecode) {
-  std::vector<WitnessPoint> points;
-  WitnessPoint p;
-  p.def = 1;
-  p.att = 2;
-  p.defense = BitVec(4);
-  p.defense.set(2);
-  p.attack = BitVec(4);
-  points.push_back(std::move(p));
-  std::vector<std::uint8_t> bytes;
-  encode_witness_front(WitnessFront::from_staircase(std::move(points)), bytes);
-  for (std::size_t len = 0; len < bytes.size(); ++len) {
-    EXPECT_THROW((void)decode_witness_front(bytes.data(), len), CodecError);
-  }
-}
-
-TEST(Codec, CorruptBitVectorFailsToDecode) {
-  std::vector<WitnessPoint> points;
-  WitnessPoint p;
-  p.def = 1;
-  p.att = 2;
-  p.defense = BitVec(4);
-  p.defense.set(3);
-  p.attack = BitVec(4);
-  points.push_back(std::move(p));
-  std::vector<std::uint8_t> bytes;
-  encode_witness_front(WitnessFront::from_staircase(std::move(points)), bytes);
-  // The defense bitvec of point 0 sits right after version + count +
-  // two doubles; corrupt its set-bit index to exceed its size.
-  const std::size_t bit_index_at = 2 + 4 + 8 + 8 + 4 + 4;
-  bytes[bit_index_at] = 200;
-  EXPECT_THROW((void)decode_witness_front(bytes.data(), bytes.size()),
-               CodecError);
-}
-
 }  // namespace
 }  // namespace adtp::store
