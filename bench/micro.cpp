@@ -601,31 +601,6 @@ std::vector<ValuePoint> keep_all_staircase(int n, double offset = 0.0,
   return pts;
 }
 
-void BM_DominanceBatch(benchmark::State& state) {
-  SimdLevel level;
-  if (!simd_level_ready(state, level)) return;
-  const ScopedSimdOverride simd(level);
-  const MinCostDomain dom;
-  const Front front =
-      Front::from_staircase(keep_all_staircase(state.range(0)));
-  // Non-dominated queries (def below every front point), so every call
-  // scans the whole front: the kernel's worst case.
-  std::vector<ValuePoint> queries;
-  for (int i = 0; i < 64; ++i) {
-    queries.push_back(ValuePoint{-1.0 - i, double(i)});
-  }
-  for (auto _ : state) {
-    for (const ValuePoint& q : queries) {
-      benchmark::DoNotOptimize(front_dominates_point(front, q, dom, dom));
-    }
-  }
-  state.SetItemsProcessed(state.iterations() * queries.size() *
-                          front.size());
-}
-BENCHMARK(BM_DominanceBatch)
-    ->ArgsProduct({{64, 1024, 16384}, {0, 1, 2}})
-    ->ArgNames({"n", "simd"});
-
 void BM_StaircaseSweep(benchmark::State& state) {
   SimdLevel level;
   if (!simd_level_ready(state, level)) return;

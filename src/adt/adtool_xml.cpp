@@ -629,16 +629,4 @@ std::string export_adtool_xml(const Adt& adt, const Attribution& attribution,
   return Exporter(adt, attribution, domain_id).run();
 }
 
-void save_adtool_file(const Adt& adt, const Attribution& attribution,
-                      const std::string& path, const std::string& domain_id) {
-  std::ofstream out(path);
-  if (!out) {
-    throw Error("cannot open '" + path + "' for writing");
-  }
-  out << export_adtool_xml(adt, attribution, domain_id);
-  if (!out.good()) {
-    throw Error("failed writing '" + path + "'");
-  }
-}
-
 }  // namespace adtp

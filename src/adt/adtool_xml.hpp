@@ -83,9 +83,4 @@ struct AdtoolImport {
     const Adt& adt, const Attribution& attribution = {},
     const std::string& domain_id = "adtp");
 
-/// Writes export_adtool_xml() to \p path; throws Error on I/O failure.
-void save_adtool_file(const Adt& adt, const Attribution& attribution,
-                      const std::string& path,
-                      const std::string& domain_id = "adtp");
-
 }  // namespace adtp

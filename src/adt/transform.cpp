@@ -73,38 +73,45 @@ Adt extract_subgraph(const Adt& adt, NodeId v) {
                      " out of range");
   }
 
+  // Post-order walk on an explicit stack (a recursive one overflows on
+  // deep models): children first, left to right, first visit wins, so
+  // every extracted NodeId follows that order.
   Adt sub;
-  std::unordered_map<NodeId, NodeId> remap;
-
-  std::function<NodeId(NodeId)> visit = [&](NodeId u) -> NodeId {
-    if (auto it = remap.find(u); it != remap.end()) return it->second;
-    const Node& n = adt.node(u);
-    NodeId fresh = kNoNode;
+  std::vector<NodeId> remap(adt.size(), kNoNode);
+  struct Frame {
+    NodeId node;
+    std::size_t next_child;
+  };
+  std::vector<Frame> stack{{v, 0}};
+  while (!stack.empty()) {
+    Frame& top = stack.back();
+    const Node& n = adt.node(top.node);
+    if (top.next_child < n.children.size()) {
+      const NodeId c = n.children[top.next_child++];
+      if (remap[c] == kNoNode) stack.push_back({c, 0});
+      continue;
+    }
     switch (n.type) {
       case GateType::BasicStep:
-        fresh = sub.add_basic(n.name, n.agent);
+        remap[top.node] = sub.add_basic(n.name, n.agent);
         break;
-      case GateType::Inhibit: {
-        const NodeId inhibited = visit(n.children[0]);
-        const NodeId trigger = visit(n.children[1]);
-        fresh = sub.add_inhibit(n.name, inhibited, trigger);
+      case GateType::Inhibit:
+        remap[top.node] = sub.add_inhibit(n.name, remap[n.children[0]],
+                                          remap[n.children[1]]);
         break;
-      }
       case GateType::And:
       case GateType::Or: {
         std::vector<NodeId> children;
         children.reserve(n.children.size());
-        for (NodeId c : n.children) children.push_back(visit(c));
-        fresh = sub.add_gate(n.name, n.type, n.agent, std::move(children));
+        for (NodeId c : n.children) children.push_back(remap[c]);
+        remap[top.node] =
+            sub.add_gate(n.name, n.type, n.agent, std::move(children));
         break;
       }
     }
-    remap.emplace(u, fresh);
-    return fresh;
-  };
-
-  const NodeId root = visit(v);
-  sub.set_root(root);
+    stack.pop_back();
+  }
+  sub.set_root(remap[v]);
   sub.freeze();
   return sub;
 }

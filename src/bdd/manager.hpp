@@ -105,7 +105,6 @@ class Manager {
   /// publishes the flag). Serial callers never pay for locks they do
   /// not need - the single-threaded hot path stays lock-free.
   void enter_concurrent_mode() noexcept { concurrent_ = true; }
-  [[nodiscard]] bool concurrent_mode() const noexcept { return concurrent_; }
 
   /// The hash-consing constructor: returns the canonical node for
   /// (var, low, high), applying both ROBDD reduction rules. Thread-safe

@@ -36,7 +36,7 @@ struct AnalysisOptions {
   BddBuOptions bdd;
   HybridOptions hybrid;
 
-  /// Guards, scheduler, arena, memo and floors of the run (trace.hpp),
+  /// Guards, scheduler, memo and parallel floor of the run (trace.hpp),
   /// handed to whichever kernel runs.
   RunContext run;
 

@@ -47,21 +47,19 @@ bool batch_cancelled(const BatchContext& ctx) {
 }
 
 /// Copies the job's options and fills in every RunContext field the job
-/// left null: the batch-wide guards, the slot's persistent arena, the
-/// shared memo and the batch scheduler. Precedence: a job that carries
+/// left null: the batch-wide guards, the shared memo and the batch
+/// scheduler. Precedence: a job that carries
 /// its own deadline/cancel pointer keeps it for the in-flight phase (an
 /// explicit per-item guard is a deliberate override); the batch-wide
 /// guards still gate that item's *start* via the between-item checks.
 AnalysisOptions instrument_options(const BatchContext& ctx,
-                                   const AnalysisOptions& base,
-                                   FrontArena<ValuePoint>& arena) {
+                                   const AnalysisOptions& base) {
   AnalysisOptions opts = base;
   RunContext& run = opts.run;
   if (run.deadline == nullptr && ctx.options.deadline_seconds > 0) {
     run.deadline = &ctx.deadline;
   }
   if (run.cancel == nullptr) run.cancel = ctx.options.cancel;
-  if (run.arena == nullptr) run.arena = &arena;
   // Shared-memo serving: every item consults one per-node front memo, so
   // edited variants of one model recompute only their dirty spines. The
   // memo is thread-safe and hit results are bit-identical, so filling it
@@ -81,8 +79,7 @@ AnalysisOptions instrument_options(const BatchContext& ctx,
   return opts;
 }
 
-void run_item(BatchContext& ctx, const BatchJob& job, BatchItem& item,
-              FrontArena<ValuePoint>& arena) {
+void run_item(BatchContext& ctx, const BatchJob& job, BatchItem& item) {
   Stopwatch watch;
   // Between-items checks: claimed-but-unstarted work is shed the moment
   // the batch is cancelled or out of budget.
@@ -102,7 +99,7 @@ void run_item(BatchContext& ctx, const BatchJob& job, BatchItem& item,
   }
   try {
     if (job.model == nullptr) throw Error("analyze_batch: null model pointer");
-    const AnalysisOptions opts = instrument_options(ctx, job.options, arena);
+    const AnalysisOptions opts = instrument_options(ctx, job.options);
     FrontCache* cache = ctx.options.cache;
     if (cache != nullptr && cacheable(*job.model)) {
       // Single-flight: duplicated jobs in one batch (fleet scenarios,
@@ -182,15 +179,9 @@ BatchReport analyze_batch(std::span<const BatchJob> jobs,
   report.threads_used = sched.threads();
   BatchContext ctx(jobs, options, report, sched);
 
-  // One arena per scheduler slot, alive for the whole batch: combine
-  // buffers recycle across every item a slot processes, not just within
-  // one analysis. Item tasks are the only users (intra-model parallel
-  // kernels keep private arenas), and a slot runs one item at a time,
-  // so the arenas are never shared.
-  std::vector<FrontArena<ValuePoint>> arenas(sched.threads());
-  auto body = [&](unsigned slot, std::uint32_t i) {
+  auto body = [&](unsigned, std::uint32_t i) {
     BatchItem& item = report.items[i];
-    run_item(ctx, jobs[i], item, arenas[slot]);
+    run_item(ctx, jobs[i], item);
     finish_item(ctx, item);
   };
   TaskGraph graph;

@@ -33,10 +33,6 @@
 ///    without recomputation. The cache outlives the batch; share one
 ///    across batches for a warm serving loop.
 ///
-/// Underneath, every scheduler slot keeps one FrontArena alive across
-/// all items it processes, so combine-buffer recycling spans the whole
-/// batch rather than one analysis.
-///
 /// Determinism: item i's result is identical to calling analyze(*jobs[i]
 /// .model, jobs[i].options) sequentially; only the execution order across
 /// items (and hence completion_order) varies with n_threads. A cache hit

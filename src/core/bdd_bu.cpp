@@ -28,6 +28,11 @@ namespace {
 
 constexpr std::uint32_t kNoSlot = 0xFFFFFFFFu;
 
+/// Estimated front points per parallel propagation task: contiguous runs
+/// of the children-first node order fold into one task until their
+/// estimate reaches this budget.
+constexpr std::size_t kTaskGrainPoints = 1024;
+
 /// The per-domain-pair kernel of Algorithm 3 over a built BDD, generic in
 /// the point payload; instantiated once per policy pair by
 /// dispatch_domains().
@@ -81,18 +86,8 @@ BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
   const bool parallel = pool != nullptr && pool->threads() > 1;
   const unsigned workers = parallel ? pool->threads() : 1;
 
-  // One arena per scheduler slot. The sequential value-front path may
-  // borrow a caller-provided arena (persistent across batch items on one
-  // worker thread); parallel runs - whose tasks can execute on any slot,
-  // interleaved with other nested runs - and witness runs keep private
-  // scratch.
-  FrontArena<P> fallback_arena;
-  FrontArena<P>* arena0 = &fallback_arena;
-  if constexpr (std::is_same_v<P, ValuePoint>) {
-    if (!parallel && run.arena != nullptr) arena0 = run.arena;
-  }
-  const CombineStats arena0_before = arena0->stats();
-  std::vector<FrontArena<P>> extra_arenas(workers > 1 ? workers - 1 : 0);
+  // One arena per scheduler slot: a slot runs one task at a time.
+  std::vector<FrontArena<P>> arenas(workers);
   std::vector<std::size_t> max_p(workers, 0);
 
   // Terminal fronts up front; nonterminals become tasks. reachable()
@@ -155,9 +150,7 @@ BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
       // a constant via tensor_D preserves the staircase order, so the
       // union is a sorted merge - no re-sort.
       const double beta = aadt.defense_value(adt.defense_index(leaf));
-      FrontArena<P>* arena =
-          worker == 0 ? arena0 : &extra_arenas[worker - 1];
-      auto front = arena->merged_transformed(
+      auto front = arenas[worker].merged_transformed(
           low, high,
           [&](const P& q) {
             P shifted = q;
@@ -184,17 +177,15 @@ BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
     // the bulk of |W|. Estimate each node's front work (1 for terminals
     // and attack variables, capped child sum for defense variables) and
     // fold contiguous runs of the children-first order into one task
-    // until the estimate reaches the grain budget. A chunk processes its
+    // until the estimate reaches kTaskGrainPoints. A chunk processes its
     // nodes in that same order, so the per-node computation is identical
-    // to the sequential path and to every other grain: results stay
-    // bit-identical (grain 1 reproduces the old task-per-node graph).
-    const std::size_t grain =
-        std::max<std::size_t>(1, run.task_grain_points);
+    // to the sequential path: results stay bit-identical.
     std::vector<std::size_t> est(reach.size(), 1);
     for (const bdd::Ref w : nonterms) {
       if (order.is_defense_var(manager.var(w))) {
-        est[slot[w]] = std::min(
-            grain, est[slot[manager.low(w)]] + est[slot[manager.high(w)]]);
+        est[slot[w]] =
+            std::min(kTaskGrainPoints,
+                     est[slot[manager.low(w)]] + est[slot[manager.high(w)]]);
       }
     }
     std::vector<std::uint32_t> chunk_begin;  // index into nonterms
@@ -202,7 +193,7 @@ BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
     for (std::uint32_t i = 0; i < nonterms.size(); ++i) {
       if (acc == 0) chunk_begin.push_back(i);
       acc += est[slot[nonterms[i]]];
-      if (acc >= grain) acc = 0;
+      if (acc >= kTaskGrainPoints) acc = 0;
     }
     const std::uint32_t num_chunks =
         static_cast<std::uint32_t>(chunk_begin.size());
@@ -254,10 +245,7 @@ BasicFront<P> propagate_kernel(const AugmentedAdt& aadt, bdd::Manager& manager,
     for (std::size_t m : max_p) {
       trace->max_front_size = std::max(trace->max_front_size, m);
     }
-    trace->combine += arena0->stats().since(arena0_before);
-    for (const FrontArena<P>& a : extra_arenas) {
-      trace->combine += a.stats();
-    }
+    for (const FrontArena<P>& a : arenas) trace->combine += a.stats();
   }
   return std::move(root_front);
 }

@@ -14,16 +14,16 @@
 /// work-stealing TaskScheduler (util/parallel.hpp) of RunContext::pool.
 /// Construction makes every apply of every gate's balanced reduction tree
 /// a task (bdd/build.cpp); propagation chunks contiguous runs of the
-/// children-first node order into tasks of roughly
-/// RunContext::task_grain_points of estimated front work (attack-variable
-/// nodes always carry singleton fronts, so vast low-work regions collapse
+/// children-first node order into tasks of roughly 1024 estimated front
+/// points (attack-variable nodes always carry singleton fronts, so vast
+/// low-work regions collapse
 /// into few tasks instead of drowning the scheduler in per-node
 /// bookkeeping), each task depending on the chunks holding its nodes'
 /// children - a chunk runs the moment its producers finish, with no
 /// per-level barrier. Every node's front is a pure function of its
 /// children's fronts, computed with the same operations in the same
 /// (children-first) order whatever worker or chunk runs it, so fronts and
-/// witnesses are bit-identical for every pool width and grain; neither
+/// witnesses are bit-identical for every pool width, and the pool never
 /// enters the FrontCache key. The deadline and cancel token are checked
 /// once per propagated BDD node (the translation phase is guarded by
 /// node_limit).

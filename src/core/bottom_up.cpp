@@ -72,29 +72,19 @@ std::vector<P> defense_leaf_points(const AugmentedAdt& aadt, NodeId id,
 struct Blobs {
   std::vector<char> is_root;  ///< per NodeId
   const BddBuOptions& bdd;
-  /// The walk's RunContext without its arena: a blob's merges land on
-  /// BDDBU's own arena and its run traces them, so the walk's since()
-  /// delta counts only the walk's combines.
-  RunContext run;
 };
 
 /// True iff gate \p v can be combined tree-style: every child is a
-/// single-parent module and the children's descendant sets are pairwise
-/// disjoint (so their basic steps - and thus their strategy choices -
-/// are independent).
+/// single-parent module. That makes the children's descendant sets
+/// pairwise disjoint (so their basic steps - and thus their strategy
+/// choices - are independent): a node below two such children would
+/// give one of them a strict descendant with a parent outside it, or
+/// would close a cycle through \p v (Modules.
+/// SingleParentModuleChildrenNeverOverlap).
 bool children_are_independent(const Adt& adt, const ModuleInfo& modules,
                               NodeId v) {
-  const auto& children = adt.children(v);
-  for (NodeId c : children) {
+  for (NodeId c : adt.children(v)) {
     if (adt.parents(c).size() != 1 || !modules.is_module[c]) return false;
-  }
-  for (std::size_t i = 0; i < children.size(); ++i) {
-    for (std::size_t j = i + 1; j < children.size(); ++j) {
-      if (modules.descendants[children[i]].intersects(
-              modules.descendants[children[j]])) {
-        return false;
-      }
-    }
   }
   return true;
 }
@@ -135,7 +125,7 @@ void compute_node(const AugmentedAdt& aadt, NodeId v,
         ++trace->blob_count;
         trace->largest_blob = std::max(trace->largest_blob, sub.adt().size());
       }
-      fronts[v] = bdd_bu_front(sub, blobs->bdd, blobs->run, trace);
+      fronts[v] = bdd_bu_front(sub, blobs->bdd, run, trace);
       return;
     }
   }
@@ -246,40 +236,31 @@ struct MemoPlan {
 
 /// The sequential kernel of Algorithm 1; instantiated once per policy
 /// pair by dispatch_domains(), so combine/prefer inline with no dispatch
-/// in the merge loops. The FrontArena recycles buffers across all merges.
+/// in the merge loops. The run's FrontArena recycles buffers across all
+/// its merges (a blob's BDDBU run keeps its own, and traces it itself).
 /// Computes \p plan's nodes into \p fronts (memo hits already preloaded).
 template <typename P, typename Dd, typename Da>
 void bottom_up_kernel(const AugmentedAdt& aadt, const BottomUpOptions& options,
                       const RunContext& run, const MemoPlan<P>& plan,
                       const Blobs* blobs, std::vector<BasicFront<P>>& fronts,
                       AnalysisTrace* trace, const Dd& dd, const Da& da) {
-  // Value-front runs may borrow a caller-provided arena (analyze_batch
-  // hands every worker thread one that persists across batch items, so
-  // buffer recycling spans the batch); witness runs keep a private one.
-  FrontArena<P> local_arena;
-  FrontArena<P>* arena = &local_arena;
-  if constexpr (std::is_same_v<P, ValuePoint>) {
-    if (run.arena != nullptr) arena = run.arena;
-  }
-  // A borrowed arena carries earlier runs' counts: trace the delta.
-  const CombineStats before = arena->stats();
+  FrontArena<P> arena;
   std::size_t max_p = 0;
   for (NodeId v : plan.order) {
-    compute_node(aadt, v, fronts, *arena, max_p, options, run, blobs, trace,
+    compute_node(aadt, v, fronts, arena, max_p, options, run, blobs, trace,
                  dd, da);
     plan.store(aadt, v, fronts[v]);
   }
   if (trace != nullptr) {
-    trace->combine += arena->stats().since(before);
+    trace->combine += arena.stats();
     trace->max_front_size = std::max(trace->max_front_size, max_p);
   }
 }
 
 /// The parallel kernel: one task per node, edges gate -> child, so
 /// sibling subtrees fold concurrently and a gate starts the instant its
-/// last child finishes. Tasks write disjoint front slots and use
-/// private per-slot arenas (the caller's arena is never touched - it is
-/// not safe under the scheduler's task interleaving).
+/// last child finishes. Tasks write disjoint front slots and use one
+/// arena per scheduler slot.
 template <typename P, typename Dd, typename Da>
 void bottom_up_parallel_kernel(const AugmentedAdt& aadt,
                                const BottomUpOptions& options,
@@ -403,8 +384,7 @@ Front hybrid_front(const AugmentedAdt& aadt, const HybridOptions& options,
                    const RunContext& run, AnalysisTrace* trace) {
   const Adt& adt = aadt.adt();
   const ModuleInfo modules = compute_modules(adt);
-  Blobs blobs{std::vector<char>(adt.size(), 0), options.bdd, run};
-  blobs.run.arena = nullptr;
+  Blobs blobs{std::vector<char>(adt.size(), 0), options.bdd};
   for (NodeId v = 0; v < adt.size(); ++v) {
     blobs.is_root[v] = adt.type(v) != GateType::BasicStep &&
                        !children_are_independent(adt, modules, v);

@@ -16,9 +16,8 @@
 /// memo plan (keyed by hybrid_memo_context) and its explicit stack - no
 /// recursion, however deep the model. The walk stays sequential and
 /// checks the deadline and cancel token once per node; every blob's
-/// bdd_bu_front run gets the walker's RunContext without its arena, so
-/// all blobs borrow its one pool (each subject to BDDBU's floors) and its
-/// guards. Tree-style combines are unlimited: HybridOptions limits only
+/// bdd_bu_front run gets the walker's RunContext, so all blobs borrow its
+/// one pool (each subject to BDDBU's floors) and its guards. Tree-style combines are unlimited: HybridOptions limits only
 /// the blobs.
 
 #pragma once

@@ -99,12 +99,6 @@ template <typename Dd, typename Da>
 
 namespace detail {
 
-/// Kept as an alias of domains.hpp's public k-way-eligibility trait (the
-/// detection moved there so dispatch code can consult it without pulling
-/// in the front machinery).
-template <typename D>
-using is_monotone_domain = has_monotone_combine<D>;
-
 /// Strict weak order of the staircase: best defender value first; ties put
 /// the most attacker-adverse response first (so a single forward sweep
 /// keeps exactly the Pareto-minimal points).
@@ -936,51 +930,9 @@ template <typename P, typename Dd, typename Da>
   return combine_fronts_sorted(lhs, rhs, op, dd, da);
 }
 
-/// True iff some point of \p front dominates \p q (Definition 9) - the
-/// "is this configuration already covered?" query. A linear scan; domain
-/// pairs carrying the SIMD markers batch large fronts through the active
-/// dominance kernel (bit-identical outcome, the compares are exact).
-template <typename P, typename Dd, typename Da>
-[[nodiscard]] bool front_dominates_point(const BasicFront<P>& front,
-                                         const P& q, const Dd& dd,
-                                         const Da& da) {
-  const std::vector<P>& pts = front.points();
-  // Only the payload-free ValuePoint takes the kernel: its layout is the
-  // interleaved pairs form the kernel reads directly. A per-query
-  // value_pairs copy of a payload-carrying front costs more than the scan it
-  // would accelerate, so WitnessPoint stays on the scalar loop.
-  if constexpr (is_simd_pair_eligible_v<Dd, Da> &&
-                std::is_same_v<P, ValuePoint>) {
-    if (pts.size() >= simd::kMinDominatePoints) {
-      if (const simd::KernelTable* kt = simd::active_kernels()) {
-        static_assert(sizeof(ValuePoint) == 2 * sizeof(double));
-        return kt->any_dominates_pairs[simd::pref_index(Dd::kSimdPrefer)]
-                                      [simd::pref_index(Da::kSimdPrefer)](
-            reinterpret_cast<const double*>(pts.data()), pts.size(), q.def,
-            q.att, nullptr);
-      }
-    }
-  }
-  for (const P& p : pts) {
-    if (dominates(p, q, dd, da)) return true;
-  }
-  return false;
-}
-
-/// Reusable scratch space for the combine-heavy inner loops of the
-/// analysis algorithms. One arena serves one analysis at a time (it is
-/// not thread-safe); every combine reuses the arena's cross-product and
-/// output buffers instead of allocating, and the accumulator's old
-/// storage is recycled as the next output buffer. An arena may be reused
-/// across *sequential* analyses - results never depend on prior arena
-/// state, only capacity carries over - which is how analyze_batch()
-/// recycles buffers across all items served by one worker thread (see
-/// RunContext::arena).
 /// Running totals of the combine work a FrontArena has served; benches
 /// and the analysis trace (trace.hpp) read these to show which path the
 /// hot loop actually took and how much of the product it examined.
-/// Snapshot-and-subtract to attribute work to one analysis when the arena
-/// is shared across a batch.
 struct CombineStats {
   /// Combines on the sort-free path: tensor_A grouped sweeps and oplus_A
   /// two-pointer merges alike.
@@ -1003,21 +955,8 @@ struct CombineStats {
   /// producing bit-identical fronts.
   std::uint64_t simd_lanes_used = 0;
 
-  /// The work recorded since \p earlier (an older snapshot of the same
-  /// counter set).
-  [[nodiscard]] CombineStats since(const CombineStats& earlier) const {
-    CombineStats d;
-    d.kway_combines = kway_combines - earlier.kway_combines;
-    d.sorted_combines = sorted_combines - earlier.sorted_combines;
-    d.staircase_merges = staircase_merges - earlier.staircase_merges;
-    d.points_examined = points_examined - earlier.points_examined;
-    d.points_kept = points_kept - earlier.points_kept;
-    d.simd_lanes_used = simd_lanes_used - earlier.simd_lanes_used;
-    return d;
-  }
-
-  /// Accumulates another counter set (e.g. the per-worker arenas of a
-  /// level-parallel propagation; integer sums are scheduling-invariant).
+  /// Accumulates another counter set (e.g. the per-slot arenas of a
+  /// parallel run; integer sums are scheduling-invariant).
   CombineStats& operator+=(const CombineStats& other) {
     kway_combines += other.kway_combines;
     sorted_combines += other.sorted_combines;
@@ -1031,6 +970,11 @@ struct CombineStats {
   bool operator==(const CombineStats&) const = default;
 };
 
+/// Scratch space for the combine-heavy inner loops of one kernel run (one
+/// arena per scheduler slot when the run is parallel; not thread-safe).
+/// Every combine reuses the arena's cross-product and output buffers
+/// instead of allocating, and the accumulator's old storage is recycled
+/// as the next output buffer. Results never depend on arena state.
 template <typename P>
 class FrontArena {
  public:
@@ -1073,7 +1017,6 @@ class FrontArena {
   }
 
   [[nodiscard]] const CombineStats& stats() const noexcept { return stats_; }
-  void reset_stats() noexcept { stats_ = CombineStats{}; }
 
   /// Builds the minimized union of \p base with transform(q) for every
   /// point q of \p other, where \p transform shifts the defender
@@ -1112,7 +1055,7 @@ class FrontArena {
   /// points the combine actually kept: an arena that served one giant
   /// combine (a custom-domain cross product, or tensor_A group staircases
   /// that mostly dominate each other) must not pin that memory for the
-  /// rest of its (batch-long) life. The 8x / 1024-entry hysteresis keeps
+  /// rest of its run. The 8x / 1024-entry hysteresis keeps
   /// steady-state recycling allocation-free.
   static void trim(std::vector<P>& buffer, std::size_t kept) {
     const std::size_t cap = buffer.capacity();

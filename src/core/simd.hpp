@@ -1,12 +1,12 @@
 /// \file simd.hpp
 /// \brief Batch Pareto kernels with runtime CPU dispatch.
 ///
-/// The hot loops of every algorithm - dominance scans, staircase sweeps,
-/// two-staircase merges, and the tensor_A combine's endgame - reduce to
+/// The hot loops of every algorithm - staircase sweeps, two-staircase
+/// merges, and the tensor_A combine's endgame - reduce to
 /// streaming (defender value, attacker value) pairs through a handful of
 /// compare/combine patterns. This header defines those kernels as a table
-/// of function pointers. Sweeps, merges and dominance scans read
-/// interleaved (def, att) pairs - ValuePoint's own layout; witness spans
+/// of function pointers. Sweeps and merges read interleaved (def, att)
+/// pairs - ValuePoint's own layout; witness spans
 /// first copy their value pairs into scratch (value_pairs in
 /// core/pareto.hpp). Only the tensor_A endgame streams structure-of-arrays
 /// columns, the products it computes column-wise. Kernels return index
@@ -62,7 +62,6 @@ constexpr int pref_index(SimdPrefer p) noexcept {
 /// below these the scalar code runs (tuned on bench_micro, see BENCH_6).
 inline constexpr std::size_t kMinSweepPoints = 16;
 inline constexpr std::size_t kMinMergePoints = 16;   ///< sum of both inputs
-inline constexpr std::size_t kMinDominatePoints = 8;
 inline constexpr std::size_t kMinEndgameCols = 8;
 
 /// Rows per threshold-sweep group of the tensor_A combine
@@ -120,9 +119,6 @@ using PushSelectFn = SelectResult (*)(const double* def, const double* att,
 using PushSelectPairsFn = SelectResult (*)(const double* pts, std::size_t n,
                                            std::uint32_t* sel,
                                            PushTail* tail);
-using AnyDominatesPairsFn = bool (*)(const double* pts, std::size_t n,
-                                     double qdef, double qatt,
-                                     std::uint64_t* lanes);
 /// pareto_merge_staircases over two staircases: emits the merged
 /// selection (kMergeSrcB tags source b) into sel (sized to na + nb).
 using MergeSelectPairsFn = MergeResult (*)(const double* apts, std::size_t na,
@@ -140,7 +136,6 @@ struct KernelTable {
   PushSelectFn push_select[2] = {};          ///< [da]
   PushSelectPairsFn push_select_pairs[2] = {};        ///< [da], AoS input
   MergeSelectPairsFn merge_select_pairs[2][2] = {};    ///< [dd][da], AoS
-  AnyDominatesPairsFn any_dominates_pairs[2][2] = {};  ///< [dd][da], AoS
   CombineColFn combine_add = nullptr;
   CombineColFn combine_mul = nullptr;
   CombineColFn combine_max[2] = {};          ///< [swapped]

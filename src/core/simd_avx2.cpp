@@ -32,11 +32,6 @@ struct PackAvx2 {
 
   static V lt_vec(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LT_OQ); }
   static V gt_vec(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_GT_OQ); }
-  static V le_vec(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_LE_OQ); }
-  static V ge_vec(V a, V b) { return _mm256_cmp_pd(a, b, _CMP_GE_OQ); }
-  static V and_vec(V a, V b) { return _mm256_and_pd(a, b); }
-  static V or_vec(V a, V b) { return _mm256_or_pd(a, b); }
-  static int mask_of(V v) { return _mm256_movemask_pd(v); }
   static int lt_mask(V a, V b) { return _mm256_movemask_pd(lt_vec(a, b)); }
   static int gt_mask(V a, V b) { return _mm256_movemask_pd(gt_vec(a, b)); }
   static int eq_mask(V a, V b) {
@@ -65,16 +60,6 @@ struct PackAvx2 {
     const __m256d hi = _mm256_unpackhi_pd(v0, v1);  // a0 a2 a1 a3
     *def = _mm256_permute4x64_pd(lo, _MM_SHUFFLE(3, 1, 2, 0));
     *att = _mm256_permute4x64_pd(hi, _MM_SHUFFLE(3, 1, 2, 0));
-  }
-
-  /// As load_pairs, but skips the order-restoring permutes: lanes come
-  /// out as [x0, x2, x1, x3] on both columns, def/att still aligned
-  /// lane-for-lane - enough for order-insensitive reductions.
-  static void load_pairs_unordered(const double* p, V* def, V* att) {
-    const __m256d v0 = _mm256_loadu_pd(p);
-    const __m256d v1 = _mm256_loadu_pd(p + 4);
-    *def = _mm256_unpacklo_pd(v0, v1);
-    *att = _mm256_unpackhi_pd(v0, v1);
   }
 };
 

@@ -45,16 +45,8 @@ struct Kern {
     return DIR == 0 ? x < y : x > y;
   }
   template <int DIR>
-  static bool pf(double x, double y) {
-    return DIR == 0 ? x <= y : x >= y;
-  }
-  template <int DIR>
   static int sp_mask(V x, V y) {
     return DIR == 0 ? PK::lt_mask(x, y) : PK::gt_mask(x, y);
-  }
-  template <int DIR>
-  static V pf_vec(V x, V y) {
-    return DIR == 0 ? PK::le_vec(x, y) : PK::ge_vec(x, y);
   }
 
   static std::size_t first_set(int mask) {
@@ -381,47 +373,6 @@ struct Kern {
     return res;
   }
 
-  /// Dominance scan over interleaved (def, att) pairs: whether any point
-  /// has a defender value no worse than the query's AND an attacker
-  /// value no less adverse. The reduction is
-  /// order-insensitive, so the cheaper unordered deinterleave suffices.
-  /// The main loop combines four blocks entirely in the vector domain
-  /// (AND per block, OR across blocks) and extracts ONE mask per 4 * W
-  /// points: movemask-per-block makes this loop uop-bound rather than
-  /// load-bound, and the coarser early-exit granularity cannot change
-  /// the boolean outcome.
-  template <int DD, int DA>
-  static bool any_dominates_pairs(const double* pts, std::size_t n,
-                                  double qdef, double qatt,
-                                  std::uint64_t* lanes) {
-    const V vqd = PK::set1(qdef);
-    const V vqa = PK::set1(qatt);
-    const auto hit_vec = [&](std::size_t p) {
-      V d, a;
-      PK::load_pairs_unordered(pts + 2 * p, &d, &a);
-      return PK::and_vec(pf_vec<DD>(d, vqd), pf_vec<DA>(vqa, a));
-    };
-    const std::size_t w = static_cast<std::size_t>(W);
-    std::size_t i = 0;
-    for (; i + 4 * w <= n; i += 4 * w) {
-      const V ok = PK::or_vec(PK::or_vec(hit_vec(i), hit_vec(i + w)),
-                              PK::or_vec(hit_vec(i + 2 * w),
-                                         hit_vec(i + 3 * w)));
-      if (lanes != nullptr) *lanes += 4 * w;
-      if (PK::mask_of(ok) != 0) return true;
-    }
-    for (; i + w <= n; i += w) {
-      if (lanes != nullptr) *lanes += w;
-      if (PK::mask_of(hit_vec(i)) != 0) return true;
-    }
-    for (; i < n; ++i) {
-      if (pf<DD>(pts[2 * i], qdef) && pf<DA>(qatt, pts[2 * i + 1])) {
-        return true;
-      }
-    }
-    return false;
-  }
-
   static void combine_add(const double* src, std::size_t n, double c,
                           double* dst) {
     const V vc = PK::set1(c);
@@ -476,10 +427,6 @@ KernelTable make_kernel_table() {
   t.merge_select_pairs[0][1] = &K::template merge_select_pairs<0, 1>;
   t.merge_select_pairs[1][0] = &K::template merge_select_pairs<1, 0>;
   t.merge_select_pairs[1][1] = &K::template merge_select_pairs<1, 1>;
-  t.any_dominates_pairs[0][0] = &K::template any_dominates_pairs<0, 0>;
-  t.any_dominates_pairs[0][1] = &K::template any_dominates_pairs<0, 1>;
-  t.any_dominates_pairs[1][0] = &K::template any_dominates_pairs<1, 0>;
-  t.any_dominates_pairs[1][1] = &K::template any_dominates_pairs<1, 1>;
   t.combine_add = &K::combine_add;
   t.combine_mul = &K::combine_mul;
   t.combine_max[0] = &K::template combine_max<false>;

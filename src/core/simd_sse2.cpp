@@ -28,11 +28,6 @@ struct PackSse2 {
   static V mul(V a, V b) { return _mm_mul_pd(a, b); }
 
   static V lt_vec(V a, V b) { return _mm_cmplt_pd(a, b); }
-  static V le_vec(V a, V b) { return _mm_cmple_pd(a, b); }
-  static V ge_vec(V a, V b) { return _mm_cmpge_pd(a, b); }
-  static V and_vec(V a, V b) { return _mm_and_pd(a, b); }
-  static V or_vec(V a, V b) { return _mm_or_pd(a, b); }
-  static int mask_of(V v) { return _mm_movemask_pd(v); }
   static int lt_mask(V a, V b) { return _mm_movemask_pd(_mm_cmplt_pd(a, b)); }
   static int gt_mask(V a, V b) { return _mm_movemask_pd(_mm_cmpgt_pd(a, b)); }
   static int eq_mask(V a, V b) { return _mm_movemask_pd(_mm_cmpeq_pd(a, b)); }
@@ -57,13 +52,6 @@ struct PackSse2 {
     const __m128d v1 = _mm_loadu_pd(p + 2);  // d1 a1
     *def = _mm_unpacklo_pd(v0, v1);
     *att = _mm_unpackhi_pd(v0, v1);
-  }
-
-  /// As load_pairs, but the within-block lane order may be permuted
-  /// (def/att stay aligned lane-for-lane) - for order-insensitive
-  /// reductions. On SSE2 the ordered form is already cheapest.
-  static void load_pairs_unordered(const double* p, V* def, V* att) {
-    load_pairs(p, def, att);
   }
 };
 

@@ -5,10 +5,11 @@
 /// Every kernel entry point takes its result options (the fields that can
 /// move a front or its FrontCacheKey), then a RunContext, then an optional
 /// AnalysisTrace*. The RunContext holds the execution fields - guards,
-/// borrowed scheduler, scratch arena, per-node memo and the parallel
-/// floors - which never change a result, so none of them enters the
-/// FrontCacheKey (docs/CONTRACTS.md, contract 2). analyze() and the
-/// serving layers fill in whatever RunContext field the caller left null.
+/// borrowed scheduler, per-node memo and the parallel floor - which
+/// never change a result, so none of them enters the FrontCacheKey
+/// (docs/CONTRACTS.md, contract 2). Combine scratch is not among them:
+/// each kernel run owns its FrontArenas. analyze() and the serving
+/// layers fill in whatever RunContext field the caller left null.
 ///
 /// naive_front, bottom_up_front, bdd_bu_front and hybrid_front take an
 /// optional trailing AnalysisTrace* and only ever add into it: counts
@@ -56,11 +57,6 @@ struct RunContext {
   /// analyze_batch() lends the batch scheduler.
   TaskScheduler* pool = nullptr;
 
-  /// Combine scratch space reused across analyses. Only sequential
-  /// value-front runs use it; parallel and witness runs keep private
-  /// per-slot arenas. Not thread-safe: one analysis at a time.
-  FrontArena<ValuePoint>* arena = nullptr;
-
   /// Per-node front memo (node_memo.hpp) of the bottom-up and hybrid
   /// kernels: gate fronts found under their subtree content key are
   /// replayed, so a one-node edit recomputes only the dirty spine.
@@ -74,11 +70,6 @@ struct RunContext {
   /// still engages the pool after the build). Tests set 0 to force the
   /// parallel paths on tiny models.
   std::size_t parallel_node_floor = 64;
-
-  /// Estimated front points per parallel BDD propagation task: contiguous
-  /// runs of the children-first node order fold into one task until
-  /// their estimate reaches this budget (1 gives a task per node).
-  std::size_t task_grain_points = 1024;
 };
 
 struct AnalysisTrace {
@@ -88,8 +79,7 @@ struct AnalysisTrace {
   std::uint64_t memo_misses = 0;
 
   /// Front operations (combines, staircase merges, points examined),
-  /// summed over every arena the run used - caller-provided arenas count
-  /// only this run's work.
+  /// summed over every arena the run used.
   CombineStats combine;
 
   /// Task-DAG counters of every scheduler run (zero when sequential).

@@ -184,7 +184,7 @@ std::optional<AugmentedAdt> with_basic_step_removed(const AugmentedAdt& aadt,
 }
 
 CounterfactualReport counterfactual_sweep(const AugmentedAdt& aadt,
-                                          const CounterfactualOptions& options) {
+                                          const AnalysisOptions& options) {
   Stopwatch watch;
   const Adt& adt = aadt.adt();
   adt.require_frozen();
@@ -193,11 +193,10 @@ CounterfactualReport counterfactual_sweep(const AugmentedAdt& aadt,
   // Private memo sized so the baseline's gates plus every variant's spine
   // stay resident for the whole sweep.
   NodeFrontMemo local_memo(std::max<std::size_t>(4096, 4 * adt.size()));
-  NodeFrontMemo* memo = options.analysis.run.memo != nullptr
-                            ? options.analysis.run.memo
-                            : &local_memo;
+  NodeFrontMemo* memo =
+      options.run.memo != nullptr ? options.run.memo : &local_memo;
 
-  report.baseline = analyze_incremental(aadt, *memo, options.analysis);
+  report.baseline = analyze_incremental(aadt, *memo, options);
   report.memo_hits += report.baseline.memo_hits;
   report.memo_misses += report.baseline.memo_misses;
 
@@ -217,7 +216,7 @@ CounterfactualReport counterfactual_sweep(const AugmentedAdt& aadt,
       if (std::optional<AugmentedAdt> reduced =
               with_basic_step_removed(aadt, step)) {
         AnalysisResult result =
-            analyze_incremental(*reduced, *memo, options.analysis);
+            analyze_incremental(*reduced, *memo, options);
         variant.front = std::move(result.front);
         report.memo_hits += result.memo_hits;
         report.memo_misses += result.memo_misses;

@@ -54,15 +54,6 @@ namespace adtp {
 [[nodiscard]] std::optional<AugmentedAdt> with_basic_step_removed(
     const AugmentedAdt& aadt, const std::string& name);
 
-struct CounterfactualOptions {
-  /// Options for the baseline and every variant analysis. The algorithm
-  /// resolves as in analyze_incremental(). analysis.run.memo is the
-  /// shared per-node memo; null (default) makes the sweep create a
-  /// private one sized for the model. Pass a long-lived memo to share
-  /// fronts across sweeps (the interactive what-if workload).
-  AnalysisOptions analysis;
-};
-
 /// Outcome of one single-deletion variant.
 struct CounterfactualVariant {
   NodeId node = kNoNode;  ///< the deleted basic step (baseline NodeId)
@@ -96,9 +87,13 @@ struct CounterfactualReport {
   double seconds = 0;             ///< wall-clock for the whole sweep
 };
 
-/// Analyzes the baseline and every single-deletion variant per
-/// \p options, sharing one per-node front memo across all of them.
+/// Analyzes the baseline and every single-deletion variant with
+/// \p options, sharing one per-node front memo across all of them. The
+/// algorithm resolves as in analyze_incremental(). options.run.memo is
+/// the shared memo; null (default) makes the sweep create a private one
+/// sized for the model. Pass a long-lived memo to share fronts across
+/// sweeps (the interactive what-if workload).
 [[nodiscard]] CounterfactualReport counterfactual_sweep(
-    const AugmentedAdt& aadt, const CounterfactualOptions& options = {});
+    const AugmentedAdt& aadt, const AnalysisOptions& options = {});
 
 }  // namespace adtp

@@ -106,11 +106,13 @@ DaemonServer::DaemonServer(Endpoint endpoint, DaemonConfig config)
       cache_(config_.store_dir, [this] {
         store::PersistentCacheOptions options;
         options.memory_capacity = config_.memory_capacity;
-        options.follower = config_.store_follower;
         // A follower daemon is routinely started alongside its writer;
         // give the writer a moment to initialize the directory instead
         // of degrading on the startup race.
-        if (config_.store_follower) options.open_retry_seconds = 5.0;
+        if (config_.store_follower) {
+          options.store.mode = store::AttachMode::Follower;
+          options.open_retry_seconds = 5.0;
+        }
         options.on_store_error = [this](const std::string& what) {
           log("[store] " + what);
         };

@@ -11,7 +11,6 @@ namespace adtp::store {
 PersistentFrontCache::PersistentFrontCache(std::string dir,
                                            PersistentCacheOptions options)
     : FrontCache(options.memory_capacity), options_(std::move(options)) {
-  if (options_.follower) options_.store.mode = AttachMode::Follower;
   // Transient open failures (most commonly a follower attaching before
   // the writer has published CURRENT) are polled within the configured
   // grace period; anything permanent - or the grace running out -

@@ -31,7 +31,7 @@
 /// one key's retry storm never serializes lookups on other keys - the
 /// internal mutex only guards the pointer swap and the counters.
 ///
-/// Follower mode (PersistentCacheOptions::follower) attaches the store
+/// Follower mode (store.mode = AttachMode::Follower) attaches the store
 /// read-only for daemon fleets sharing one directory: lookups are
 /// served from disk as usual, fresh inserts stay memory-only instead of
 /// appending, refresh() follows the writer's appends, and promote()
@@ -62,12 +62,11 @@ struct PersistentCacheOptions {
   /// Capacity of the in-memory FrontCache tier; 0 disables it (every
   /// lookup reads the store, and inserts still persist).
   std::size_t memory_capacity = 256;
-  /// Passed through to the FrontStore (seam, bounds, sync policy).
+  /// Passed through to the FrontStore (seam, attach mode, bounds,
+  /// compaction). store.mode = AttachMode::Follower attaches read-only;
+  /// see the file comment. The writer lease stays with some other
+  /// process until promote().
   StoreOptions store;
-  /// Attach the store as a read-only follower (sets store.mode); see
-  /// the file comment. The writer lease stays with some other process
-  /// until promote().
-  bool follower = false;
   /// Transient store failures are retried this many times per operation
   /// before the cache degrades to memory-only.
   int max_retries = 3;

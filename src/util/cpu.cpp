@@ -27,15 +27,10 @@ SimdLevel clamp_to_detected(SimdLevel level) noexcept {
   return static_cast<int>(level) > static_cast<int>(best) ? best : level;
 }
 
-/// Environment policy, parsed once. Returns the detected level when no
-/// knob is set or the value is unrecognized ("native" is explicit for
-/// that default).
+/// ADTP_SIMD, parsed once. Returns the detected level when it is unset
+/// or unrecognized ("native" is explicit for that default).
 SimdLevel env_level() noexcept {
   static const SimdLevel cached = [] {
-    const char* force = std::getenv("ADTP_FORCE_SCALAR");
-    if (force != nullptr && force[0] != '\0' && std::strcmp(force, "0") != 0) {
-      return SimdLevel::Scalar;
-    }
     const char* name = std::getenv("ADTP_SIMD");
     if (name == nullptr) return detected_simd_level();
     if (std::strcmp(name, "scalar") == 0) return SimdLevel::Scalar;

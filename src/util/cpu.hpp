@@ -13,9 +13,8 @@
 /// faulting. The scalar level is always available (including on non-x86
 /// builds, where it is the only level).
 ///
-/// Environment knobs, read once on first use:
+/// Environment knob, read once on first use:
 ///   ADTP_SIMD=scalar|sse2|avx2|native   pin the dispatch level
-///   ADTP_FORCE_SCALAR=1                 shorthand for ADTP_SIMD=scalar
 ///
 /// Tests and benches use set_simd_override() / ScopedSimdOverride to
 /// compare levels in-process; the override beats the environment.
@@ -49,7 +48,7 @@ struct CpuFeatures {
 [[nodiscard]] bool simd_level_available(SimdLevel level) noexcept;
 
 /// The level kernels dispatch on right now: the programmatic override if
-/// set, else the ADTP_SIMD / ADTP_FORCE_SCALAR environment policy, else
+/// set, else the ADTP_SIMD environment policy, else
 /// the detected level; always clamped to the detected level.
 [[nodiscard]] SimdLevel active_simd_level() noexcept;
 

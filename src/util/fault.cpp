@@ -190,11 +190,6 @@ void FaultFileOps::reset_faults() {
   short_armed_ = false;
 }
 
-void FaultFileOps::set_skip_sync(bool skip) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  skip_sync_ = skip;
-}
-
 std::uint64_t FaultFileOps::bytes_written() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return bytes_written_;
@@ -286,14 +281,9 @@ std::size_t FaultFileOps::pread_some(int fd, void* data, std::size_t size,
   return inner_.pread_some(fd, data, size, offset);
 }
 
-void FaultFileOps::sync_file(int fd) {
-  bool forward;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    check(Op::Sync);
-    forward = !skip_sync_;
-  }
-  if (forward) inner_.sync_file(fd);
+void FaultFileOps::sync_file(int) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  check(Op::Sync);
 }
 
 void FaultFileOps::truncate_file(int fd, std::uint64_t size) {
@@ -347,14 +337,9 @@ void FaultFileOps::make_dir(const std::string& path) {
   inner_.make_dir(path);
 }
 
-void FaultFileOps::sync_dir(const std::string& path) {
-  bool forward;
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    check(Op::SyncDir);
-    forward = !skip_sync_;
-  }
-  if (forward) inner_.sync_dir(path);
+void FaultFileOps::sync_dir(const std::string&) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  check(Op::SyncDir);
 }
 
 std::vector<std::string> FaultFileOps::list_dir(const std::string& path) {

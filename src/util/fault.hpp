@@ -114,7 +114,9 @@ class FileOps {
 
 /// A fault-injecting FileOps decorator; see the file comment for the
 /// crash model. All knobs may be re-armed between phases of a test; the
-/// wrapper is thread-safe (one mutex around the counters).
+/// wrapper is thread-safe (one mutex around the counters). sync_file and
+/// sync_dir count and can fail, but never forward to the inner ops: the
+/// page cache survives kill -9, so real fsyncs would only cost test time.
 class FaultFileOps final : public FileOps {
  public:
   /// Operation classes for targeted failure injection.
@@ -158,12 +160,6 @@ class FaultFileOps final : public FileOps {
   /// running).
   void reset_faults();
 
-  /// When true (default), sync_file/sync_dir do not forward to the inner
-  /// ops: the crash model is kill -9, where the page cache survives, so
-  /// real fsyncs only cost test time. Set false to exercise real fsync
-  /// failures.
-  void set_skip_sync(bool skip);
-
   // ---- counters ----------------------------------------------------------
 
   [[nodiscard]] std::uint64_t bytes_written() const;
@@ -198,7 +194,6 @@ class FaultFileOps final : public FileOps {
   mutable std::mutex mutex_;
   std::uint64_t write_budget_ = kNoLimit;
   bool crashed_ = false;
-  bool skip_sync_ = true;
   bool fault_armed_ = false;
   Op fault_op_ = Op::Write;
   std::uint64_t fault_countdown_ = 0;

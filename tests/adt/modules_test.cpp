@@ -95,5 +95,41 @@ TEST(Modules, ModulePropertyMatchesBruteForce) {
   }
 }
 
+TEST(Modules, SingleParentModuleChildrenNeverOverlap) {
+  // Hybrid folds a gate tree-style when each child has one parent and is
+  // a module, and relies on that alone for the children's descendant
+  // sets being pairwise disjoint: a node below two such children would
+  // give one of them a strict descendant with a parent outside it, or
+  // would close a cycle through the gate.
+  std::size_t checked = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    RandomAdtOptions options;
+    options.target_nodes = 20 + seed % 40;
+    options.share_probability = 0.05 + 0.1 * static_cast<double>(seed % 5);
+    const Adt adt = generate_random_adt(options, seed);
+    const ModuleInfo info = compute_modules(adt);
+    for (NodeId v = 0; v < adt.size(); ++v) {
+      const auto& children = adt.children(v);
+      if (children.empty()) continue;
+      bool single_parent_modules = true;
+      for (NodeId c : children) {
+        if (adt.parents(c).size() != 1 || !info.is_module[c]) {
+          single_parent_modules = false;
+        }
+      }
+      if (!single_parent_modules) continue;
+      ++checked;
+      for (std::size_t i = 0; i < children.size(); ++i) {
+        for (std::size_t j = i + 1; j < children.size(); ++j) {
+          EXPECT_FALSE(info.descendants[children[i]].intersects(
+              info.descendants[children[j]]))
+              << "seed " << seed << " gate " << adt.name(v);
+        }
+      }
+    }
+  }
+  EXPECT_GT(checked, 1000u);
+}
+
 }  // namespace
 }  // namespace adtp

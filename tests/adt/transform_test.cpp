@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
+#include <vector>
+
 #include "adt/structure.hpp"
 #include "core/bottom_up.hpp"
 #include "core/naive.hpp"
 #include "gen/catalog.hpp"
 #include "gen/random_adt.hpp"
+#include "run_on_stack.hpp"
 #include "util/error.hpp"
 
 namespace adtp {
@@ -110,6 +115,77 @@ TEST(ExtractSubgraph, WholeRootIsIdentity) {
   const AugmentedAdt sub = extract_subgraph(dag, dag.adt().root());
   EXPECT_EQ(sub.adt().size(), dag.adt().size());
   EXPECT_EQ(naive_front(sub).to_string(), naive_front(dag).to_string());
+}
+
+/// extract_subgraph's node order as its recursive form produced it: each
+/// node after its children, left to right, the first visit winning.
+Adt recursive_extract(const Adt& adt, NodeId v) {
+  Adt sub;
+  std::vector<NodeId> remap(adt.size(), kNoNode);
+  std::function<NodeId(NodeId)> visit = [&](NodeId u) {
+    if (remap[u] != kNoNode) return remap[u];
+    const Node& n = adt.node(u);
+    std::vector<NodeId> children;
+    for (NodeId c : n.children) children.push_back(visit(c));
+    if (n.type == GateType::BasicStep) {
+      remap[u] = sub.add_basic(n.name, n.agent);
+    } else if (n.type == GateType::Inhibit) {
+      remap[u] = sub.add_inhibit(n.name, children[0], children[1]);
+    } else {
+      remap[u] = sub.add_gate(n.name, n.type, n.agent, children);
+    }
+    return remap[u];
+  };
+  sub.set_root(visit(v));
+  sub.freeze();
+  return sub;
+}
+
+TEST(ExtractSubgraph, KeepsTheRecursiveNodeOrder) {
+  // Hybrid hands each blob's extraction to BDDBU, whose variable order
+  // and trace follow these NodeIds.
+  RandomAdtOptions options;
+  options.target_nodes = 40;
+  options.share_probability = 0.3;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const Adt adt = generate_random_adt(options, seed);
+    for (NodeId v = 0; v < adt.size(); ++v) {
+      const Adt got = extract_subgraph(adt, v);
+      const Adt want = recursive_extract(adt, v);
+      ASSERT_EQ(got.size(), want.size()) << "seed " << seed << " node " << v;
+      EXPECT_EQ(got.root(), want.root());
+      for (NodeId i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got.name(i), want.name(i));
+        EXPECT_EQ(got.type(i), want.type(i));
+        EXPECT_EQ(got.children(i), want.children(i))
+            << "seed " << seed << " node " << v << " id " << i;
+      }
+    }
+  }
+}
+
+TEST(ExtractSubgraph, DeepDagExtractsWithoutRecursion) {
+  // 3,000 AND gates stacked over one leaf, each also taking one shared
+  // leaf: a walk that takes a stack frame per level overflows a 256 KiB
+  // thread stack.
+  constexpr std::size_t kDepth = 3000;
+  Adt adt;
+  const NodeId shared = adt.add_basic("s", Agent::Attacker);
+  NodeId top = adt.add_basic("l", Agent::Attacker);
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    top = adt.add_gate("g" + std::to_string(i), GateType::And,
+                       Agent::Attacker, {top, shared});
+  }
+  adt.set_root(top);
+  adt.freeze();
+  Adt sub;
+  run_on_stack(256 * 1024, [&] { sub = extract_subgraph(adt, adt.root()); });
+  ASSERT_EQ(sub.size(), adt.size());
+  // Children first, left to right: the bottom leaf, then the shared one.
+  EXPECT_EQ(sub.name(0), "l");
+  EXPECT_EQ(sub.name(1), "s");
+  EXPECT_EQ(sub.parents(1).size(), kDepth);
+  EXPECT_EQ(sub.name(sub.root()), "g" + std::to_string(kDepth - 1));
 }
 
 TEST(UnfoldToTree, StructureFunctionAgreesOnSharedInputs) {

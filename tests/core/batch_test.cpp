@@ -202,8 +202,8 @@ TEST(BatchServing, PerItemGuardsStayPerItem) {
 // ---- deterministic streaming with mixed options --------------------------
 
 TEST(BatchServing, MixedOptionsBitMatchSequentialAcrossThreads) {
-  // The serving pipeline (per-item options + streaming callback +
-  // per-thread persistent arenas) must stay bit-deterministic: every item
+  // The serving pipeline (per-item options + streaming callback + one
+  // shared scheduler) must stay bit-deterministic: every item
   // equals the sequential analyze() call with the same options, at every
   // thread count.
   const auto fleet = random_fleet(10, 0.3, 41);

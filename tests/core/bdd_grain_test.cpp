@@ -1,15 +1,16 @@
-/// RunContext::task_grain_points is an execution knob, never a result
-/// knob: chunked propagation must produce bit-identical fronts AND
-/// witnesses for every grain and thread count (grain 1 reproduces the
-/// old task-per-node graph), while the default grain must actually
+/// Parallel BDD propagation folds contiguous runs of the children-first
+/// node order into tasks of about 1024 estimated front points. Chunking
+/// is execution only, never a result: fronts AND witnesses are
+/// bit-identical for every thread count, while the chunks must actually
 /// collapse the task count on attack-heavy BDDs - the whole point of the
-/// granularity fix.
+/// granularity.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <limits>
+#include <vector>
 
+#include "bdd/build.hpp"
 #include "core/analyzer.hpp"
 #include "gen/catalog.hpp"
 #include "gen/random_adt.hpp"
@@ -27,10 +28,8 @@ AnalysisResult traced_bdd_bu(const AugmentedAdt& aadt,
 }
 
 constexpr unsigned kThreadCounts[] = {2, 8};
-constexpr std::size_t kGrains[] = {1, 16, 1024,
-                                   std::numeric_limits<std::size_t>::max()};
 
-TEST(BddGrain, EveryGrainAndThreadCountIsBitIdentical) {
+TEST(BddGrain, EveryThreadCountIsBitIdentical) {
   for (std::uint64_t seed = 1; seed <= 8; ++seed) {
     RandomAdtOptions gen;
     gen.share_probability = 0.3;
@@ -47,24 +46,19 @@ TEST(BddGrain, EveryGrainAndThreadCountIsBitIdentical) {
 
     for (unsigned threads : kThreadCounts) {
       TaskScheduler pool(threads);
-      for (std::size_t grain : kGrains) {
-        RunContext run = base;
-        run.pool = &pool;
-        run.task_grain_points = grain;
-        EXPECT_TRUE(
-            bdd_bu_front(aadt, {}, run).bit_identical_values(reference))
-            << "seed " << seed << " grain " << grain << " @" << threads
-            << " threads diverged";
-        const WitnessFront witness = bdd_bu_front_witness(aadt, {}, run);
-        ASSERT_TRUE(witness.bit_identical_values(reference_witness))
-            << "seed " << seed << " grain " << grain << " @" << threads
-            << " threads: witness values diverged";
-        for (std::size_t i = 0; i < witness.size(); ++i) {
-          EXPECT_EQ(witness.points()[i].defense,
-                    reference_witness.points()[i].defense);
-          EXPECT_EQ(witness.points()[i].attack,
-                    reference_witness.points()[i].attack);
-        }
+      RunContext run = base;
+      run.pool = &pool;
+      EXPECT_TRUE(bdd_bu_front(aadt, {}, run).bit_identical_values(reference))
+          << "seed " << seed << " @" << threads << " threads diverged";
+      const WitnessFront witness = bdd_bu_front_witness(aadt, {}, run);
+      ASSERT_TRUE(witness.bit_identical_values(reference_witness))
+          << "seed " << seed << " @" << threads
+          << " threads: witness values diverged";
+      for (std::size_t i = 0; i < witness.size(); ++i) {
+        EXPECT_EQ(witness.points()[i].defense,
+                  reference_witness.points()[i].defense);
+        EXPECT_EQ(witness.points()[i].attack,
+                  reference_witness.points()[i].attack);
       }
     }
   }
@@ -72,48 +66,53 @@ TEST(BddGrain, EveryGrainAndThreadCountIsBitIdentical) {
 
 TEST(BddGrain, DefaultGrainCollapsesTheTaskCount) {
   // fig4's BDD is a long chain of attack-variable nodes (singleton
-  // fronts) under few defense variables: per-node tasks are almost all
-  // bookkeeping. The propagation task count must shrink by at least the
-  // ratio the estimates promise, with the front untouched.
+  // fronts) under few defense variables: per-node tasks would be almost
+  // all bookkeeping. Chunking must remove the bulk of them, not a
+  // rounding error's worth.
   const AugmentedAdt aadt = catalog::fig4_exponential(10);
-
   TaskScheduler pool(2);
-  auto tasks_at = [&](std::size_t grain) {
-    RunContext run;
-    run.parallel_node_floor = 0;
-    run.pool = &pool;
-    run.task_grain_points = grain;
-    const AnalysisResult report = traced_bdd_bu(aadt, run);
-    // Subtract the build-phase tasks by re-measuring them alone: run
-    // sequentially instead - propagation is the only phase whose task
-    // count the grain changes, so compare total counts directly.
-    return report.sched.tasks;
-  };
 
-  const std::uint64_t per_node = tasks_at(1);
-  const std::uint64_t chunked = tasks_at(1024);
-  EXPECT_LT(chunked, per_node)
-      << "default grain did not reduce the propagation task count";
-  // The BDD here has thousands of nonterminals; chunking must remove the
-  // bulk of the per-node tasks, not a rounding error's worth.
-  EXPECT_LT(chunked, per_node / 2);
+  // The build phase alone, on the same pool: its tasks and the BDD.
+  const bdd::VarOrder order = resolve_order(aadt.adt(), {});
+  bdd::Manager manager(order.num_vars());
+  TaskRunStats build_stats;
+  bdd::BuildOptions build;
+  build.pool = &pool;
+  build.stats = &build_stats;
+  const std::vector<bdd::Ref> reach = manager.reachable(
+      bdd::build_structure_function(manager, aadt.adt(), order, build));
+  std::uint64_t nonterminals = 0;
+  for (const bdd::Ref w : reach) {
+    if (!manager.is_terminal(w)) ++nonterminals;
+  }
+
+  RunContext run;
+  run.parallel_node_floor = 0;
+  run.pool = &pool;
+  const AnalysisResult report = traced_bdd_bu(aadt, run);
+  ASSERT_EQ(report.bdd_size, reach.size());
+  const std::uint64_t propagation_tasks =
+      report.sched.tasks - build_stats.tasks;
+  EXPECT_GT(propagation_tasks, 0u);
+  EXPECT_LT(propagation_tasks, nonterminals / 2)
+      << "chunking did not collapse the propagation task count";
 }
 
 TEST(BddGrain, GrainKeepsTheReportCountersCoherent) {
+  // A chunked parallel run traces what the sequential run traces.
   const AugmentedAdt aadt = catalog::fig4_exponential(8);
   TaskScheduler pool(4);
   RunContext run;
   run.parallel_node_floor = 0;
   run.pool = &pool;
   const AnalysisResult chunked = traced_bdd_bu(aadt, run);
-  RunContext fine = run;
-  fine.task_grain_points = 1;
-  const AnalysisResult per_node = traced_bdd_bu(aadt, fine);
-  EXPECT_TRUE(chunked.front.bit_identical_values(per_node.front));
-  EXPECT_EQ(chunked.max_front_size, per_node.max_front_size);
-  EXPECT_EQ(chunked.bdd_size, per_node.bdd_size);
+  const AnalysisResult sequential = traced_bdd_bu(aadt, RunContext{});
+  EXPECT_GT(chunked.sched.tasks, 0u);
+  EXPECT_TRUE(chunked.front.bit_identical_values(sequential.front));
+  EXPECT_EQ(chunked.max_front_size, sequential.max_front_size);
+  EXPECT_EQ(chunked.bdd_size, sequential.bdd_size);
   EXPECT_EQ(chunked.combine.staircase_merges,
-            per_node.combine.staircase_merges);
+            sequential.combine.staircase_merges);
 }
 
 }  // namespace

@@ -115,23 +115,20 @@ TEST(FrontCacheKey, OptionFieldsThatAffectTheResultChangeTheKey) {
 }
 
 TEST(FrontCacheKey, GuardPointersDoNotChangeTheKey) {
-  // No execution field enters the key: all seven RunContext fields and
+  // No execution field enters the key: all five RunContext fields and
   // intra_model_threads, set at once.
   const AugmentedAdt model = catalog::fig3_example();
   const Deadline deadline(10);
   const CancelToken token;
   TaskScheduler pool(2);
-  FrontArena<ValuePoint> arena;
   NodeFrontMemo memo;
   AnalysisOptions a;
   AnalysisOptions b;
   b.run.deadline = &deadline;
   b.run.cancel = &token;
   b.run.pool = &pool;
-  b.run.arena = &arena;
   b.run.memo = &memo;
   b.run.parallel_node_floor = 0;
-  b.run.task_grain_points = 1;
   b.intra_model_threads = 4;
   EXPECT_EQ(front_cache_key(model, a), front_cache_key(model, b));
 }

@@ -1,11 +1,8 @@
 #include "core/hybrid.hpp"
 
 #include <gtest/gtest.h>
-#include <pthread.h>
 
 #include <cstddef>
-#include <exception>
-#include <functional>
 #include <string>
 
 #include "core/analyzer.hpp"
@@ -14,6 +11,7 @@
 #include "core/naive.hpp"
 #include "gen/catalog.hpp"
 #include "gen/random_adt.hpp"
+#include "run_on_stack.hpp"
 
 namespace adtp {
 namespace {
@@ -53,35 +51,6 @@ AugmentedAdt blob_under_chain(std::size_t depth) {
   adt.freeze();
   return AugmentedAdt(std::move(adt), std::move(beta), Semiring::min_cost(),
                       Semiring::min_cost());
-}
-
-/// Runs \p body on a new thread with a \p stack_bytes stack and rethrows
-/// what it throws, so a walk that recurses per level overflows here.
-void run_on_stack(std::size_t stack_bytes, const std::function<void()>& body) {
-  struct Call {
-    const std::function<void()>* body;
-    std::exception_ptr error;
-  } call{&body, nullptr};
-  pthread_attr_t attr;
-  ASSERT_EQ(pthread_attr_init(&attr), 0);
-  ASSERT_EQ(pthread_attr_setstacksize(&attr, stack_bytes), 0);
-  pthread_t thread;
-  const int created = pthread_create(
-      &thread, &attr,
-      [](void* arg) -> void* {
-        auto* c = static_cast<Call*>(arg);
-        try {
-          (*c->body)();
-        } catch (...) {
-          c->error = std::current_exception();
-        }
-        return nullptr;
-      },
-      &call);
-  pthread_attr_destroy(&attr);
-  ASSERT_EQ(created, 0);
-  ASSERT_EQ(pthread_join(thread, nullptr), 0);
-  if (call.error) std::rethrow_exception(call.error);
 }
 
 TEST(Hybrid, MoneyTheftDagFront) {

@@ -238,10 +238,7 @@ TEST(MemoKnobs, StayOutOfTheFrontCacheKey) {
   AnalysisOptions plain;
   AnalysisOptions memoized;
   memoized.run.memo = &memo;
-  AnalysisOptions grained;
-  grained.run.task_grain_points = 1;  // execution-only, like threads
   EXPECT_EQ(front_cache_key(model, plain), front_cache_key(model, memoized));
-  EXPECT_EQ(front_cache_key(model, plain), front_cache_key(model, grained));
 }
 
 TEST(CustomDomains, BypassTheMemo) {

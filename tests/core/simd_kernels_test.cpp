@@ -1,6 +1,6 @@
 /// Scalar-as-oracle contract of the SIMD Pareto kernels: for every
-/// dispatch level the hardware offers, sweep / merge / sort-free combine /
-/// dominance must produce *bit-identical* results to the scalar code -
+/// dispatch level the hardware offers, sweep / merge / sort-free combine
+/// must produce *bit-identical* results to the scalar code -
 /// same double bits, same witness payloads, same CombineStats counters
 /// (simd_lanes_used excepted, which is a throughput diagnostic). The
 /// inputs deliberately include attacker plateaus, duplicate points,
@@ -300,34 +300,6 @@ TEST(SimdKernels, VectorLevelsReportLanes) {
     EXPECT_GT(arena.stats().simd_lanes_used, 0u)
         << "level=" << to_string(level);
   }
-}
-
-TEST(SimdKernels, FrontDominatesPointMatchesScalar) {
-  const auto levels = vector_levels();
-  if (levels.empty()) GTEST_SKIP() << "no vector ISA detected";
-  Rng rng(0xE550);
-  for_each_domain_pair([&](const auto& dd, const auto& da) {
-    for (std::size_t n : {4u, 8u, 64u, 300u}) {
-      const auto front = BasicFront<ValuePoint>::from_staircase(
-          random_staircase<ValuePoint>(rng, n, dd, da));
-      for (int i = 0; i < 50; ++i) {
-        ValuePoint q;
-        q.def = draw_value<std::decay_t<decltype(dd)>>(rng);
-        q.att = draw_value<std::decay_t<decltype(da)>>(rng);
-        bool want = false;
-        {
-          ScopedSimdOverride scalar(SimdLevel::Scalar);
-          want = front_dominates_point(front, q, dd, da);
-        }
-        for (SimdLevel level : levels) {
-          ScopedSimdOverride vec(level);
-          EXPECT_EQ(front_dominates_point(front, q, dd, da), want)
-              << "n=" << n << " q=(" << q.def << ", " << q.att
-              << ") level=" << to_string(level);
-        }
-      }
-    }
-  });
 }
 
 }  // namespace

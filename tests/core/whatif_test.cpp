@@ -167,11 +167,11 @@ TEST(CounterfactualSweep, VariantsMatchColdAnalysisBitForBit) {
 TEST(CounterfactualSweep, SharedMemoDoesNotChangeAnyFront) {
   const AugmentedAdt model = catalog::money_theft_dag();
   NodeFrontMemo shared;
-  CounterfactualOptions with_memo;
-  with_memo.analysis.run.memo = &shared;
+  AnalysisOptions with_memo;
+  with_memo.run.memo = &shared;
   const CounterfactualReport a = counterfactual_sweep(model, with_memo);
-  CounterfactualOptions no_memo;
-  no_memo.analysis.run.memo = nullptr;
+  AnalysisOptions no_memo;
+  no_memo.run.memo = nullptr;
   const CounterfactualReport b = counterfactual_sweep(model, no_memo);
 
   ASSERT_EQ(a.variants.size(), b.variants.size());

@@ -277,7 +277,7 @@ TEST(FollowerCache, ServesTheWritersFrontsAndStaysMemoryOnlyOnInsert) {
   ASSERT_EQ(writer.persistence_stats().store_writes, 1u);
 
   PersistentCacheOptions options;
-  options.follower = true;
+  options.store.mode = AttachMode::Follower;
   PersistentFrontCache cache(dir.str(), options);
   ASSERT_TRUE(cache.persistent());
   ASSERT_TRUE(cache.follower());
@@ -306,7 +306,7 @@ TEST(FollowerCache, RefreshesAndPromotesThroughTheCacheSurface) {
   ASSERT_TRUE(writer->insert(make_key(1), first));
 
   PersistentCacheOptions options;
-  options.follower = true;
+  options.store.mode = AttachMode::Follower;
   options.memory_capacity = 1;  // force store lookups, not memory luck
   PersistentFrontCache cache(dir.str(), options);
 
@@ -335,7 +335,7 @@ TEST(FollowerCache, OpenGracePeriodRidesOutTheWriterStartupRace) {
   // than degrading to memory-only for its whole lifetime.
   const ScratchDir dir("startup_race");
   PersistentCacheOptions options;
-  options.follower = true;
+  options.store.mode = AttachMode::Follower;
   options.open_retry_seconds = 10.0;
   std::unique_ptr<PersistentFrontCache> follower;
   std::thread attacher([&] {
@@ -359,7 +359,7 @@ TEST(FollowerCache, OpenGracePeriodRidesOutTheWriterStartupRace) {
   // transient open failure degrades on the spot.
   const ScratchDir empty("no_grace");
   PersistentCacheOptions no_grace;
-  no_grace.follower = true;
+  no_grace.store.mode = AttachMode::Follower;
   PersistentFrontCache degraded(empty.str(), no_grace);
   EXPECT_FALSE(degraded.persistent());
   EXPECT_TRUE(degraded.persistence_stats().degraded);
