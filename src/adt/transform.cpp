@@ -1,6 +1,9 @@
 #include "adt/transform.hpp"
 
-#include <functional>
+#include <cstddef>
+#include <string>
+#include <utility>
+#include <vector>
 
 namespace adtp {
 
@@ -16,35 +19,54 @@ UnfoldResult unfold_to_tree(const Adt& adt) {
   };
 
   // Every visit clones the node; revisits through other parents produce
-  // fresh copies, which is exactly the tree-semantics expansion.
-  std::function<NodeId(NodeId)> clone = [&](NodeId v) -> NodeId {
-    const Node& n = adt.node(v);
-    const std::string name = fresh_name(n.name);
-    if (name != n.name) {
-      result.leaf_origin.emplace(name, n.name);
+  // fresh copies, which is exactly the tree-semantics expansion. The
+  // walk runs on an explicit stack (a recursive one overflows on deep
+  // models) in the recursive order: a clone is named when the walk
+  // enters it (pre-order) and added after its children, left to right
+  // (post-order NodeIds).
+  struct Frame {
+    NodeId node;
+    std::string name;
+    std::size_t next_child;
+  };
+  std::vector<Frame> stack;
+  std::vector<NodeId> cloned;  // finished clones awaiting their parent
+  auto enter = [&](NodeId v) {
+    const std::string& original = adt.node(v).name;
+    std::string name = fresh_name(original);
+    if (name != original) result.leaf_origin.emplace(name, original);
+    stack.push_back({v, std::move(name), 0});
+  };
+  enter(adt.root());
+  while (!stack.empty()) {
+    Frame& top = stack.back();
+    const Node& n = adt.node(top.node);
+    if (top.next_child < n.children.size()) {
+      enter(n.children[top.next_child++]);
+      continue;
     }
+    const auto first = cloned.end() - static_cast<std::ptrdiff_t>(
+                                          n.children.size());
+    std::vector<NodeId> children(first, cloned.end());
+    cloned.erase(first, cloned.end());
     switch (n.type) {
       case GateType::BasicStep:
-        return result.tree.add_basic(name, n.agent);
-      case GateType::Inhibit: {
-        const NodeId inhibited = clone(n.children[0]);
-        const NodeId trigger = clone(n.children[1]);
-        return result.tree.add_inhibit(name, inhibited, trigger);
-      }
+        cloned.push_back(result.tree.add_basic(std::move(top.name), n.agent));
+        break;
+      case GateType::Inhibit:
+        cloned.push_back(
+            result.tree.add_inhibit(std::move(top.name), children[0],
+                                    children[1]));
+        break;
       case GateType::And:
-      case GateType::Or: {
-        std::vector<NodeId> children;
-        children.reserve(n.children.size());
-        for (NodeId c : n.children) children.push_back(clone(c));
-        return result.tree.add_gate(name, n.type, n.agent,
-                                    std::move(children));
-      }
+      case GateType::Or:
+        cloned.push_back(result.tree.add_gate(std::move(top.name), n.type,
+                                              n.agent, std::move(children)));
+        break;
     }
-    throw ModelError("unfold_to_tree: unknown gate type");
-  };
-
-  const NodeId root = clone(adt.root());
-  result.tree.set_root(root);
+    stack.pop_back();
+  }
+  result.tree.set_root(cloned.back());
   result.tree.freeze();
 
   // First occurrences map to themselves for lookup convenience.

@@ -99,15 +99,21 @@ bool FrontCache::insert(const FrontCacheKey& key,
 
 FrontCache::Served FrontCache::get_or_compute(
     const FrontCacheKey& key, const std::function<AnalysisResult()>& compute) {
+  // A hit needs no single-flight state, so the first lookup runs before
+  // the lock: concurrent hits never queue behind one another (or behind
+  // a PersistentFrontCache's store reads) on flight_mutex_.
+  if (std::optional<AnalysisResult> hit = lookup(key)) {
+    return {std::move(*hit), /*cached=*/true};
+  }
   std::unique_lock<std::mutex> flight(flight_mutex_);
-  // Each loop iteration's failed lookup() books a miss; all but the one
+  // That lookup and each failed one below book a miss; all but the one
   // that sticks (the computing caller's first) are provisional and get
   // uncounted, so a call counts exactly one of {hit, miss}.
-  std::uint64_t provisional = 0;
+  std::uint64_t provisional = 1;
   for (;;) {
     if (std::optional<AnalysisResult> hit = lookup(key)) {
       uncounted_misses_ += provisional;
-      if (provisional > 0) ++coalesced_;
+      if (provisional > 1) ++coalesced_;
       return {std::move(*hit), /*cached=*/true};
     }
     ++provisional;

@@ -43,7 +43,8 @@
 ///    wait and then take its result as a hit (stats record them under
 ///    \c coalesced). When the computation throws, the key is released
 ///    and a waiter takes over. Every call counts exactly one of
-///    {hit, miss}, however long it waited.
+///    {hit, miss}, however long it waited. A hit takes no single-flight
+///    lock: the first lookup runs before it.
 ///
 /// lookup() and insert() are virtual so a persistence layer can slot
 /// underneath (store/persistent_cache.hpp) with get_or_compute()
@@ -150,11 +151,12 @@ class FrontCache {
 
   LruCache<FrontCacheKey, AnalysisResult, KeyHash> memory_;
 
-  /// Single-flight state. Lock order: flight_mutex_ before the LRU's
-  /// mutex (get_or_compute calls the virtual lookup/insert while holding
-  /// flight_mutex_ - for a PersistentFrontCache that span covers a
-  /// memory miss's store read and decode and a fresh entry's store
-  /// write); nothing ever takes them the other way around.
+  /// Single-flight state, taken only after a lookup missed. Lock order:
+  /// flight_mutex_ before the LRU's mutex (get_or_compute then calls the
+  /// virtual lookup/insert while holding flight_mutex_ - for a
+  /// PersistentFrontCache that span covers the repeated lookup's store
+  /// read and a fresh entry's store write); nothing ever takes them the
+  /// other way around.
   std::mutex flight_mutex_;
   std::condition_variable flight_cv_;
   std::unordered_set<FrontCacheKey, KeyHash> in_flight_;

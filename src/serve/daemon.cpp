@@ -10,12 +10,14 @@
 #include <cstring>
 #include <optional>
 #include <sstream>
+#include <string_view>
 #include <utility>
 
 #include "adt/adtool_xml.hpp"
 #include "adt/text_format.hpp"
 #include "core/analyzer.hpp"
 #include "util/cancel.hpp"
+#include "util/hash.hpp"
 #include "util/json.hpp"
 
 namespace adtp::serve {
@@ -117,7 +119,23 @@ DaemonServer::DaemonServer(Endpoint endpoint, DaemonConfig config)
           log("[store] " + what);
         };
         return options;
-      }()) {}
+      }()),
+      replies_(config_.memory_capacity) {}
+
+DaemonServer::RequestBytes::RequestBytes(
+    std::string request_format,
+    std::shared_ptr<const std::string> request_body)
+    : format(std::move(request_format)),
+      body(std::move(request_body)),
+      hash(static_cast<std::size_t>(
+          hash_combine(std::hash<std::string_view>{}(*body),
+                       std::hash<std::string_view>{}(format)))) {}
+
+bool DaemonServer::RequestBytes::operator==(
+    const RequestBytes& other) const noexcept {
+  return hash == other.hash && format == other.format &&
+         *body == *other.body;
+}
 
 DaemonServer::~DaemonServer() { stop(); }
 
@@ -272,6 +290,7 @@ void DaemonServer::refresher_loop() {
 void DaemonServer::serve_connection(int fd) {
   try {
     while (!stopping_.load()) {
+      (void)poll_readable_fd(fd, kRequestPoll);
       const std::optional<std::string> line = read_line_fd(fd);
       if (!line.has_value()) break;
       const std::string response = serve_request(fd, *line) + "\n";
@@ -328,20 +347,33 @@ std::string DaemonServer::serve_request(int fd, const std::string& line) {
     if (!(words >> format >> nbytes) || nbytes > (16u << 20)) {
       return error_json("malformed ANALYZE header", false);
     }
-    const std::string body = read_exact_fd(fd, nbytes);
-    return serve_analyze(format, body);
+    return serve_analyze(
+        format, std::make_shared<const std::string>(read_exact_fd(fd, nbytes)));
   }
   return error_json("unknown verb: " + verb, false);
 }
 
 /// Serves one ANALYZE request body; returns the JSON response line.
-/// Identical concurrent requests coalesce on the cache's single-flight
-/// path, so a thundering herd computes each front exactly once.
-std::string DaemonServer::serve_analyze(const std::string& format,
-                                        const std::string& body) {
+/// Bytes already answered as cached get the stored reply line; the rest
+/// are parsed, and identical concurrent requests coalesce on the
+/// cache's single-flight path, so a thundering herd computes each front
+/// exactly once.
+std::string DaemonServer::serve_analyze(
+    const std::string& format, std::shared_ptr<const std::string> body) {
+  std::optional<RequestBytes> memo_key;
+  if (replies_.capacity() > 0 && body->size() <= kReplyMemoMaxBytes) {
+    memo_key.emplace(format, body);
+    std::string reply;
+    if (replies_.lookup(*memo_key, reply)) {
+      metrics_.requests.fetch_add(1);
+      metrics_.cache_hits.fetch_add(1);
+      return reply;
+    }
+  }
+
   ParsedRequest req;
   try {
-    req = parse_request(format, body);
+    req = parse_request(format, *body);
   } catch (const std::exception& e) {
     metrics_.failed.fetch_add(1);
     return error_json(e.what(), /*retryable=*/false);
@@ -380,11 +412,17 @@ std::string DaemonServer::serve_analyze(const std::string& format,
     return error_json(e.what(), /*retryable=*/false);
   }
   (served.cached ? metrics_.cache_hits : metrics_.computed).fetch_add(1);
-  return result_json(served.result, served.cached, req.aadt->adt().size());
+  std::string reply =
+      result_json(served.result, served.cached, req.aadt->adt().size());
+  if (served.cached && memo_key && reply.size() <= kReplyMemoMaxBytes) {
+    replies_.insert(*memo_key, reply);
+  }
+  return reply;
 }
 
 std::string DaemonServer::stats_json() {
   const FrontCache::Stats memory = cache_.stats();
+  const LruStats replies = replies_.stats();
   const store::PersistentCacheStats persistence = cache_.persistence_stats();
   JsonWriter json;
   json.begin_object();
@@ -410,6 +448,11 @@ std::string DaemonServer::stats_json() {
   json.key("misses").value(memory.misses);
   json.key("entries").value(static_cast<std::uint64_t>(memory.entries));
   json.key("coalesced").value(memory.coalesced);
+  json.end_object();
+  json.key("replies").begin_object();
+  json.key("hits").value(replies.hits);
+  json.key("misses").value(replies.misses);
+  json.key("entries").value(static_cast<std::uint64_t>(replies.entries));
   json.end_object();
   json.key("persistent").value(cache_.persistent());
   json.key("follower").value(cache_.follower());

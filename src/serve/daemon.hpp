@@ -31,6 +31,12 @@
 ///     connections; excess ANALYZE requests are rejected retryably up
 ///     front instead of queueing past their deadline.
 ///
+/// After each reply a worker polls its connection for kRequestPoll,
+/// yielding the CPU between polls, before it blocks in recv(). Under
+/// load the next request arrives within that window, and a worker that
+/// catches it awake saves the sleep and wake-up that would otherwise
+/// bracket a memo hit of a few microseconds.
+///
 /// A client disconnecting mid-response is a counted per-connection
 /// event (SIGPIPE is never raised - src/serve/socket.hpp): the worker
 /// finishes the connection and picks up the next one. stop() is
@@ -40,15 +46,35 @@
 /// In follower mode with store_refresh_seconds > 0 a refresher thread
 /// calls cache().refresh() on that period, so a follower daemon trails
 /// the writer's appends without client action.
+///
+/// The reply memo sits in front of all of it. A cached reply depends
+/// only on the request's bytes, so the daemon keeps one more LruCache
+/// (util/lru_cache.hpp) from a request's exact bytes (format and body)
+/// to the JSON line it sent as that request's "cached":true reply, and
+/// serve_analyze looks the bytes up before it parses. A hit returns the
+/// stored line: no parsing, no cache key, no FrontCache lookup or copy,
+/// no encoding, no analysis. It counts in `requests` and `cache_hits`,
+/// never against max_inflight. Fill rule: only a "cached":true reply is
+/// stored, and only when the body and the reply each fit in
+/// kReplyMemoMaxBytes; parse errors, rejections, failures and cold
+/// "cached":false replies never are, nor is anything for a larger
+/// body. Keys compare every byte (a hash collision cannot serve another
+/// request's reply), and both of a key's copies in the LruCache share
+/// one body buffer, so the memo holds at most memory_capacity entries
+/// of at most 128 KiB each (body plus reply); memory_capacity 0
+/// disables it as it disables the memory tier. STATS reports it as
+/// "replies", and "memory" counts only the requests it missed.
 
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -57,6 +83,7 @@
 
 #include "serve/socket.hpp"
 #include "store/persistent_cache.hpp"
+#include "util/lru_cache.hpp"
 
 namespace adtp::serve {
 
@@ -72,7 +99,8 @@ struct DaemonConfig {
   /// Intra-model threads per analysis (AnalysisOptions::
   /// intra_model_threads; 0 and 1 analyze sequentially).
   unsigned threads = 0;
-  /// Memory tier capacity of the cache.
+  /// Entry bound of both memory tiers: the cache's and the reply
+  /// memo's (see the file comment); 0 disables both.
   std::size_t memory_capacity = 256;
   /// Store directory (the cache degrades to memory-only on store
   /// trouble; it never fails the daemon).
@@ -91,7 +119,7 @@ struct DaemonConfig {
 struct DaemonMetrics {
   std::atomic<std::uint64_t> requests{0};     ///< ANALYZE accepted
   std::atomic<std::uint64_t> computed{0};     ///< served by a kernel run
-  std::atomic<std::uint64_t> cache_hits{0};   ///< memory or store hit
+  std::atomic<std::uint64_t> cache_hits{0};   ///< memo, memory or store hit
   std::atomic<std::uint64_t> rejected{0};     ///< max_inflight rejections
   std::atomic<std::uint64_t> failed{0};       ///< parse/model/deadline errors
   std::atomic<std::uint64_t> connections_accepted{0};
@@ -103,6 +131,12 @@ struct DaemonMetrics {
 
 class DaemonServer {
  public:
+  /// The reply memo's cap on a request body and on a reply alike.
+  static constexpr std::size_t kReplyMemoMaxBytes = std::size_t{64} << 10;
+  /// How long a worker polls its connection for the next request before
+  /// it blocks in recv() (see the file comment).
+  static constexpr std::chrono::microseconds kRequestPoll{50};
+
   /// Opens the cache (never throws for store trouble) but does not
   /// listen yet; call start().
   explicit DaemonServer(Endpoint endpoint, DaemonConfig config);
@@ -141,13 +175,31 @@ class DaemonServer {
   void refresher_loop();
   void serve_connection(int fd);
   [[nodiscard]] std::string serve_request(int fd, const std::string& line);
-  [[nodiscard]] std::string serve_analyze(const std::string& format,
-                                          const std::string& body);
+  [[nodiscard]] std::string serve_analyze(
+      const std::string& format, std::shared_ptr<const std::string> body);
   void log(const std::string& what);
+
+  /// A reply memo key: one request's exact bytes. The body is shared, so
+  /// the LruCache's two copies of a key hold one buffer.
+  struct RequestBytes {
+    RequestBytes(std::string format, std::shared_ptr<const std::string> body);
+    bool operator==(const RequestBytes& other) const noexcept;
+
+    std::string format;
+    std::shared_ptr<const std::string> body;
+    std::size_t hash;  ///< of format and body, computed once
+  };
+  struct RequestBytesHash {
+    std::size_t operator()(const RequestBytes& key) const noexcept {
+      return key.hash;
+    }
+  };
 
   Endpoint endpoint_;
   DaemonConfig config_;
   store::PersistentFrontCache cache_;
+  /// The reply memo: request bytes -> the "cached":true reply line.
+  LruCache<RequestBytes, std::string, RequestBytesHash> replies_;
   DaemonMetrics metrics_;
   std::atomic<std::size_t> inflight_{0};
 

@@ -146,6 +146,19 @@ std::size_t recv_some(int fd, char* into, std::size_t n, int flags) {
 
 }  // namespace
 
+bool poll_readable_fd(int fd, std::chrono::microseconds budget) {
+  const auto until = std::chrono::steady_clock::now() + budget;
+  while (true) {
+    char byte = 0;
+    if (::recv(fd, &byte, 1, MSG_PEEK | MSG_DONTWAIT) >= 0) return true;
+    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+      return true;  // the read reports the error
+    }
+    if (std::chrono::steady_clock::now() >= until) return false;
+    std::this_thread::yield();
+  }
+}
+
 std::optional<std::string> read_line_fd(int fd, std::size_t max) {
   // Each round peeks at what has arrived, then consumes it up to and
   // including the first '\n' - so nothing past the line ever leaves the

@@ -17,6 +17,7 @@
 
 #pragma once
 
+#include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <optional>
@@ -68,6 +69,14 @@ struct Endpoint {
 /// Writes all \p n bytes via send(MSG_NOSIGNAL) - no SIGPIPE, ever.
 /// Throws SocketError; disconnect() is set when the peer went away.
 void write_all_fd(int fd, const char* data, std::size_t n);
+
+/// Polls \p fd without blocking for up to \p budget, yielding the CPU
+/// between polls; true as soon as a read would not block (bytes, EOF or
+/// an error are pending), false when the budget ran out first. A
+/// closed-loop client's next request follows the reply within
+/// microseconds: caught here, it costs the reader no sleep and no
+/// wake-up.
+bool poll_readable_fd(int fd, std::chrono::microseconds budget);
 
 /// Reads one '\n'-terminated line from stream socket \p fd (terminator
 /// consumed, not returned) and never consumes a byte past it, so a body

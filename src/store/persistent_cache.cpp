@@ -49,7 +49,7 @@ void PersistentFrontCache::degrade_locked(const std::string& why) {
 }
 
 std::shared_ptr<FrontStore> PersistentFrontCache::snapshot() const {
-  const std::lock_guard<std::mutex> lock(store_mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(store_mutex_);
   return store_;
 }
 
@@ -64,7 +64,7 @@ auto PersistentFrontCache::with_retry(const char* doing, Fn&& fn)
     try {
       return fn(*store);
     } catch (const StoreError& e) {
-      const std::lock_guard<std::mutex> lock(store_mutex_);
+      const std::lock_guard<AdaptiveMutex> lock(store_mutex_);
       ++pstats_.store_errors;
       if (!e.transient() || attempt >= options_.max_retries) {
         degrade_locked(std::string(doing) + ": " + e.what());
@@ -94,13 +94,13 @@ std::optional<AnalysisResult> PersistentFrontCache::lookup(
   } catch (const CodecError& e) {
     // Checksums passed but the bytes don't decode (version skew, codec
     // bug). Count it, never serve it; the store itself stays up.
-    const std::lock_guard<std::mutex> lock(store_mutex_);
+    const std::lock_guard<AdaptiveMutex> lock(store_mutex_);
     ++pstats_.decode_failures;
     note(std::string("stored payload failed to decode: ") + e.what());
     return std::nullopt;
   }
   {
-    const std::lock_guard<std::mutex> lock(store_mutex_);
+    const std::lock_guard<AdaptiveMutex> lock(store_mutex_);
     ++pstats_.store_hits;
   }
   FrontCache::insert(key, result);  // promote so the next hit is memory
@@ -122,14 +122,14 @@ bool PersistentFrontCache::insert(const FrontCacheKey& key,
   const auto wrote = with_retry(
       "put", [&](FrontStore& s) { return s.put(key, payload); });
   if (wrote.has_value() && *wrote) {
-    const std::lock_guard<std::mutex> lock(store_mutex_);
+    const std::lock_guard<AdaptiveMutex> lock(store_mutex_);
     ++pstats_.store_writes;
   }
   return true;
 }
 
 bool PersistentFrontCache::persistent() const {
-  const std::lock_guard<std::mutex> lock(store_mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(store_mutex_);
   return store_ != nullptr;
 }
 
@@ -139,12 +139,12 @@ bool PersistentFrontCache::follower() const {
 }
 
 PersistentCacheStats PersistentFrontCache::persistence_stats() const {
-  const std::lock_guard<std::mutex> lock(store_mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(store_mutex_);
   return pstats_;
 }
 
 std::optional<RecoveryReport> PersistentFrontCache::recovery() const {
-  const std::lock_guard<std::mutex> lock(store_mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(store_mutex_);
   return recovery_;
 }
 
@@ -170,7 +170,7 @@ bool PersistentFrontCache::promote() {
     store->promote();
     return true;
   } catch (const StoreError& e) {
-    const std::lock_guard<std::mutex> lock(store_mutex_);
+    const std::lock_guard<AdaptiveMutex> lock(store_mutex_);
     ++pstats_.store_errors;
     note(std::string("promote failed: ") + e.what());
     return false;

@@ -13,10 +13,11 @@
 ///           never reports an entry fresh, so every insert reaches the
 ///           store, whose own duplicate check keeps the first write.
 ///
-/// get_or_compute() runs lookup() under FrontCache's single-flight
-/// mutex, so a memory miss's store read and decode, like the store
-/// write of a computed result, serialize the callers of get_or_compute;
-/// plain lookup() callers and stats() never wait on it.
+/// get_or_compute() runs its first lookup() before it takes
+/// FrontCache's single-flight mutex, so hits - memory or store - never
+/// wait on one another. Only a key found in neither tier takes it: the
+/// repeated lookup and the store write of the computed result serialize
+/// the missing callers. stats() never waits on it.
 ///
 /// The store is strictly advisory. The constructor never throws for
 /// store trouble, and no store failure ever surfaces to an analysis
@@ -55,6 +56,7 @@
 
 #include "core/front_cache.hpp"
 #include "store/shard.hpp"
+#include "util/adaptive_mutex.hpp"
 
 namespace adtp::store {
 
@@ -140,7 +142,7 @@ class PersistentFrontCache final : public FrontCache {
   void note(const std::string& what);
 
   PersistentCacheOptions options_;
-  mutable std::mutex store_mutex_;
+  mutable AdaptiveMutex store_mutex_;
   std::shared_ptr<FrontStore> store_;  ///< null once degraded
   PersistentCacheStats pstats_;
   std::optional<RecoveryReport> recovery_;

@@ -127,7 +127,7 @@ FrontStore::FrontStore(std::string dir, StoreOptions options)
       options_(options),
       ops_(options.ops != nullptr ? options.ops : &real_file_ops()),
       mode_(options.mode) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(mutex_);
   try {
     if (mode_ == AttachMode::Follower) {
       open_follower();
@@ -146,7 +146,7 @@ FrontStore::FrontStore(std::string dir, StoreOptions options)
 }
 
 FrontStore::~FrontStore() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(mutex_);
   close_files();
   release_lease();
 }
@@ -437,12 +437,12 @@ std::uint64_t FrontStore::scan_records(std::uint64_t start_idx,
 }
 
 bool FrontStore::follower() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(mutex_);
   return mode_ == AttachMode::Follower;
 }
 
 RefreshReport FrontStore::refresh() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(mutex_);
   RefreshReport report;
   if (mode_ != AttachMode::Follower) return report;
   if (data_fd_ < 0) throw StoreError("store is broken (earlier I/O failure)");
@@ -481,7 +481,7 @@ RefreshReport FrontStore::refresh() {
 }
 
 void FrontStore::promote() {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(mutex_);
   if (mode_ == AttachMode::Writer) return;
   acquire_lease();  // throws a transient StoreError while the writer lives
   // Lease in hand: re-run full writer recovery over the directory, torn
@@ -518,7 +518,7 @@ void FrontStore::rollback_tail(std::uint64_t data_size,
 
 bool FrontStore::put(const FrontCacheKey& key, const std::uint8_t* payload,
                      std::size_t size) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(mutex_);
   if (mode_ == AttachMode::Follower) {
     throw StoreError("follower store is read-only (promote() to write)");
   }
@@ -568,7 +568,7 @@ bool FrontStore::put(const FrontCacheKey& key,
 
 std::optional<std::vector<std::uint8_t>> FrontStore::get(
     const FrontCacheKey& key) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(mutex_);
   ++stats_.gets;
   const auto it = map_.find(key);
   if (it == map_.end()) return std::nullopt;
@@ -598,7 +598,7 @@ std::optional<std::vector<std::uint8_t>> FrontStore::get(
 }
 
 bool FrontStore::contains(const FrontCacheKey& key) const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(mutex_);
   return map_.count(key) != 0;
 }
 
@@ -625,7 +625,7 @@ void FrontStore::drop_generation_files(std::uint64_t gen) noexcept {
 }
 
 void FrontStore::compact(bool force) {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(mutex_);
   if (mode_ == AttachMode::Follower) {
     throw StoreError("follower store is read-only (promote() to compact)");
   }
@@ -703,7 +703,7 @@ void FrontStore::compact_locked(bool force) {
 }
 
 StoreStats FrontStore::stats() const {
-  const std::lock_guard<std::mutex> lock(mutex_);
+  const std::lock_guard<AdaptiveMutex> lock(mutex_);
   StoreStats out = stats_;
   out.entries = map_.size();
   out.data_bytes = data_size_;

@@ -74,6 +74,7 @@
 #include <vector>
 
 #include "core/front_cache.hpp"
+#include "util/adaptive_mutex.hpp"
 #include "util/fault.hpp"
 
 namespace adtp::store {
@@ -253,7 +254,7 @@ class FrontStore {
   StoreOptions options_;
   FileOps* ops_;  ///< resolved (never null after construction)
 
-  mutable std::mutex mutex_;
+  mutable AdaptiveMutex mutex_;
   AttachMode mode_ = AttachMode::Writer;
   std::uint64_t gen_ = 0;
   int lock_fd_ = -1;  ///< the writer lease; held for the store's lifetime

@@ -1,22 +1,25 @@
 /// \file lru_cache.hpp
 /// \brief A bounded, thread-safe, first-writer-wins LRU map: the one
-///        eviction policy behind both in-process cache tiers.
+///        eviction policy behind every in-process cache.
 ///
-/// FrontCache's memory tier (whole analysis results) and NodeFrontMemo
-/// (per-node value fronts) are each an LruCache.
+/// FrontCache's memory tier (whole analysis results), NodeFrontMemo
+/// (per-node value fronts) and the daemon's reply memo (request bytes
+/// to reply lines, serve/daemon.hpp) are each an LruCache.
 /// Every instance keeps three rules:
 ///  - Bounded: at most capacity() entries; an insert past the bound
 ///    evicts the least recently used entry. Capacity 0 disables the
 ///    cache: every lookup misses and every insert is dropped uncounted.
 ///  - First writer wins: an insert under a live key keeps the stored
-///    value and only refreshes its recency. Both tiers cache
+///    value and only refreshes its recency. The caches hold
 ///    deterministic functions of their keys, so the second value equals
 ///    the first and replacing it would only churn allocations. insert()
 ///    reports whether the entry is new.
 ///  - Short critical sections: values live behind shared_ptr, so the one
 ///    mutex guards pointer and list-node operations only. The deep copy
 ///    a lookup hands out, the copy an insert stores and the frees of
-///    evicted or cleared values all run outside it.
+///    evicted or cleared values all run outside it. The mutex is an
+///    AdaptiveMutex (util/adaptive_mutex.hpp): a waiter spins through
+///    such a section instead of sleeping and being woken.
 
 #pragma once
 
@@ -27,6 +30,8 @@
 #include <mutex>
 #include <unordered_map>
 #include <utility>
+
+#include "util/adaptive_mutex.hpp"
 
 namespace adtp {
 
@@ -60,7 +65,7 @@ class LruCache {
   [[nodiscard]] bool lookup(const K& key, V& out) {
     std::shared_ptr<const V> hit;
     {
-      const std::lock_guard<std::mutex> lock(mutex_);
+      const std::lock_guard<AdaptiveMutex> lock(mutex_);
       const auto it = map_.find(key);
       if (it == map_.end()) {
         ++stats_.misses;
@@ -82,7 +87,7 @@ class LruCache {
     // Declared before the lock, so both are released after it.
     auto stored = std::make_shared<const V>(value);
     std::shared_ptr<const V> evicted;
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<AdaptiveMutex> lock(mutex_);
     const auto it = map_.find(key);
     if (it != map_.end()) {
       lru_.splice(lru_.begin(), lru_, it->second);
@@ -102,7 +107,7 @@ class LruCache {
   }
 
   [[nodiscard]] LruStats stats() const {
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<AdaptiveMutex> lock(mutex_);
     LruStats out = stats_;
     out.entries = lru_.size();
     return out;
@@ -113,7 +118,7 @@ class LruCache {
   /// Drops every entry and resets the counters.
   void clear() {
     std::list<Entry> dropped;  // released after the lock
-    const std::lock_guard<std::mutex> lock(mutex_);
+    const std::lock_guard<AdaptiveMutex> lock(mutex_);
     dropped.swap(lru_);
     map_.clear();
     stats_ = LruStats{};
@@ -123,7 +128,7 @@ class LruCache {
   using Entry = std::pair<K, std::shared_ptr<const V>>;
 
   std::size_t capacity_;
-  mutable std::mutex mutex_;
+  mutable AdaptiveMutex mutex_;
   std::list<Entry> lru_;  ///< most recent first
   std::unordered_map<K, typename std::list<Entry>::iterator, Hash> map_;
   LruStats stats_;

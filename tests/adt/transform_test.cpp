@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <functional>
 #include <string>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "adt/structure.hpp"
@@ -186,6 +189,98 @@ TEST(ExtractSubgraph, DeepDagExtractsWithoutRecursion) {
   EXPECT_EQ(sub.name(1), "s");
   EXPECT_EQ(sub.parents(1).size(), kDepth);
   EXPECT_EQ(sub.name(sub.root()), "g" + std::to_string(kDepth - 1));
+}
+
+/// unfold_to_tree's result as its recursive form produced it: each clone
+/// named on entry (pre-order), added after its children, left to right
+/// (post-order NodeIds).
+UnfoldResult recursive_unfold(const Adt& adt) {
+  UnfoldResult result;
+  std::unordered_map<std::string, std::size_t> copies;
+  std::function<NodeId(NodeId)> clone = [&](NodeId v) {
+    const Node& n = adt.node(v);
+    const std::size_t copy = ++copies[n.name];
+    const std::string name =
+        copy == 1 ? n.name : n.name + "@" + std::to_string(copy);
+    if (name != n.name) result.leaf_origin.emplace(name, n.name);
+    std::vector<NodeId> children;
+    for (NodeId c : n.children) children.push_back(clone(c));
+    if (n.type == GateType::BasicStep) {
+      return result.tree.add_basic(name, n.agent);
+    }
+    if (n.type == GateType::Inhibit) {
+      return result.tree.add_inhibit(name, children[0], children[1]);
+    }
+    return result.tree.add_gate(name, n.type, n.agent, children);
+  };
+  result.tree.set_root(clone(adt.root()));
+  result.tree.freeze();
+  for (const Node& n : result.tree.nodes()) {
+    result.leaf_origin.try_emplace(n.name, n.name);
+  }
+  return result;
+}
+
+void expect_same_unfolding(const Adt& adt, const std::string& what) {
+  const UnfoldResult got = unfold_to_tree(adt);
+  const UnfoldResult want = recursive_unfold(adt);
+  ASSERT_EQ(got.tree.size(), want.tree.size()) << what;
+  EXPECT_EQ(got.tree.root(), want.tree.root()) << what;
+  for (NodeId i = 0; i < got.tree.size(); ++i) {
+    EXPECT_EQ(got.tree.name(i), want.tree.name(i)) << what << " id " << i;
+    EXPECT_EQ(got.tree.type(i), want.tree.type(i)) << what << " id " << i;
+    EXPECT_EQ(got.tree.agent(i), want.tree.agent(i)) << what << " id " << i;
+    EXPECT_EQ(got.tree.children(i), want.tree.children(i))
+        << what << " id " << i;
+  }
+  EXPECT_EQ(got.leaf_origin, want.leaf_origin) << what;
+}
+
+TEST(UnfoldToTree, KeepsTheRecursiveNodeOrder) {
+  // Clone names and NodeIds are what callers see: the "@n" suffixes in
+  // leaf_origin and every attribution keyed on them.
+  expect_same_unfolding(catalog::money_theft_dag().adt(), "money_theft_dag");
+  RandomAdtOptions options;
+  options.target_nodes = 40;
+  options.share_probability = 0.3;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    expect_same_unfolding(generate_random_adt(options, seed),
+                          "seed " + std::to_string(seed));
+  }
+}
+
+TEST(UnfoldToTree, DeepChainUnfoldsWithoutRecursion) {
+  // 3,000 attacker AND gates stacked over one leaf, each also taking one
+  // shared leaf: a walk that takes a stack frame per level overflows a
+  // 256 KiB thread stack.
+  constexpr std::size_t kDepth = 3000;
+  Adt adt;
+  const NodeId shared = adt.add_basic("s", Agent::Attacker);
+  NodeId top = adt.add_basic("l", Agent::Attacker);
+  for (std::size_t i = 0; i < kDepth; ++i) {
+    std::string name = "g";
+    name += std::to_string(i);
+    top = adt.add_gate(std::move(name), GateType::And, Agent::Attacker,
+                       {top, shared});
+  }
+  adt.set_root(top);
+  adt.freeze();
+  UnfoldResult result;
+  run_on_stack(256 * 1024, [&] { result = unfold_to_tree(adt); });
+  // The chain, its bottom leaf and one copy of the shared leaf per gate.
+  ASSERT_EQ(result.tree.size(), 2 * kDepth + 1);
+  EXPECT_TRUE(result.tree.is_tree());
+  // Post-order ids: the bottom leaf, the deepest copy of s (named first,
+  // so it keeps the plain name), their gate, then one copy per level.
+  EXPECT_EQ(result.tree.name(0), "l");
+  EXPECT_EQ(result.tree.name(1), "s");
+  EXPECT_EQ(result.tree.name(2), "g0");
+  EXPECT_EQ(result.tree.name(3), "s@2");
+  EXPECT_EQ(result.tree.name(result.tree.root()),
+            "g" + std::to_string(kDepth - 1));
+  const std::string last = "s@" + std::to_string(kDepth);
+  EXPECT_EQ(result.tree.parents(result.tree.at(last)).size(), 1u);
+  EXPECT_EQ(result.leaf_origin.at(last), "s");
 }
 
 TEST(UnfoldToTree, StructureFunctionAgreesOnSharedInputs) {

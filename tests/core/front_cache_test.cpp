@@ -9,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <limits>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -253,9 +254,10 @@ TEST(FrontCache, ThrowingComputeHandsOffToAWaiter) {
               key, [] { return result_with_front(5, 5); });
           EXPECT_FALSE(takeover.cached);
         });
-        // The waiter's first lookup books its (provisional) miss; it
-        // then holds the flight mutex until it waits, so the throw
-        // below hands the key over to a waiting caller.
+        // The waiter's first lookup books its (provisional) miss; from
+        // there it takes the flight mutex and waits, so the throw below
+        // hands the key over to the waiter (or, if the waiter is not
+        // waiting yet, releases it before the waiter looks again).
         const Clock::time_point deadline =
             Clock::now() + std::chrono::seconds(10);
         while (cache.stats().misses < 2 && Clock::now() < deadline) {
@@ -273,6 +275,60 @@ TEST(FrontCache, ThrowingComputeHandsOffToAWaiter) {
   EXPECT_EQ(stats.hits, 1u);
   EXPECT_EQ(stats.coalesced, 0u);
   EXPECT_EQ(stats.insertions, 1u);
+}
+
+/// A FrontCache whose lookup of one key blocks until released, as a
+/// PersistentFrontCache's lookup does while it reads the store.
+class SlowLookupCache : public FrontCache {
+ public:
+  explicit SlowLookupCache(FrontCacheKey slow)
+      : FrontCache(4), slow_(slow) {}
+  std::optional<AnalysisResult> lookup(const FrontCacheKey& key) override {
+    if (key == slow_) {
+      entered.store(true);
+      while (!released.load()) std::this_thread::yield();
+    }
+    return FrontCache::lookup(key);
+  }
+  std::atomic<bool> entered{false};
+  std::atomic<bool> released{false};
+
+ private:
+  FrontCacheKey slow_;
+};
+
+TEST(FrontCache, HitsDoNotWaitBehindAnotherKeysLookup) {
+  // One caller sits in a slow lookup (a store read); a hit on another
+  // key must be served meanwhile, not queue behind it.
+  const FrontCacheKey slow{1, 2, 3};
+  const FrontCacheKey warm{4, 5, 6};
+  SlowLookupCache cache(slow);
+  cache.insert(warm, result_with_front(7, 7));
+  std::thread stuck([&] {
+    (void)cache.get_or_compute(slow, [] { return result_with_front(1, 1); });
+  });
+  while (!cache.entered.load()) std::this_thread::yield();
+
+  std::atomic<bool> served{false};
+  std::thread hit([&] {
+    const FrontCache::Served s =
+        cache.get_or_compute(warm, [] { return result_with_front(0, 0); });
+    EXPECT_TRUE(s.cached);
+    served.store(true);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!served.load() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  EXPECT_TRUE(served.load()) << "the hit waited for the slow lookup";
+  cache.released.store(true);
+  hit.join();
+  stuck.join();
+  const FrontCache::Stats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 1u);
+  EXPECT_EQ(stats.coalesced, 0u);
 }
 
 TEST(FrontCache, ZeroCapacityDisablesCaching) {

@@ -3,10 +3,13 @@
 /// disconnect storm must not crash or wedge the daemon (SIGPIPE /
 /// EPIPE handling), and a connection flood must be bounded by the
 /// worker pool, not answered with unbounded thread spawning - plus the
-/// writer/follower/promote flow over one shared store directory, all
-/// in-process over real unix sockets.
+/// writer/follower/promote flow over one shared store directory and the
+/// reply memo (byte-identical repeats, keys on exact bytes, what is
+/// never stored, concurrent clients), all in-process over real unix
+/// sockets.
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 #include <atomic>
@@ -14,10 +17,13 @@
 #include <csignal>
 #include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "adt/adtool_xml.hpp"
 #include "adt/text_format.hpp"
 #include "core/analyzer.hpp"
 #include "gen/catalog.hpp"
@@ -488,6 +494,267 @@ TEST(Daemon, ConcurrentColdRequestsWithIntraModelThreads) {
   EXPECT_EQ(stats.at("computed").as_number(), 4);
   EXPECT_EQ(stats.at("failed").as_number(), 0);
   server.stop();
+}
+
+/// One STATS counter, read in process: "requests" or "replies.hits".
+double stat(DaemonServer& server, const std::string& group,
+            const std::string& field = "") {
+  const JsonValue stats = parse_json(server.stats_json());
+  return field.empty() ? stats.at(group).as_number()
+                       : stats.at(group).at(field).as_number();
+}
+
+/// A reply's front, the tail of the line from "front":.
+std::string front_of(const std::string& reply) {
+  return reply.substr(reply.rfind("\"front\":"));
+}
+
+TEST(Daemon, ReplyMemoAnswersARepeatByteForByte) {
+  const ScratchDir dir("memo");
+  DaemonConfig config;
+  config.store_dir = dir.store();
+  config.max_connections = 2;
+  DaemonServer server(dir.socket("d"), config);
+  server.start();
+  const int fd = connect_with_retry(server.endpoint());
+  const std::string model = to_text_format(catalog::fig3_example());
+  const std::string request = analyze_header("text", model) + model;
+
+  // Computed, then answered from the FrontCache: only that cached reply
+  // enters the memo.
+  const std::string cold = request_line(fd, request);
+  EXPECT_FALSE(parse_json(cold).at("cached").as_bool());
+  const std::string warm = request_line(fd, request);
+  EXPECT_TRUE(parse_json(warm).at("cached").as_bool());
+  EXPECT_EQ(stat(server, "replies", "entries"), 1);
+  EXPECT_EQ(stat(server, "replies", "hits"), 0);
+
+  const std::string memo = request_line(fd, request);
+  EXPECT_EQ(memo, warm);
+  EXPECT_EQ(stat(server, "replies", "hits"), 1);
+  EXPECT_EQ(stat(server, "replies", "misses"), 2);
+  EXPECT_EQ(stat(server, "replies", "entries"), 1);
+  EXPECT_EQ(stat(server, "requests"), 3);
+  EXPECT_EQ(stat(server, "computed"), 1);
+  EXPECT_EQ(stat(server, "cache_hits"), 2);
+  // The memo hit never reached the FrontCache.
+  EXPECT_EQ(stat(server, "memory", "hits"), 1);
+  EXPECT_EQ(stat(server, "memory", "misses"), 1);
+  ::close(fd);
+  server.stop();
+}
+
+TEST(Daemon, ReplyMemoKeysOnTheExactBytes) {
+  const ScratchDir dir("memo_keys");
+  DaemonConfig config;
+  config.store_dir = dir.store();
+  config.max_connections = 2;
+  DaemonServer server(dir.socket("d"), config);
+  server.start();
+  const int fd = connect_with_retry(server.endpoint());
+
+  const AugmentedAdt fig3 = catalog::fig3_example();
+  const std::string text = to_text_format(fig3);
+  std::string changed = text;
+  const std::string leaf = "a3 = attack 20";
+  const std::size_t at = changed.find(leaf);
+  ASSERT_NE(at, std::string::npos) << text;
+  changed.replace(at, leaf.size(), "a3 = attack 7");
+  const std::vector<std::pair<std::string, std::string>> bodies = {
+      {"text", text},
+      {"text", text + " "},  // the same model, one more byte
+      {"xml", export_adtool_xml(fig3.adt(), fig3.attribution())},
+      {"text", changed},  // one leaf value changed
+  };
+
+  // Each body until the FrontCache answers it as cached (the one-space
+  // body's model is the text body's, so its first reply already is).
+  std::vector<std::string> cached;
+  for (const auto& [format, body] : bodies) {
+    const std::string request = analyze_header(format, body) + body;
+    std::string reply = request_line(fd, request);
+    if (!parse_json(reply).at("cached").as_bool()) {
+      reply = request_line(fd, request);
+    }
+    ASSERT_TRUE(parse_json(reply).at("cached").as_bool()) << reply;
+    cached.push_back(reply);
+  }
+  EXPECT_EQ(stat(server, "replies", "entries"), bodies.size());
+  EXPECT_EQ(stat(server, "replies", "hits"), 0);
+  EXPECT_EQ(cached[1], cached[0]) << "one FrontCache entry, one reply line";
+  EXPECT_EQ(front_of(cached[2]), front_of(cached[0]));
+  EXPECT_NE(front_of(cached[3]), front_of(cached[0]));
+
+  // Every body again: each is a memo hit on its own entry.
+  for (std::size_t i = 0; i < bodies.size(); ++i) {
+    const auto& [format, body] = bodies[i];
+    EXPECT_EQ(request_line(fd, analyze_header(format, body) + body),
+              cached[i])
+        << "body " << i;
+  }
+  EXPECT_EQ(stat(server, "replies", "hits"), bodies.size());
+  EXPECT_EQ(stat(server, "replies", "entries"), bodies.size());
+  ::close(fd);
+  server.stop();
+}
+
+TEST(Daemon, ReplyMemoStoresOnlyCachedRepliesToSmallBodies) {
+  const ScratchDir dir("memo_fill");
+  DaemonConfig config;
+  config.store_dir = dir.store();
+  config.max_connections = 2;
+  DaemonServer server(dir.socket("d"), config);
+  server.start();
+  const int fd = connect_with_retry(server.endpoint());
+
+  // A parse error is answered, counted and forgotten, every time.
+  const std::string broken = "this is not a model\n";
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_FALSE(analyze(fd, "text", broken).at("ok").as_bool());
+  }
+  EXPECT_EQ(stat(server, "failed"), 2);
+  EXPECT_EQ(stat(server, "replies", "entries"), 0);
+
+  // A cold reply is not stored.
+  const std::string model = to_text_format(catalog::fig3_example());
+  EXPECT_FALSE(analyze(fd, "text", model).at("cached").as_bool());
+  EXPECT_EQ(stat(server, "replies", "entries"), 0);
+  EXPECT_EQ(stat(server, "replies", "misses"), 3);
+
+  // The same model behind a comment that takes the body over the cap:
+  // served as cached by the FrontCache every time, never looked up in
+  // or stored to the memo.
+  const std::string big =
+      model + "# " + std::string(DaemonServer::kReplyMemoMaxBytes, 'x') + "\n";
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_TRUE(analyze(fd, "text", big).at("cached").as_bool());
+  }
+  EXPECT_EQ(stat(server, "memory", "hits"), 3);
+  EXPECT_EQ(stat(server, "replies", "misses"), 3);
+  EXPECT_EQ(stat(server, "replies", "entries"), 0);
+
+  // The small body's cached reply is stored.
+  EXPECT_TRUE(analyze(fd, "text", model).at("cached").as_bool());
+  EXPECT_EQ(stat(server, "replies", "entries"), 1);
+  ::close(fd);
+  server.stop();
+}
+
+TEST(Daemon, ZeroMemoryCapacityDisablesTheReplyMemo) {
+  const ScratchDir dir("memo_off");
+  DaemonConfig config;
+  config.store_dir = dir.store();
+  config.max_connections = 2;
+  config.memory_capacity = 0;
+  DaemonServer server(dir.socket("d"), config);
+  server.start();
+  const int fd = connect_with_retry(server.endpoint());
+  const std::string model = to_text_format(catalog::fig3_example());
+  EXPECT_FALSE(analyze(fd, "text", model).at("cached").as_bool());
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_TRUE(analyze(fd, "text", model).at("cached").as_bool());
+  }
+  EXPECT_EQ(stat(server, "replies", "hits"), 0);
+  EXPECT_EQ(stat(server, "replies", "misses"), 0);
+  EXPECT_EQ(stat(server, "replies", "entries"), 0);
+  EXPECT_EQ(stat(server, "store", "hits"), 2);
+  EXPECT_EQ(stat(server, "cache_hits"), 2);
+  ::close(fd);
+  server.stop();
+}
+
+TEST(Daemon, ConcurrentConnectionsGetIdenticalMemoReplies) {
+  // Four connections repeat the same four bodies at once, so memo
+  // lookups, first inserts and FrontCache hits race; every reply must
+  // be the same line.
+  const ScratchDir dir("memo_race");
+  DaemonConfig config;
+  config.store_dir = dir.store();
+  config.max_connections = 8;
+  DaemonServer server(dir.socket("d"), config);
+  server.start();
+
+  std::vector<std::pair<std::string, std::string>> bodies;
+  bodies.emplace_back("text", to_text_format(catalog::fig3_example()));
+  bodies.emplace_back(
+      "json", envelope(to_text_format(catalog::fig5_example()), "naive", 0));
+  const AugmentedAdt money = catalog::money_theft_dag();
+  bodies.emplace_back("xml",
+                      export_adtool_xml(money.adt(), money.attribution()));
+  bodies.emplace_back("text", to_text_format(catalog::fig4_exponential(6)));
+
+  // One cold round computes every front; its replies, marked cached,
+  // are what every later request must get.
+  std::vector<std::string> expected;
+  {
+    const int fd = connect_with_retry(server.endpoint());
+    const std::string cold_flag = "\"cached\":false";
+    for (const auto& [format, body] : bodies) {
+      std::string reply =
+          request_line(fd, analyze_header(format, body) + body);
+      const std::size_t at = reply.find(cold_flag);
+      ASSERT_NE(at, std::string::npos) << reply;
+      expected.push_back(reply.replace(at, cold_flag.size(),
+                                       "\"cached\":true"));
+    }
+    ::close(fd);
+  }
+
+  constexpr std::size_t kClients = 4;
+  constexpr std::size_t kRounds = 25;
+  std::atomic<std::size_t> ready{0};
+  std::atomic<std::size_t> mismatches{0};
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      const int fd = connect_with_retry(server.endpoint());
+      ready.fetch_add(1);
+      while (ready.load() < kClients) std::this_thread::yield();
+      for (std::size_t r = 0; r < kRounds; ++r) {
+        for (std::size_t k = 0; k < bodies.size(); ++k) {
+          const std::size_t i = (c + k) % bodies.size();
+          const auto& [format, body] = bodies[i];
+          if (request_line(fd, analyze_header(format, body) + body) !=
+              expected[i]) {
+            mismatches.fetch_add(1);
+          }
+        }
+      }
+      ::close(fd);
+    });
+  }
+  for (std::thread& t : clients) t.join();
+
+  EXPECT_EQ(mismatches.load(), 0u);
+  const double repeats = kClients * kRounds * bodies.size();
+  EXPECT_EQ(stat(server, "computed"), bodies.size());
+  EXPECT_EQ(stat(server, "failed"), 0);
+  EXPECT_EQ(stat(server, "cache_hits"), repeats);
+  EXPECT_EQ(stat(server, "replies", "entries"), bodies.size());
+  // Every repeat was a memo hit or reached the FrontCache as a hit.
+  EXPECT_EQ(stat(server, "replies", "hits") + stat(server, "memory", "hits"),
+            repeats);
+  server.stop();
+}
+
+TEST(Daemon, PollReadableReturnsOnDataOrEofAndOtherwiseAtTheBudget) {
+  // A worker's wait for the next request: it must neither consume the
+  // bytes it sees nor outlast its budget on an idle connection.
+  int fds[2] = {-1, -1};
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  const auto t0 = std::chrono::steady_clock::now();
+  EXPECT_FALSE(poll_readable_fd(fds[1], std::chrono::milliseconds(2)));
+  EXPECT_GE(std::chrono::steady_clock::now() - t0,
+            std::chrono::milliseconds(2));
+
+  write_all_fd(fds[0], "PING\n", 5);
+  EXPECT_TRUE(poll_readable_fd(fds[1], std::chrono::seconds(10)));
+  EXPECT_EQ(read_line_fd(fds[1]), std::optional<std::string>("PING"));
+
+  ::close(fds[0]);
+  EXPECT_TRUE(poll_readable_fd(fds[1], std::chrono::seconds(10)));
+  EXPECT_EQ(read_line_fd(fds[1]), std::nullopt);
+  ::close(fds[1]);
 }
 
 }  // namespace

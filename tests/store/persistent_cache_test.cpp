@@ -208,9 +208,9 @@ TEST(PersistentCache, RetryBackoffNeverSerializesLookupsOnOtherKeys) {
 }
 
 TEST(PersistentCache, StatsNeverWaitBehindAnInFlightLookup) {
-  // get_or_compute looks key 1 up under the single-flight mutex, and the
-  // store read behind that lookup enters a 1s retry backoff. stats()
-  // must answer meanwhile: it reads the counters without that mutex.
+  // get_or_compute looks key 1 up, and the store read behind that
+  // lookup enters a 1s retry backoff. stats() must answer meanwhile: it
+  // takes neither the single-flight mutex nor any lock that lookup holds.
   using Clock = std::chrono::steady_clock;
   const ScratchDir dir("statswait");
   FaultFileOps ops(real_file_ops());
