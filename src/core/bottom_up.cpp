@@ -1,6 +1,8 @@
 #include "core/bottom_up.hpp"
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <type_traits>
 
 #include "adt/modules.hpp"
@@ -89,74 +91,24 @@ bool children_are_independent(const Adt& adt, const ModuleInfo& modules,
   return true;
 }
 
-/// One node of Algorithm 1: leaves materialize their fronts, gates fold
-/// their children's fronts left to right (Alg. 1 lines 7-9; pruning
-/// after every combination is lossless by Lemma 2). Shared verbatim by
-/// the sequential walk and every parallel task, so the fold shape -
-/// and with it the result, bit for bit - cannot depend on scheduling.
-/// With \p blobs set (hybrid, always sequential), a blob root's front
-/// is its BDDBU run's, and every other gate counts as a tree combine.
-template <typename P, typename Dd, typename Da>
-void compute_node(const AugmentedAdt& aadt, NodeId v,
-                  std::vector<BasicFront<P>>& fronts, FrontArena<P>& arena,
-                  std::size_t& max_p, const BottomUpOptions& options,
-                  const RunContext& run, const Blobs* blobs,
-                  AnalysisTrace* trace, const Dd& dd, const Da& da) {
-  check_interrupt(run.deadline, run.cancel,
-                  blobs != nullptr ? "hybrid" : "bottom_up");
-  const Adt& adt = aadt.adt();
-  const Node& n = adt.node(v);
-  if (n.type == GateType::BasicStep) {
-    if (n.agent == Agent::Attacker) {
-      fronts[v] =
-          BasicFront<P>::singleton(attack_leaf_point<P>(aadt, v, dd, da));
-    } else {
-      fronts[v] = BasicFront<P>::minimized(
-          defense_leaf_points<P>(aadt, v, dd, da), dd, da);
-    }
-    return;
-  }
-  if constexpr (std::is_same_v<P, ValuePoint>) {
-    if (blobs != nullptr && blobs->is_root[v]) {
-      // Sharing reaches into this subtree: analyze the whole sub-DAG with
-      // BDDBU (Theorem 2 applies to the sub-AADT as its own model).
-      const AugmentedAdt sub = extract_subgraph(aadt, v);
-      if (trace != nullptr) {
-        ++trace->blob_count;
-        trace->largest_blob = std::max(trace->largest_blob, sub.adt().size());
-      }
-      fronts[v] = bdd_bu_front(sub, blobs->bdd, run, trace);
-      return;
-    }
-  }
-  const AttackOp op = attack_op(n.type, n.agent);
-  BasicFront<P> acc = fronts[n.children[0]];
-  for (std::size_t i = 1; i < n.children.size(); ++i) {
-    arena.combine_into(acc, fronts[n.children[i]], op, dd, da);
-    if (options.max_front_points != 0 &&
-        acc.size() > options.max_front_points) {
-      throw LimitError("bottom_up: intermediate front exceeds " +
-                       std::to_string(options.max_front_points) +
-                       " points at node '" + n.name + "'");
-    }
-  }
-  max_p = std::max(max_p, acc.size());
-  if (blobs != nullptr && trace != nullptr) ++trace->tree_combines;
-  fronts[v] = std::move(acc);
-}
-
 /// The dirty-spine plan of one memoized run: which nodes were preloaded
-/// from the NodeFrontMemo and which must be computed. Built once on the
-/// caller thread before a kernel is chosen (its size decides whether the
-/// walk is worth a scheduler); both kernels consume it. When the memo is
-/// off (or the model is not cacheable, or this is a witness run - the
-/// memo holds value fronts only) and there are no blobs, the plan
-/// degenerates to "compute everything" and store() is a no-op, so the
-/// kernels have a single code path.
+/// from the NodeFrontMemo, which must be computed, and which of those
+/// look their value key up first. Built once on the caller thread
+/// before a kernel is chosen (its size decides whether the walk is worth
+/// a scheduler); both kernels consume it through compute_node. When the
+/// memo is off (or the model is not cacheable, or this is a witness run
+/// - the memo holds value fronts only) and there are no blobs, the plan
+/// degenerates to "compute everything" and its memo calls are no-ops,
+/// so the kernels have a single code path.
 template <typename P>
 struct MemoPlan {
   NodeFrontMemo* memo = nullptr;  ///< null unless P is ValuePoint
+  std::uint64_t context = 0;      ///< the kernel's memo context
   std::vector<NodeMemoKey> keys;  ///< per NodeId; empty when memo off
+  /// Per NodeId: a gate to compute with a child preloaded from the memo,
+  /// which looks its value key up before it folds. Empty when nothing
+  /// was preloaded.
+  std::vector<char> value_keyed;
   std::vector<NodeId> order;      ///< nodes to compute, topological
   std::uint64_t hits = 0;         ///< gates preloaded from the memo
   std::uint64_t misses = 0;       ///< gates looked up and not found
@@ -173,6 +125,7 @@ struct MemoPlan {
     if (std::is_same_v<P, ValuePoint> && run.memo != nullptr &&
         run.memo->capacity() != 0 && cacheable(aadt)) {
       plan.memo = run.memo;
+      plan.context = context;
       const std::vector<std::uint64_t> subtree = subtree_value_hashes(aadt);
       plan.keys.resize(adt.size());
       for (NodeId v = 0; v < adt.size(); ++v) {
@@ -209,6 +162,19 @@ struct MemoPlan {
     for (NodeId v : adt.topological_order()) {
       if (state[v] == kCompute) plan.order.push_back(v);
     }
+    // Early cutoff: a computed gate beside a replayed sibling may see
+    // child fronts the memo has folded before. A cold run replays
+    // nothing, so it skips this pass and never hashes a front.
+    if (plan.hits != 0) {
+      plan.value_keyed.assign(adt.size(), 0);
+      for (NodeId v : plan.order) {
+        if (blobs != nullptr && blobs->is_root[v]) continue;
+        const std::vector<NodeId>& children = adt.node(v).children;
+        plan.value_keyed[v] = std::any_of(
+            children.begin(), children.end(),
+            [&](NodeId c) { return state[c] == kPreloaded; });
+      }
+    }
     return plan;
   }
 
@@ -222,17 +188,109 @@ struct MemoPlan {
     }
   }
 
-  /// Memoizes a freshly computed gate front. Thread-safe; called from
+  /// For a value-keyed gate \p v, sets \p value_key and looks it up. On
+  /// a hit, copies the front into \p fronts, files it under \p v's
+  /// subtree key as well and returns true. Thread-safe.
+  bool replay_by_value(const Adt& adt, NodeId v, AttackOp op,
+                       std::vector<BasicFront<P>>& fronts,
+                       std::optional<NodeMemoKey>& value_key) const {
+    if constexpr (std::is_same_v<P, ValuePoint>) {
+      if (value_keyed.empty() || !value_keyed[v]) return false;
+      value_key = value_memo_key(op, context, adt.children(v), fronts);
+      std::shared_ptr<const Front> hit = memo->find(*value_key);
+      if (hit == nullptr) return false;
+      fronts[v] = *hit;
+      memo->insert(keys[v], std::move(hit));
+      return true;
+    } else {
+      return false;
+    }
+  }
+
+  /// Memoizes a freshly computed gate front under its subtree key and,
+  /// when set, \p value_key: one copy for both. Thread-safe; called from
   /// worker tasks by the parallel kernel.
-  void store(const AugmentedAdt& aadt, NodeId v,
-             const BasicFront<P>& front) const {
+  void store(NodeId v, const BasicFront<P>& front,
+             const std::optional<NodeMemoKey>& value_key) const {
     if constexpr (std::is_same_v<P, ValuePoint>) {
       if (memo == nullptr) return;
-      if (aadt.adt().type(v) == GateType::BasicStep) return;
-      memo->insert(keys[v], front);
+      auto stored = std::make_shared<const Front>(front);
+      if (value_key) memo->insert(*value_key, stored);
+      memo->insert(keys[v], std::move(stored));
     }
   }
 };
+
+/// Per-slot counters of a walk, added to the trace once it ends.
+struct WalkTally {
+  std::size_t max_front = 0;  ///< largest front a gate fold produced
+  std::uint64_t cutoffs = 0;  ///< gates replayed by value key
+};
+
+/// One node of Algorithm 1: leaves materialize their fronts, gates fold
+/// their children's fronts left to right (Alg. 1 lines 7-9; pruning
+/// after every combination is lossless by Lemma 2). Shared verbatim by
+/// the sequential walk and every parallel task, so the fold shape -
+/// and with it the result, bit for bit - cannot depend on scheduling.
+/// A value-keyed gate whose fold \p plan's memo holds replays it instead
+/// (an early cutoff); a folded gate is memoized. With \p blobs set
+/// (hybrid, always sequential), a blob root's front is its BDDBU run's,
+/// and every other folded gate counts as a tree combine.
+template <typename P, typename Dd, typename Da>
+void compute_node(const AugmentedAdt& aadt, NodeId v, const MemoPlan<P>& plan,
+                  std::vector<BasicFront<P>>& fronts, FrontArena<P>& arena,
+                  WalkTally& tally, const BottomUpOptions& options,
+                  const RunContext& run, const Blobs* blobs,
+                  AnalysisTrace* trace, const Dd& dd, const Da& da) {
+  check_interrupt(run.deadline, run.cancel,
+                  blobs != nullptr ? "hybrid" : "bottom_up");
+  const Adt& adt = aadt.adt();
+  const Node& n = adt.node(v);
+  if (n.type == GateType::BasicStep) {
+    if (n.agent == Agent::Attacker) {
+      fronts[v] =
+          BasicFront<P>::singleton(attack_leaf_point<P>(aadt, v, dd, da));
+    } else {
+      fronts[v] = BasicFront<P>::minimized(
+          defense_leaf_points<P>(aadt, v, dd, da), dd, da);
+    }
+    return;
+  }
+  if constexpr (std::is_same_v<P, ValuePoint>) {
+    if (blobs != nullptr && blobs->is_root[v]) {
+      // Sharing reaches into this subtree: analyze the whole sub-DAG with
+      // BDDBU (Theorem 2 applies to the sub-AADT as its own model).
+      const AugmentedAdt sub = extract_subgraph(aadt, v);
+      if (trace != nullptr) {
+        ++trace->blob_count;
+        trace->largest_blob = std::max(trace->largest_blob, sub.adt().size());
+      }
+      fronts[v] = bdd_bu_front(sub, blobs->bdd, run, trace);
+      plan.store(v, fronts[v], std::nullopt);
+      return;
+    }
+  }
+  const AttackOp op = attack_op(n.type, n.agent);
+  std::optional<NodeMemoKey> value_key;
+  if (plan.replay_by_value(adt, v, op, fronts, value_key)) {
+    ++tally.cutoffs;
+    return;
+  }
+  BasicFront<P> acc = fronts[n.children[0]];
+  for (std::size_t i = 1; i < n.children.size(); ++i) {
+    arena.combine_into(acc, fronts[n.children[i]], op, dd, da);
+    if (options.max_front_points != 0 &&
+        acc.size() > options.max_front_points) {
+      throw LimitError("bottom_up: intermediate front exceeds " +
+                       std::to_string(options.max_front_points) +
+                       " points at node '" + n.name + "'");
+    }
+  }
+  tally.max_front = std::max(tally.max_front, acc.size());
+  if (blobs != nullptr && trace != nullptr) ++trace->tree_combines;
+  fronts[v] = std::move(acc);
+  plan.store(v, fronts[v], value_key);
+}
 
 /// The sequential kernel of Algorithm 1; instantiated once per policy
 /// pair by dispatch_domains(), so combine/prefer inline with no dispatch
@@ -245,15 +303,15 @@ void bottom_up_kernel(const AugmentedAdt& aadt, const BottomUpOptions& options,
                       const Blobs* blobs, std::vector<BasicFront<P>>& fronts,
                       AnalysisTrace* trace, const Dd& dd, const Da& da) {
   FrontArena<P> arena;
-  std::size_t max_p = 0;
+  WalkTally tally;
   for (NodeId v : plan.order) {
-    compute_node(aadt, v, fronts, arena, max_p, options, run, blobs, trace,
-                 dd, da);
-    plan.store(aadt, v, fronts[v]);
+    compute_node(aadt, v, plan, fronts, arena, tally, options, run, blobs,
+                 trace, dd, da);
   }
   if (trace != nullptr) {
     trace->combine += arena.stats();
-    trace->max_front_size = std::max(trace->max_front_size, max_p);
+    trace->max_front_size = std::max(trace->max_front_size, tally.max_front);
+    trace->memo_cutoffs += tally.cutoffs;
   }
 }
 
@@ -271,18 +329,17 @@ void bottom_up_parallel_kernel(const AugmentedAdt& aadt,
   const Adt& adt = aadt.adt();
   const unsigned workers = pool.threads();
   std::vector<FrontArena<P>> arenas(workers);
-  std::vector<std::size_t> max_p(workers, 0);
+  std::vector<WalkTally> tallies(workers);
 
   auto body = [&](unsigned slot, std::uint32_t v) {
-    compute_node(aadt, static_cast<NodeId>(v), fronts, arenas[slot],
-                 max_p[slot], options, run, nullptr, nullptr, dd, da);
-    plan.store(aadt, static_cast<NodeId>(v), fronts[v]);
+    compute_node(aadt, static_cast<NodeId>(v), plan, fronts, arenas[slot],
+                 tallies[slot], options, run, nullptr, nullptr, dd, da);
   };
   // One task per node of the dirty spine (every node when the memo is
   // off), added in topological order; dependency edges make each gate
   // wait for its still-dirty children (preloaded children are already
   // materialized). The per-node fold shape is compute_node either way,
-  // so memoization never changes what a computed node computes.
+  // so memoization never changes the front a computed node produces.
   std::vector<std::uint32_t> task_of(adt.size(), 0xFFFFFFFFu);
   TaskGraph graph;
   graph.reserve(plan.order.size(), plan.order.size());
@@ -305,7 +362,9 @@ void bottom_up_parallel_kernel(const AugmentedAdt& aadt,
     trace->sched += stats;
     for (unsigned slot = 0; slot < workers; ++slot) {
       trace->combine += arenas[slot].stats();
-      trace->max_front_size = std::max(trace->max_front_size, max_p[slot]);
+      trace->max_front_size =
+          std::max(trace->max_front_size, tallies[slot].max_front);
+      trace->memo_cutoffs += tallies[slot].cutoffs;
     }
   }
 }

@@ -1,5 +1,7 @@
 #include "core/node_memo.hpp"
 
+#include <bit>
+
 #include "core/bdd_bu.hpp"
 
 namespace adtp {
@@ -9,18 +11,42 @@ std::vector<std::uint64_t> subtree_value_hashes(const AugmentedAdt& aadt) {
   std::vector<std::uint64_t> hashes(adt.size(), 0);
   for (NodeId v : adt.topological_order()) {
     const Node& n = adt.node(v);
-    Fnv1a h;
-    h.u8(static_cast<std::uint8_t>(n.type));
-    h.u8(static_cast<std::uint8_t>(n.agent));
+    const std::uint64_t kind = static_cast<std::uint64_t>(n.type) << 8 |
+                               static_cast<std::uint64_t>(n.agent);
+    WordHash h;
     if (n.type == GateType::BasicStep) {
-      h.f64(aadt.value_of(v));
+      h.pair(kind, std::bit_cast<std::uint64_t>(aadt.value_of(v)));
     } else {
-      h.size(n.children.size());
-      for (NodeId c : n.children) h.u64(hashes[c]);
+      h.pair(kind, n.children.size());
+      std::size_t i = 0;
+      for (; i + 1 < n.children.size(); i += 2) {
+        h.pair(hashes[n.children[i]], hashes[n.children[i + 1]]);
+      }
+      if (i < n.children.size()) h.word(hashes[n.children[i]]);
     }
     hashes[v] = h.digest();
   }
   return hashes;
+}
+
+NodeMemoKey value_memo_key(AttackOp op, std::uint64_t context,
+                           std::span<const NodeId> children,
+                           const std::vector<Front>& fronts) {
+  // The tag keeps value contexts apart from the subtree keys' contexts.
+  constexpr std::uint64_t kValueTag = 0x56414c5545ULL;  // "VALUE"
+  WordHash h;
+  h.pair(static_cast<std::uint64_t>(op), children.size());
+  for (NodeId c : children) {
+    const std::vector<ValuePoint>& points = fronts[c].points();
+    WordHash front;
+    front.word(points.size());
+    for (const ValuePoint& p : points) {
+      front.pair(std::bit_cast<std::uint64_t>(p.def),
+                 std::bit_cast<std::uint64_t>(p.att));
+    }
+    h.word(front.digest());
+  }
+  return NodeMemoKey{h.digest(), WordHash().pair(kValueTag, context).digest()};
 }
 
 std::uint64_t bottom_up_memo_context(const AugmentedAdt& aadt,

@@ -1,6 +1,7 @@
 /// \file node_memo.hpp
 /// \brief A bounded, thread-safe memo of per-node Pareto fronts keyed on
-///        subtree content, for incremental re-analysis.
+///        subtree content and on child fronts, for incremental
+///        re-analysis.
 ///
 /// Interactive serving is dominated by one-node edits to an
 /// already-analyzed model: a cost tweak, a defense toggled, a subtree
@@ -14,16 +15,32 @@
 /// RunContext::memo is set; analyze_incremental() and the analyze_batch()
 /// shared-memo mode are the front doors.
 ///
-/// Key composition (full key stored and compared exactly, like the
-/// FrontCache - an FNV-1a collision costs a miss, never a wrong hit):
-///  - subtree: recursive hash of the node's subtree - gate type, agent,
-///    child order, and every reachable leaf's agent + attribute value.
-///    Content-derived: the same subtree in two independently built models
-///    hashes equal, which is exactly what lets counterfactual variants
-///    share untouched fronts.
+/// A gate's front is also a pure function of its children's fronts
+/// (Algorithm 1 folds them left to right), so the walk files a second
+/// key for it: the *value key*. When a dirty-spine gate has a child
+/// replayed from the memo, the walk looks its value key up before
+/// folding, and a hit replays the fold's result - an early cutoff: an
+/// edit whose effect a gate masks stops recomputing above it. A gate
+/// with no replayed child (every gate of a cold run) never builds one.
+///
+/// Keys (two 64-bit words, compared in full; the hash maps only route
+/// the lookup):
+///  - subtree key: {recursive hash of the node's subtree - gate type,
+///    agent, child order, and every reachable leaf's agent + attribute
+///    bits; context}. Content-derived: the same subtree in two
+///    independently built models hashes equal, which is exactly what
+///    lets counterfactual variants share untouched fronts.
+///  - value key: {hash of the gate's attack op, child count and each
+///    child front's (def, att) bit patterns in child order; the context
+///    tagged as a value context}. Bit patterns, so only bit-identical
+///    child fronts share a key.
 ///  - context: everything outside the subtree that can change its front -
 ///    the two domain kinds, the algorithm family, and its result-affecting
 ///    limits (see bottom_up_memo_context / hybrid_memo_context).
+/// The subtree and value hashes are WordHash digests (util/hash.hpp),
+/// and they are the key: two inputs whose hashes collide share an
+/// entry, so a collision would replay a wrong front. Their strength is
+/// what `ValueKeys.*` pins (tests/core/node_memo_test.cpp).
 ///
 /// The memo holds value fronts only. Witness runs (strategy extraction)
 /// never consult it: their bit vectors are indexed by the model's dense
@@ -43,6 +60,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "core/attribution.hpp"
@@ -54,7 +72,7 @@ namespace adtp {
 
 struct BddBuOptions;  // node_memo.cpp hashes its result fields
 
-/// Content-derived memo key; see the file comment for what each part
+/// A subtree or value key; see the file comment for what each part
 /// covers. Compared exactly - the hash maps only route the lookup.
 struct NodeMemoKey {
   std::uint64_t subtree = 0;
@@ -70,10 +88,17 @@ struct NodeMemoKeyHash {
 };
 
 /// The recursive subtree content hash of every node, indexed by NodeId:
-/// leaves hash (type, agent, attribute value), gates hash (type, agent,
+/// leaves hash (type, agent, attribute bits), gates hash (type, agent,
 /// child subtree hashes in child order). One topological pass.
 [[nodiscard]] std::vector<std::uint64_t> subtree_value_hashes(
     const AugmentedAdt& aadt);
+
+/// The value key of a gate that folds \p children's fronts with \p op
+/// under memo context \p context: every child front's size and raw
+/// (def, att) bits, in child order.
+[[nodiscard]] NodeMemoKey value_memo_key(AttackOp op, std::uint64_t context,
+                                         std::span<const NodeId> children,
+                                         const std::vector<Front>& fronts);
 
 /// Context hash for the bottom-up kernels: domain kinds plus
 /// max_front_points (the only bottom-up option that can change a front or
@@ -90,9 +115,12 @@ struct NodeMemoKeyHash {
 /// Bounded, thread-safe memo of per-node value fronts: an LruCache
 /// (util/lru_cache.hpp) whose lookup() deep-copies a stored front out and
 /// whose insert() keeps the first front under a live key (contract 4
-/// makes both equal). Every entry owns a buffer sized to its own front,
-/// so resident memory tracks the fronts held, not the largest front ever
-/// evicted. Capacity 0 disables the memo.
+/// makes both equal). A gate's subtree and value entries share one
+/// buffer sized to its front, so resident memory tracks the fronts held,
+/// not the entries nor the largest front ever evicted. stats() counts
+/// both kinds of entry and lookup; a result's AnalysisTrace counts
+/// subtree-key lookups (memo_hits, memo_misses) apart from value-key
+/// replays (memo_cutoffs). Capacity 0 disables the memo.
 class NodeFrontMemo : public LruCache<NodeMemoKey, Front, NodeMemoKeyHash> {
  public:
   explicit NodeFrontMemo(std::size_t capacity = 4096) : LruCache(capacity) {}

@@ -20,9 +20,9 @@
 /// result carries the trace of the run that computed it.
 ///
 /// A trace is per-run data and is not persisted: the store codec keeps
-/// only the memo counts, and a decoded result carries a default trace
-/// otherwise. Like AnalysisResult::seconds, a FrontCache hit returns the
-/// original run's values.
+/// only memo_hits and memo_misses, and a decoded result carries a
+/// default trace otherwise. Like AnalysisResult::seconds, a FrontCache
+/// hit returns the original run's values.
 
 #pragma once
 
@@ -59,9 +59,10 @@ struct RunContext {
 
   /// Per-node front memo (node_memo.hpp) of the bottom-up and hybrid
   /// kernels: gate fronts found under their subtree content key are
-  /// replayed, so a one-node edit recomputes only the dirty spine.
-  /// Models with Custom domains and witness runs bypass it; naive and
-  /// BDDBU ignore it.
+  /// replayed, so a one-node edit recomputes only the dirty spine, and a
+  /// spine gate whose child fronts the memo has folded before replays
+  /// that fold. Models with Custom domains and witness runs bypass it;
+  /// naive and BDDBU ignore it.
   NodeFrontMemo* memo = nullptr;
 
   /// Runs computing fewer nodes than this never engage \p pool: bottom-up
@@ -73,10 +74,15 @@ struct RunContext {
 };
 
 struct AnalysisTrace {
-  /// Per-node memo (bottom-up and hybrid): gate fronts replayed from the
-  /// memo, and gate fronts computed while the memo was active.
+  /// Per-node memo (bottom-up and hybrid): gates whose subtree key hit
+  /// (their fronts replayed from the memo), and gates whose subtree key
+  /// missed (computed, or replayed by value key, while the memo was
+  /// active).
   std::uint64_t memo_hits = 0;
   std::uint64_t memo_misses = 0;
+  /// Computed gates replayed by value key (node_memo.hpp): the memo held
+  /// the fold of their children's fronts, so they ran no combine.
+  std::uint64_t memo_cutoffs = 0;
 
   /// Front operations (combines, staircase merges, points examined),
   /// summed over every arena the run used.

@@ -19,7 +19,10 @@
 ///    a lookup hands out, the copy an insert stores and the frees of
 ///    evicted or cleared values all run outside it. The mutex is an
 ///    AdaptiveMutex (util/adaptive_mutex.hpp): a waiter spins through
-///    such a section instead of sleeping and being woken.
+///    such a section instead of sleeping and being woken. find() and
+///    the shared insert() hand the pointer itself out and in, so one
+///    value can sit under several keys (the node memo files a gate's
+///    front under its subtree key and its value key).
 
 #pragma once
 
@@ -60,32 +63,43 @@ class LruCache {
  public:
   explicit LruCache(std::size_t capacity) : capacity_(capacity) {}
 
+  /// On a hit, refreshes the entry's recency and returns its value;
+  /// null on a miss.
+  [[nodiscard]] std::shared_ptr<const V> find(const K& key) {
+    const std::lock_guard<AdaptiveMutex> lock(mutex_);
+    const auto it = map_.find(key);
+    if (it == map_.end()) {
+      ++stats_.misses;
+      return nullptr;
+    }
+    ++stats_.hits;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->second;
+  }
+
   /// On a hit, refreshes the entry's recency, copies its value into
   /// \p out and returns true.
   [[nodiscard]] bool lookup(const K& key, V& out) {
-    std::shared_ptr<const V> hit;
-    {
-      const std::lock_guard<AdaptiveMutex> lock(mutex_);
-      const auto it = map_.find(key);
-      if (it == map_.end()) {
-        ++stats_.misses;
-        return false;
-      }
-      ++stats_.hits;
-      lru_.splice(lru_.begin(), lru_, it->second);
-      hit = it->second->second;
-    }
+    const std::shared_ptr<const V> hit = find(key);
+    if (hit == nullptr) return false;
     out = *hit;
     return true;
   }
 
-  /// Stores a copy of \p value under \p key and returns true, evicting
-  /// the least recently used entry when over capacity. When the key is
-  /// live, only its recency moves and the call returns false.
+  /// Stores a copy of \p value under \p key; see the shared overload.
   bool insert(const K& key, const V& value) {
     if (capacity_ == 0) return false;
-    // Declared before the lock, so both are released after it.
-    auto stored = std::make_shared<const V>(value);
+    return insert(key, std::make_shared<const V>(value));
+  }
+
+  /// Stores \p value under \p key and returns true, evicting the least
+  /// recently used entry when over capacity. When the key is live, only
+  /// its recency moves and the call returns false. Several keys may
+  /// share one value.
+  bool insert(const K& key, std::shared_ptr<const V> value) {
+    if (capacity_ == 0) return false;
+    // Declared before the lock, so it is released after it (as is the
+    // parameter).
     std::shared_ptr<const V> evicted;
     const std::lock_guard<AdaptiveMutex> lock(mutex_);
     const auto it = map_.find(key);
@@ -94,7 +108,7 @@ class LruCache {
       ++stats_.duplicate_inserts;
       return false;
     }
-    lru_.emplace_front(key, std::move(stored));
+    lru_.emplace_front(key, std::move(value));
     map_.emplace(key, lru_.begin());
     ++stats_.insertions;
     if (lru_.size() > capacity_) {

@@ -1,15 +1,21 @@
 /// NodeFrontMemo is keyed on subtree *content*: identical subtrees in
 /// independently built models must share entries, a one-leaf edit must
 /// invalidate exactly the root-ward spine, and a memoized re-analysis
-/// must be bit-identical to a cold one at every thread count. Witness
-/// runs never touch the memo. The LRU bound, the stats counters, and the
-/// FrontCache-key neutrality of the memo knobs are part of the contract
-/// (docs/CONTRACTS.md, "Incremental equals cold").
+/// must be bit-identical to a cold one at every thread count. A spine
+/// gate whose child fronts the memo has folded before replays that fold
+/// by value key, and only bit-identical child fronts share one. Witness
+/// runs never touch the memo. The LRU bound, the stats counters, the
+/// strength of the key hashes and the FrontCache-key neutrality of the
+/// memo knobs are part of the contract (docs/CONTRACTS.md, "Incremental
+/// equals cold").
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <limits>
+#include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "core/analyzer.hpp"
@@ -62,6 +68,17 @@ TEST(SubtreeHashes, LeafEditDirtiesExactlyTheSpine) {
         << "node " << adt.name(v) << (on_spine ? " should" : " should not")
         << " change";
   }
+}
+
+TEST(SubtreeHashes, LeafBitsNotValuesKeyTheSubtree) {
+  // -0.0 and +0.0 compare equal but reach the front as different bits,
+  // so they must not share a memo entry.
+  const AugmentedAdt base = catalog::fig4_exponential(3);
+  const AugmentedAdt positive = with_tweaked_leaf(base, "a1", 0.0);
+  const AugmentedAdt negative = with_tweaked_leaf(base, "a1", -0.0);
+  const NodeId root = base.adt().root();
+  EXPECT_NE(subtree_value_hashes(positive)[root],
+            subtree_value_hashes(negative)[root]);
 }
 
 TEST(SubtreeHashes, ContextsSeparateAlgorithmsAndLimits) {
@@ -121,6 +138,99 @@ TEST(NodeFrontMemoStore, CapacityZeroDisablesTheMemo) {
   Front out;
   EXPECT_FALSE(memo.lookup(NodeMemoKey{1, 0}, out));
   EXPECT_EQ(memo.stats().entries, 0u);
+}
+
+/// The value key of a single-child gate over \p front.
+std::uint64_t single_front_key(const Front& front) {
+  const NodeId child = 0;
+  return value_memo_key(AttackOp::Combine, 0, {&child, 1}, {front}).subtree;
+}
+
+TEST(ValueKeys, OnlyBitIdenticalChildFrontsShareAKey) {
+  const std::vector<Front> fronts = {
+      Front::from_staircase({ValuePoint{0, 4}, ValuePoint{2, 1}}),
+      Front::singleton(ValuePoint{0.0, 3}),
+      Front::singleton(ValuePoint{-0.0, 3}),
+      Front::from_staircase({ValuePoint{0, 4}, ValuePoint{2, 1}}),
+  };
+  const std::vector<NodeId> a = {0, 1};
+  const NodeMemoKey key = value_memo_key(AttackOp::Combine, 7, a, fronts);
+  EXPECT_EQ(key, value_memo_key(AttackOp::Combine, 7,
+                                std::vector<NodeId>{3, 1}, fronts));
+  // -0.0 and +0.0 compare equal but are different bits.
+  EXPECT_NE(key, value_memo_key(AttackOp::Combine, 7,
+                                std::vector<NodeId>{0, 2}, fronts));
+  EXPECT_NE(key, value_memo_key(AttackOp::Combine, 7,
+                                std::vector<NodeId>{1, 0}, fronts));
+  EXPECT_NE(key, value_memo_key(AttackOp::Choose, 7, a, fronts));
+  EXPECT_NE(key, value_memo_key(AttackOp::Combine, 8, a, fronts));
+  // Value keys never share a context with subtree keys.
+  EXPECT_NE(key.context, 7u);
+}
+
+TEST(ValueKeys, TwoPointStaircasesNeverCollide) {
+  // Small-integer doubles carry all their bits at the top of the word: a
+  // mixer that keeps only the low half of each product (below) collides
+  // on these fronts, and a stream of 2,000 checked edits did not notice.
+  std::unordered_set<std::uint64_t> keys;
+  std::unordered_set<std::uint64_t> weak;
+  std::size_t fronts = 0;
+  for (int d = 1; d <= 64; ++d) {
+    for (int a = 0; a <= 64; ++a) {
+      for (int b = a + 1; b <= 64; ++b) {
+        const ValuePoint p{0, static_cast<double>(a)};
+        const ValuePoint q{static_cast<double>(d), static_cast<double>(b)};
+        ++fronts;
+        keys.insert(single_front_key(Front::from_staircase({p, q})));
+        std::uint64_t h = 0;
+        for (const ValuePoint& point : {p, q}) {
+          h = (h ^ std::bit_cast<std::uint64_t>(point.def)) *
+              0xff51afd7ed558ccdULL;
+          h = (h ^ std::bit_cast<std::uint64_t>(point.att)) *
+              0xff51afd7ed558ccdULL;
+          h ^= h >> 33;
+        }
+        weak.insert(h);
+      }
+    }
+  }
+  EXPECT_EQ(fronts, 133120u);
+  EXPECT_EQ(keys.size(), fronts) << fronts - keys.size() << " collisions";
+  EXPECT_LT(weak.size(), fronts) << "the set no longer catches a weak mixer";
+}
+
+TEST(ValueKeys, NineChildListsDifferingInTwoPositionsNeverCollide) {
+  // fronts[0..8] are the base children; fronts[9..] the replacements,
+  // none equal to a base front, so every list below is distinct.
+  std::vector<Front> fronts;
+  for (int i = 0; i < 9; ++i) {
+    fronts.push_back(Front::from_staircase(
+        {ValuePoint{0, 9.0 + i}, ValuePoint{1, static_cast<double>(i)}}));
+  }
+  constexpr int kReplacements = 48;
+  for (int r = 0; r < kReplacements; ++r) {
+    fronts.push_back(Front::from_staircase(
+        {ValuePoint{0, 64.0 + r % 8}, ValuePoint{2.0 + r / 8, 1}}));
+  }
+  std::unordered_map<std::uint64_t, std::vector<NodeId>> seen;
+  std::vector<NodeId> children(9);
+  for (NodeId i = 0; i < 9; ++i) {
+    for (NodeId j = i + 1; j < 9; ++j) {
+      for (NodeId x = 0; x < kReplacements; ++x) {
+        for (NodeId y = 0; y < kReplacements; ++y) {
+          for (NodeId c = 0; c < 9; ++c) children[c] = c;
+          children[i] = 9 + x;
+          children[j] = 9 + y;
+          const NodeMemoKey key =
+              value_memo_key(AttackOp::Combine, 1, children, fronts);
+          const auto [it, fresh] = seen.emplace(key.subtree, children);
+          EXPECT_TRUE(fresh) << "positions " << i << ", " << j
+                             << " collide with another list";
+        }
+      }
+    }
+  }
+  EXPECT_EQ(seen.size(), 36u * kReplacements * kReplacements);
 }
 
 TEST(MemoizedBottomUp, WarmRunIsBitIdenticalToColdAtEveryThreadCount) {
@@ -191,6 +301,72 @@ TEST(MemoizedBottomUp, LeafEditRecomputesOnlyTheDirtySpine) {
       incremental.front.bit_identical_values(bottom_up_front(edited, cold)));
 }
 
+TEST(MemoizedBottomUp, MaskedEditReplaysTheRootByValue) {
+  // Each block of the Fig. 4 forest caps the attacker's cost with its
+  // bypass, so raising a block's heaviest defense a thousandfold leaves
+  // the block front unchanged. The first such edit folds the root and
+  // files the fold under its value key; the second, in another block,
+  // hands the root the same eight block fronts and replays it.
+  const AugmentedAdt base = catalog::fig4_forest(8, 11);
+  const auto raised = [&](const char* leaf, double extra) {
+    return with_tweaked_leaf(base, leaf,
+                             1000 * base.attribution().get(leaf) + extra);
+  };
+  const AugmentedAdt first = raised("d_l0_11", 0);
+  const AugmentedAdt second = raised("d_l1_11", 1);
+  const std::vector<Front> base_fronts = bottom_up_all_fronts(base);
+  for (const AugmentedAdt* edited : {&first, &second}) {
+    const std::vector<Front> fronts = bottom_up_all_fronts(*edited);
+    for (const char* block : {"block0", "block1"}) {
+      const NodeId v = base.adt().at(block);
+      ASSERT_TRUE(fronts[v].bit_identical_values(base_fronts[v])) << block;
+    }
+  }
+
+  for (unsigned threads : kThreadCounts) {
+    NodeFrontMemo memo;
+    AnalysisOptions options;
+    options.intra_model_threads = threads;
+    options.run.parallel_node_floor = 0;
+    (void)analyze_incremental(base, memo, options);
+    const AnalysisResult a = analyze_incremental(first, memo, options);
+    const AnalysisResult b = analyze_incremental(second, memo, options);
+    EXPECT_TRUE(a.front.bit_identical_values(analyze(first).front));
+    EXPECT_TRUE(b.front.bit_identical_values(analyze(second).front));
+    EXPECT_EQ(a.memo_cutoffs, 0u) << threads << " threads";
+    EXPECT_EQ(b.memo_cutoffs, 1u) << threads << " threads";
+    // The root's fold of eight blocks is seven k-way combines.
+    EXPECT_EQ(a.combine.kway_combines, 21u) << threads << " threads";
+    EXPECT_EQ(b.combine.kway_combines, 14u) << threads << " threads";
+    // Subtree-key lookups keep their meaning: both edits dirty the same
+    // spine shape.
+    EXPECT_EQ(a.memo_hits, b.memo_hits);
+    EXPECT_EQ(a.memo_misses, b.memo_misses);
+  }
+}
+
+TEST(MemoizedBottomUp, ColdRunsBuildNoValueKeys) {
+  // A run that replays nothing takes no value-key step, so the memo's
+  // counters read exactly what they did before value keys existed:
+  // fig4_forest(2, 4) has 27 gates but 9 distinct subtrees.
+  const AugmentedAdt model = catalog::fig4_forest(2, 4);
+  for (unsigned threads : kThreadCounts) {
+    NodeFrontMemo memo;
+    AnalysisOptions options;
+    options.intra_model_threads = threads;
+    options.run.parallel_node_floor = 0;
+    const AnalysisResult cold = analyze_incremental(model, memo, options);
+    EXPECT_EQ(cold.memo_cutoffs, 0u);
+    const NodeFrontMemo::Stats stats = memo.stats();
+    EXPECT_EQ(stats.hits, 0u) << threads << " threads";
+    EXPECT_EQ(stats.misses, 27u) << threads << " threads";
+    EXPECT_EQ(stats.insertions, 9u) << threads << " threads";
+    EXPECT_EQ(stats.duplicate_inserts, 18u) << threads << " threads";
+    EXPECT_EQ(stats.evictions, 0u) << threads << " threads";
+    EXPECT_EQ(stats.entries, 9u) << threads << " threads";
+  }
+}
+
 TEST(MemoizedHybrid, WarmRunIsBitIdenticalToColdOnADag) {
   // money_theft_dag shares its "phishing" leaf between two subtrees, so
   // Auto routes it to BddBu and analyze_incremental to Hybrid.
@@ -208,6 +384,52 @@ TEST(MemoizedHybrid, WarmRunIsBitIdenticalToColdOnADag) {
   EXPECT_TRUE(second.front.bit_identical_values(cold));
   EXPECT_EQ(second.memo_hits, 1u);  // root replay
   EXPECT_EQ(second.memo_misses, 0u);
+}
+
+TEST(MemoizedHybrid, MaskedEditCutsOffBesideABlob) {
+  // fig4_forest(3, 7) under a new root beside a blob: an attacker OR of
+  // two ANDs sharing the step "s", which hybrid hands to BDDBU. A masked
+  // edit leaves "top" and the root with the same child fronts as the
+  // edit before it (the blob's front replayed by subtree key), so the
+  // second edit cuts off at both; the blob never takes the value path.
+  const AugmentedAdt forest = catalog::fig4_forest(3, 7);
+  Adt adt = forest.adt();
+  const NodeId s = adt.add_basic("s", Agent::Attacker);
+  const NodeId x = adt.add_basic("x", Agent::Attacker);
+  const NodeId y = adt.add_basic("y", Agent::Attacker);
+  const NodeId sx = adt.add_gate("sx", GateType::And, Agent::Attacker, {s, x});
+  const NodeId sy = adt.add_gate("sy", GateType::And, Agent::Attacker, {s, y});
+  const NodeId blob =
+      adt.add_gate("shared_or", GateType::Or, Agent::Attacker, {sx, sy});
+  adt.set_root(adt.add_gate("both", GateType::And, Agent::Attacker,
+                            {forest.adt().root(), blob}));
+  adt.freeze();
+  Attribution beta = forest.attribution();
+  beta.set("s", 2);
+  beta.set("x", 3);
+  beta.set("y", 5);
+  const AugmentedAdt base(std::move(adt), std::move(beta),
+                          forest.defender_domain(), forest.attacker_domain());
+  const auto raised = [&](const char* leaf, double extra) {
+    return with_tweaked_leaf(base, leaf,
+                             1000 * base.attribution().get(leaf) + extra);
+  };
+  const AugmentedAdt first = raised("d_l0_7", 0);
+  const AugmentedAdt second = raised("d_l1_7", 1);
+
+  NodeFrontMemo memo;
+  const AnalysisResult cold = run_memoized(base, memo, Algorithm::Hybrid);
+  EXPECT_EQ(cold.blob_count, 1u);
+  EXPECT_EQ(cold.memo_cutoffs, 0u);
+  const AnalysisResult a = run_memoized(first, memo, Algorithm::Hybrid);
+  const AnalysisResult b = run_memoized(second, memo, Algorithm::Hybrid);
+  EXPECT_EQ(a.memo_cutoffs, 0u);
+  EXPECT_EQ(b.memo_cutoffs, 2u);  // "top" and "both"
+  EXPECT_EQ(b.blob_count, 0u);    // the blob replays by subtree key
+  EXPECT_EQ(a.tree_combines - b.tree_combines, 2u);
+  HybridOptions hybrid;
+  EXPECT_TRUE(a.front.bit_identical_values(hybrid_front(first, hybrid)));
+  EXPECT_TRUE(b.front.bit_identical_values(hybrid_front(second, hybrid)));
 }
 
 TEST(AnalyzeIncremental, ResolvesAutoAndMatchesCold) {

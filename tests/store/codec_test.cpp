@@ -122,6 +122,16 @@ TEST(Codec, TraceIsNotPersisted) {
   EXPECT_TRUE(static_cast<const AnalysisTrace&>(out) == expected);
 }
 
+TEST(CodecTrace, MemoCutoffsAreNotPersisted) {
+  // memo_cutoffs is trace data like the rest: no byte moves, and a
+  // decoded result reads 0.
+  const AnalysisResult plain = make_result({{0, 30}, {5, 12.5}});
+  AnalysisResult traced = plain;
+  traced.memo_cutoffs = 3;
+  EXPECT_EQ(encode_result(traced), encode_result(plain));
+  EXPECT_EQ(roundtrip(traced).memo_cutoffs, 0u);
+}
+
 TEST(Codec, EveryStrictPrefixFailsToDecode) {
   const std::vector<std::uint8_t> bytes =
       encode_result(make_result({{1, 9}, {2, 8}, {3, 7}}));

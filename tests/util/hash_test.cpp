@@ -2,6 +2,9 @@
 /// published FNV-1a vectors, frame variable-length fields so adjacent
 /// values cannot alias, and treat the two IEEE zeros as one value (the
 /// only double pair the analysis considers equal with distinct bits).
+/// WordHash keys the node memo; ValueKeys.* and SubtreeHashes.*
+/// (tests/core/node_memo_test.cpp) pin its strength and that the memo
+/// tells the two zeros apart.
 
 #include <gtest/gtest.h>
 
@@ -36,6 +39,15 @@ TEST(Fnv1a, NegativeZeroFoldsOntoPositiveZero) {
 TEST(Fnv1a, DistinguishesValueWidths) {
   // u8(1) and u32(1) must not collide (different byte counts feed in).
   EXPECT_NE(Fnv1a().u8(1).digest(), Fnv1a().u32(1).digest());
+}
+
+TEST(WordHash, IsDeterministicAndOrderSensitive) {
+  const auto ab = WordHash().word(1).word(2).digest();
+  EXPECT_EQ(ab, WordHash().word(1).word(2).digest());
+  EXPECT_NE(ab, WordHash().word(2).word(1).digest());
+  EXPECT_NE(WordHash().pair(1, 2).digest(), WordHash().pair(2, 1).digest());
+  EXPECT_NE(WordHash().digest(), WordHash().word(0).digest());
+  EXPECT_NE(WordHash().word(0).digest(), WordHash().word(0).word(0).digest());
 }
 
 TEST(HashCombine, IsOrderSensitive) {
