@@ -15,48 +15,72 @@ std::string describe(const Node& n, NodeId id) {
   return out.str();
 }
 
-}  // namespace
-
-void Adt::mutate_guard() {
-  // Mutating after freeze() invalidates derived data; allow it but drop
-  // the frozen state so stale caches can never be observed.
-  if (frozen_) {
-    frozen_ = false;
-    parent_offsets_.clear();
-    parent_ids_.clear();
-    topo_.clear();
-    attack_steps_.clear();
-    defense_steps_.clear();
-    leaf_index_.clear();
-  }
+/// The NameIndex's view of \p nodes' names: NodeId -> nodes[id].name.
+auto name_of(const std::vector<Node>& nodes) noexcept {
+  return [&nodes](NodeId id) -> std::string_view { return nodes[id].name; };
 }
 
-void Adt::check_frozen() const {
-  if (!frozen_) {
+}  // namespace
+
+Adt::Adt(const Adt& other)
+    : s_(other.s_ == nullptr || other.s_->frozen ? other.s_
+                                                 : unfrozen_copy(*other.s_)) {}
+
+Adt& Adt::operator=(const Adt& other) {
+  if (this != &other) *this = Adt(other);
+  return *this;
+}
+
+std::shared_ptr<Adt::State> Adt::unfrozen_copy(const State& s) {
+  auto copy = std::make_shared<State>();
+  copy->nodes = s.nodes;
+  copy->by_name = s.by_name;
+  copy->root = s.root;
+  copy->root_explicit = s.root_explicit;
+  return copy;
+}
+
+Adt::State& Adt::mutate_guard() {
+  // A frozen State may be shared with copies, so it is never written:
+  // mutating a frozen model continues on an unfrozen copy of its
+  // construction data, and the derived data is computed again by the
+  // next freeze().
+  if (s_ == nullptr) {
+    s_ = std::make_shared<State>();
+  } else if (s_->frozen) {
+    s_ = unfrozen_copy(*s_);
+  }
+  return *s_;
+}
+
+const Adt::State& Adt::frozen_state() const {
+  const State* s = s_.get();
+  if (s == nullptr || !s->frozen) {
     throw ModelError(
         "Adt: structural query before freeze(); call freeze() after "
         "construction");
   }
+  return *s;
 }
 
 NodeId Adt::add_node(Node node) {
-  mutate_guard();
+  State& s = mutate_guard();
   if (node.name.empty()) {
     throw ModelError("Adt: node names must be non-empty");
   }
   for (NodeId c : node.children) {
-    if (c >= nodes_.size()) {
+    if (c >= s.nodes.size()) {
       throw ModelError("Adt: child id " + std::to_string(c) +
                        " does not exist yet (children must be added before "
                        "parents)");
     }
   }
-  const NodeId id = static_cast<NodeId>(nodes_.size());
-  if (by_name_.insert(node.name, id, name_of()) != id) {
+  const NodeId id = static_cast<NodeId>(s.nodes.size());
+  if (s.by_name.insert(node.name, id, name_of(s.nodes)) != id) {
     throw ModelError("Adt: duplicate node name '" + node.name + "'");
   }
-  nodes_.push_back(std::move(node));
-  if (!root_explicit_) root_ = id;
+  s.nodes.push_back(std::move(node));
+  if (!s.root_explicit) s.root = id;
   return id;
 }
 
@@ -87,7 +111,7 @@ NodeId Adt::add_gate(std::string name, GateType type, Agent agent,
 }
 
 NodeId Adt::add_inhibit(std::string name, NodeId inhibited, NodeId trigger) {
-  if (inhibited >= nodes_.size() || trigger >= nodes_.size()) {
+  if (inhibited >= size() || trigger >= size()) {
     throw ModelError("Adt: INH gate '" + name +
                      "' references a child that does not exist yet");
   }
@@ -97,36 +121,39 @@ NodeId Adt::add_inhibit(std::string name, NodeId inhibited, NodeId trigger) {
   }
   Node n;
   n.type = GateType::Inhibit;
-  n.agent = nodes_[inhibited].agent;
+  n.agent = s_->nodes[inhibited].agent;
   n.name = std::move(name);
   n.children = {inhibited, trigger};
   return add_node(std::move(n));
 }
 
 void Adt::set_root(NodeId root) {
-  mutate_guard();
-  if (root >= nodes_.size()) {
+  State& s = mutate_guard();
+  if (root >= s.nodes.size()) {
     throw ModelError("Adt::set_root: node " + std::to_string(root) +
                      " does not exist");
   }
-  root_ = root;
-  root_explicit_ = true;
+  s.root = root;
+  s.root_explicit = true;
 }
 
 void Adt::freeze() {
-  if (frozen_) return;
+  if (frozen()) return;
   validate();
-  compute_derived();
-  frozen_ = true;
+  // Unfrozen, so this Adt owns its State alone: derive in place.
+  compute_derived(*s_);
+  s_->frozen = true;
 }
 
 void Adt::validate() const {
-  if (nodes_.empty()) {
+  if (size() == 0) {
     throw ModelError("Adt: empty model has no root");
   }
+  const std::vector<Node>& nodes = s_->nodes;
+  const NodeId root = s_->root;
 
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    const Node& n = nodes_[id];
+  for (NodeId id = 0; id < nodes.size(); ++id) {
+    const Node& n = nodes[id];
     switch (n.type) {
       case GateType::BasicStep:
         if (!n.children.empty()) {
@@ -141,9 +168,9 @@ void Adt::validate() const {
         }
         // Definition 1: children of AND/OR share the gate's agent.
         for (NodeId c : n.children) {
-          if (nodes_[c].agent != n.agent) {
+          if (nodes[c].agent != n.agent) {
             throw ModelError("Adt: " + describe(n, id) + " has child '" +
-                             nodes_[c].name +
+                             nodes[c].name +
                              "' of the opposite agent (AND/OR children must "
                              "match the gate's agent)");
           }
@@ -154,8 +181,8 @@ void Adt::validate() const {
           throw ModelError("Adt: " + describe(n, id) +
                            " must have exactly two children");
         }
-        const Node& inhibited = nodes_[n.children[0]];
-        const Node& trigger = nodes_[n.children[1]];
+        const Node& inhibited = nodes[n.children[0]];
+        const Node& trigger = nodes[n.children[1]];
         // Definition 1: the two children have different tau values; our
         // convention additionally fixes tau(theta(v)) = tau(v).
         if (inhibited.agent != n.agent) {
@@ -172,81 +199,88 @@ void Adt::validate() const {
     }
   }
 
-  if (root_ >= nodes_.size()) {
+  if (root >= nodes.size()) {
     throw ModelError("Adt: no root set");
   }
 
   // Reachability: every node must contribute to the root. Unreachable
   // nodes would silently be ignored by every algorithm, which is almost
   // certainly a modelling bug, so we reject them.
-  std::vector<char> reachable(nodes_.size(), 0);
-  std::vector<NodeId> stack{root_};
-  reachable[root_] = 1;
+  std::vector<char> reachable(nodes.size(), 0);
+  std::vector<NodeId> stack{root};
+  reachable[root] = 1;
   while (!stack.empty()) {
     const NodeId v = stack.back();
     stack.pop_back();
-    for (NodeId c : nodes_[v].children) {
+    for (NodeId c : nodes[v].children) {
       if (!reachable[c]) {
         reachable[c] = 1;
         stack.push_back(c);
       }
     }
   }
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
+  for (NodeId id = 0; id < nodes.size(); ++id) {
     if (!reachable[id]) {
-      throw ModelError("Adt: " + describe(nodes_[id], id) +
+      throw ModelError("Adt: " + describe(nodes[id], id) +
                        " is unreachable from the root '" +
-                       nodes_[root_].name + "'");
+                       nodes[root].name + "'");
     }
   }
 }
 
-void Adt::compute_derived() {
-  const std::size_t n = nodes_.size();
+void Adt::compute_derived(State& s) {
+  const std::vector<Node>& nodes = s.nodes;
+  const std::size_t n = nodes.size();
   // Parents as CSR: count each child's in-edges, prefix-sum them into
   // offsets, then place parents by ascending id.
-  parent_offsets_.assign(n + 1, 0);
-  for (const Node& node : nodes_) {
-    for (NodeId c : node.children) ++parent_offsets_[c + 1];
+  s.parent_offsets.assign(n + 1, 0);
+  for (const Node& node : nodes) {
+    for (NodeId c : node.children) ++s.parent_offsets[c + 1];
   }
   for (std::size_t v = 0; v < n; ++v) {
-    parent_offsets_[v + 1] += parent_offsets_[v];
+    s.parent_offsets[v + 1] += s.parent_offsets[v];
   }
-  parent_ids_.resize(parent_offsets_[n]);
-  std::vector<std::size_t> cursor(parent_offsets_.begin(),
-                                  parent_offsets_.end() - 1);
+  s.parent_ids.resize(s.parent_offsets[n]);
+  std::vector<std::size_t> cursor(s.parent_offsets.begin(),
+                                  s.parent_offsets.end() - 1);
   for (NodeId id = 0; id < n; ++id) {
-    for (NodeId c : nodes_[id].children) parent_ids_[cursor[c]++] = id;
+    for (NodeId c : nodes[id].children) s.parent_ids[cursor[c]++] = id;
   }
+  // validate() made every non-root node reachable, so each has a parent
+  // and the root has none: the model is a tree iff it has n - 1 edges.
+  s.tree = s.parent_ids.size() + 1 == n;
 
   // Children always have smaller ids than their parents (enforced at
   // construction), so ascending id order is already topological.
-  topo_.resize(n);
-  for (NodeId id = 0; id < n; ++id) topo_[id] = id;
+  s.topo.resize(n);
+  for (NodeId id = 0; id < n; ++id) s.topo[id] = id;
 
-  attack_steps_.clear();
-  defense_steps_.clear();
-  leaf_index_.assign(n, kNoNode);
+  s.attack_steps.clear();
+  s.defense_steps.clear();
+  s.leaf_index.assign(n, kNoNode);
   for (NodeId id = 0; id < n; ++id) {
-    const Node& node = nodes_[id];
+    const Node& node = nodes[id];
     if (node.type != GateType::BasicStep) continue;
     std::vector<NodeId>& steps =
-        node.agent == Agent::Attacker ? attack_steps_ : defense_steps_;
-    leaf_index_[id] = static_cast<NodeId>(steps.size());
+        node.agent == Agent::Attacker ? s.attack_steps : s.defense_steps;
+    s.leaf_index[id] = static_cast<NodeId>(steps.size());
     steps.push_back(id);
   }
 }
 
-NodeId Adt::root() const {
-  check_frozen();
-  return root_;
-}
+NodeId Adt::root() const { return frozen_state().root; }
 
 const Node& Adt::node(NodeId id) const {
-  if (id >= nodes_.size()) {
+  const State* s = s_.get();
+  if (s == nullptr || id >= s->nodes.size()) {
     throw ModelError("Adt: node id " + std::to_string(id) + " out of range");
   }
-  return nodes_[id];
+  return s->nodes[id];
+}
+
+const std::vector<Node>& Adt::nodes() const noexcept {
+  static const std::vector<Node> kNone;
+  return s_ != nullptr ? s_->nodes : kNone;
 }
 
 NodeId Adt::inhibited_child(NodeId inh) const {
@@ -266,7 +300,8 @@ NodeId Adt::trigger_child(NodeId inh) const {
 }
 
 std::optional<NodeId> Adt::find(std::string_view name) const {
-  const NodeId id = by_name_.find(name, name_of());
+  if (s_ == nullptr) return std::nullopt;
+  const NodeId id = s_->by_name.find(name, name_of(s_->nodes));
   if (id == NameIndex::kAbsent) return std::nullopt;
   return id;
 }
@@ -280,64 +315,52 @@ NodeId Adt::at(std::string_view name) const {
 }
 
 std::span<const NodeId> Adt::parents(NodeId id) const {
-  check_frozen();
-  if (id >= nodes_.size()) {
+  const State& s = frozen_state();
+  if (id >= s.nodes.size()) {
     throw ModelError("Adt: node id " + std::to_string(id) + " out of range");
   }
-  return {parent_ids_.data() + parent_offsets_[id],
-          parent_ids_.data() + parent_offsets_[id + 1]};
+  return {s.parent_ids.data() + s.parent_offsets[id],
+          s.parent_ids.data() + s.parent_offsets[id + 1]};
 }
 
 const std::vector<NodeId>& Adt::topological_order() const {
-  check_frozen();
-  return topo_;
+  return frozen_state().topo;
 }
 
 const std::vector<NodeId>& Adt::attack_steps() const {
-  check_frozen();
-  return attack_steps_;
+  return frozen_state().attack_steps;
 }
 
 const std::vector<NodeId>& Adt::defense_steps() const {
-  check_frozen();
-  return defense_steps_;
+  return frozen_state().defense_steps;
 }
 
 std::size_t Adt::attack_index(NodeId id) const {
-  check_frozen();
+  const State& s = frozen_state();
   const Node& n = node(id);
   if (n.type != GateType::BasicStep || n.agent != Agent::Attacker) {
     throw ModelError("Adt: " + describe(n, id) +
                      " is not a basic attack step");
   }
-  return leaf_index_[id];
+  return s.leaf_index[id];
 }
 
 std::size_t Adt::defense_index(NodeId id) const {
-  check_frozen();
+  const State& s = frozen_state();
   const Node& n = node(id);
   if (n.type != GateType::BasicStep || n.agent != Agent::Defender) {
     throw ModelError("Adt: " + describe(n, id) +
                      " is not a basic defense step");
   }
-  return leaf_index_[id];
-}
-
-bool Adt::is_tree() const {
-  check_frozen();
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    if (id == root_) continue;
-    if (parents(id).size() != 1) return false;
-  }
-  return true;
+  return s.leaf_index[id];
 }
 
 AdtStats Adt::stats() const {
-  check_frozen();
+  const State& state = frozen_state();
   AdtStats s;
-  s.nodes = nodes_.size();
-  for (NodeId id = 0; id < nodes_.size(); ++id) {
-    const Node& n = nodes_[id];
+  s.nodes = state.nodes.size();
+  for (NodeId id = 0; id < state.nodes.size(); ++id) {
+    const Node& n = state.nodes[id];
     switch (n.type) {
       case GateType::BasicStep:
         if (n.agent == Agent::Attacker) {
@@ -356,19 +379,19 @@ AdtStats Adt::stats() const {
         ++s.inh_gates;
         break;
     }
-    if (id != root_ && parents(id).size() > 1) ++s.shared_nodes;
+    if (id != state.root && parents(id).size() > 1) ++s.shared_nodes;
   }
-  s.tree_shaped = (s.shared_nodes == 0);
+  s.tree_shaped = state.tree;
   return s;
 }
 
 std::string Adt::to_text() const {
-  check_frozen();
+  const State& s = frozen_state();
   std::ostringstream out;
   std::unordered_set<NodeId> expanded;
 
   auto recurse = [&](auto&& self, NodeId id, int depth) -> void {
-    const Node& n = nodes_[id];
+    const Node& n = s.nodes[id];
     out << std::string(static_cast<std::size_t>(depth) * 2, ' ');
     out << n.name << " [" << to_string(n.type) << ", " << to_string(n.agent)
         << "]";
@@ -381,7 +404,7 @@ std::string Adt::to_text() const {
     out << '\n';
     for (NodeId c : n.children) self(self, c, depth + 1);
   };
-  recurse(recurse, root_, 0);
+  recurse(recurse, s.root, 0);
   return out.str();
 }
 

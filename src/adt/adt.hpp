@@ -11,9 +11,16 @@
 /// Storage is flat: each name lives once, in its Node, and an
 /// open-addressing NameIndex of NodeIds finds it; the parents of all
 /// nodes share one CSR array pair, and one per-node vector holds every
-/// leaf's dense index. Copying a frozen Adt allocates once per vector,
-/// per gate's child list and per name too long for std::string's inline
-/// buffer.
+/// leaf's dense index. All of it, with the root and the derived data,
+/// lives in one State behind a std::shared_ptr:
+///  - a frozen State is never written, so copying a frozen Adt copies
+///    the pointer, and copies may be read from any number of threads;
+///  - a mutator on a frozen Adt first takes a fresh, unfrozen State
+///    holding a copy of the nodes, names and root (copy-on-write);
+///  - copying an unfrozen Adt copies its State, so an unfrozen State
+///    has one owner and freeze() writes it in place, never cloning;
+///  - a default-constructed or moved-from Adt holds no State at all: it
+///    is empty and unfrozen, and can be built again.
 ///
 /// Terminology used throughout the library:
 ///  - BAS / attack steps: leaves owned by the attacker, indexed
@@ -24,6 +31,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <span>
 #include <string>
@@ -53,6 +61,12 @@ struct AdtStats {
 class Adt {
  public:
   Adt() = default;
+  /// Shares a frozen \p other's State; copies an unfrozen one's.
+  Adt(const Adt& other);
+  Adt& operator=(const Adt& other);
+  /// Leaves \p other empty.
+  Adt(Adt&& other) noexcept = default;
+  Adt& operator=(Adt&& other) noexcept = default;
 
   // ---- construction -------------------------------------------------
 
@@ -77,20 +91,24 @@ class Adt {
   void freeze();
 
   /// True once freeze() has run (and no mutation happened since).
-  [[nodiscard]] bool frozen() const noexcept { return frozen_; }
+  [[nodiscard]] bool frozen() const noexcept {
+    const State* s = s_.get();
+    return s != nullptr && s->frozen;
+  }
 
   /// Throws ModelError unless the model is frozen; for functions taking a
   /// const Adt& that need the derived data to exist.
-  void require_frozen() const { check_frozen(); }
+  void require_frozen() const { (void)frozen_state(); }
 
   // ---- basic queries (freeze() implied) ------------------------------
 
-  [[nodiscard]] std::size_t size() const noexcept { return nodes_.size(); }
+  [[nodiscard]] std::size_t size() const noexcept {
+    const State* s = s_.get();
+    return s != nullptr ? s->nodes.size() : 0;
+  }
   [[nodiscard]] NodeId root() const;
   [[nodiscard]] const Node& node(NodeId id) const;
-  [[nodiscard]] const std::vector<Node>& nodes() const noexcept {
-    return nodes_;
-  }
+  [[nodiscard]] const std::vector<Node>& nodes() const noexcept;
 
   [[nodiscard]] GateType type(NodeId id) const { return node(id).type; }
   [[nodiscard]] Agent agent(NodeId id) const { return node(id).agent; }
@@ -140,7 +158,8 @@ class Adt {
 
   /// True iff every non-root node has exactly one parent (Section IV's
   /// "tree-structured" ADTs, for which the Bottom-Up algorithm is sound).
-  [[nodiscard]] bool is_tree() const;
+  /// O(1): freeze() computes it.
+  [[nodiscard]] bool is_tree() const { return frozen_state().tree; }
 
   [[nodiscard]] AdtStats stats() const;
 
@@ -149,32 +168,37 @@ class Adt {
   [[nodiscard]] std::string to_text() const;
 
  private:
-  void mutate_guard();
-  void check_frozen() const;
+  /// The whole model. Derived fields are valid while \p frozen.
+  struct State {
+    std::vector<Node> nodes;
+    NameIndex by_name;  ///< NodeIds by nodes[id].name
+    NodeId root = kNoNode;
+    bool root_explicit = false;
+    bool frozen = false;
+
+    bool tree = false;  ///< is_tree()
+    /// parents(v) is parent_ids[parent_offsets[v] .. parent_offsets[v+1]).
+    std::vector<std::size_t> parent_offsets;
+    std::vector<NodeId> parent_ids;
+    std::vector<NodeId> topo;
+    std::vector<NodeId> attack_steps;
+    std::vector<NodeId> defense_steps;
+    /// A leaf's position in attack_steps or defense_steps (by its
+    /// agent); kNoNode for gates.
+    std::vector<NodeId> leaf_index;
+  };
+
+  /// A fresh, unfrozen State holding \p s's nodes, names and root.
+  [[nodiscard]] static std::shared_ptr<State> unfrozen_copy(const State& s);
+  /// This Adt's State, made unfrozen and owned by this Adt alone.
+  State& mutate_guard();
+  /// This Adt's State; throws ModelError unless frozen.
+  [[nodiscard]] const State& frozen_state() const;
   NodeId add_node(Node node);
   void validate() const;
-  void compute_derived();
-  /// by_name_'s view of the names: NodeId -> nodes_[id].name.
-  [[nodiscard]] auto name_of() const noexcept {
-    return [this](NodeId id) -> std::string_view { return nodes_[id].name; };
-  }
+  static void compute_derived(State& s);
 
-  std::vector<Node> nodes_;
-  NameIndex by_name_;  ///< NodeIds by nodes_[id].name
-  NodeId root_ = kNoNode;
-  bool root_explicit_ = false;
-  bool frozen_ = false;
-
-  // Derived (valid while frozen_).
-  /// parents(v) is parent_ids_[parent_offsets_[v] .. parent_offsets_[v+1]).
-  std::vector<std::size_t> parent_offsets_;
-  std::vector<NodeId> parent_ids_;
-  std::vector<NodeId> topo_;
-  std::vector<NodeId> attack_steps_;
-  std::vector<NodeId> defense_steps_;
-  /// A leaf's position in attack_steps_ or defense_steps_ (by its
-  /// agent); kNoNode for gates.
-  std::vector<NodeId> leaf_index_;
+  std::shared_ptr<State> s_;  ///< null for an empty Adt
 };
 
 }  // namespace adtp

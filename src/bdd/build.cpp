@@ -1,5 +1,6 @@
 #include "bdd/build.hpp"
 
+#include <algorithm>
 #include <cstdint>
 
 #include "util/error.hpp"
@@ -18,6 +19,10 @@ struct BuildTask {
   std::uint32_t a = 0;  ///< Var: variable index; else left operand task
   std::uint32_t b = 0;  ///< pair kinds: right operand task
 };
+
+/// Tasks between two checks of the deadline and cancel: the sequential
+/// loop's stride, and the scheduler slots' combined one.
+constexpr std::uint32_t kInterruptStride = 256;
 
 }  // namespace
 
@@ -106,7 +111,21 @@ std::vector<Ref> build_all(Manager& manager, const Adt& adt,
     // than one thread; the flag is published to the workers through the
     // scheduler's own synchronization.
     manager.enter_concurrent_mode();
-    auto body = [&](unsigned, std::uint32_t t) { exec(t); };
+    // Each slot counts the tasks it runs and checks every stride of them,
+    // so together the slots check about every kInterruptStride tasks
+    // (task ids would not do: the Var tasks are all ready, and run, first).
+    const std::uint32_t stride =
+        std::max(1u, kInterruptStride / pool->threads());
+    struct alignas(64) SlotTally {
+      std::uint32_t tasks = 0;
+    };
+    std::vector<SlotTally> ran(pool->threads());
+    auto body = [&](unsigned slot, std::uint32_t t) {
+      if (ran[slot].tasks++ % stride == 0) {
+        check_interrupt(options.deadline, options.cancel, "bdd_build");
+      }
+      exec(t);
+    };
     TaskGraph graph;
     graph.reserve(tasks.size(), 2 * tasks.size());
     for (std::uint32_t t = 0; t < tasks.size(); ++t) {
@@ -119,7 +138,12 @@ std::vector<Ref> build_all(Manager& manager, const Adt& adt,
     const TaskRunStats stats = pool->run(graph);
     if (options.stats != nullptr) *options.stats += stats;
   } else {
-    for (std::uint32_t t = 0; t < tasks.size(); ++t) exec(t);
+    for (std::uint32_t t = 0; t < tasks.size(); ++t) {
+      if (t % kInterruptStride == 0) {
+        check_interrupt(options.deadline, options.cancel, "bdd_build");
+      }
+      exec(t);
+    }
   }
 
   std::vector<Ref> result(adt.size(), kFalse);

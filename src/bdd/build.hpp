@@ -18,6 +18,7 @@
 #include "adt/adt.hpp"
 #include "bdd/manager.hpp"
 #include "bdd/order.hpp"
+#include "util/cancel.hpp"
 #include "util/parallel.hpp"
 
 namespace adtp::bdd {
@@ -33,12 +34,20 @@ struct BuildOptions {
   /// When set, the scheduler counters of the build run are accumulated
   /// here (untouched on the sequential path).
   TaskRunStats* stats = nullptr;
+
+  /// Optional borrowed guards of the caller's run (core/bdd_bu.cpp lends
+  /// its RunContext's): checked about every 256 tasks, on the sequential
+  /// path and on the scheduler alike, so a build whose applies grow with
+  /// the model still stops near its deadline.
+  const Deadline* deadline = nullptr;
+  const CancelToken* cancel = nullptr;
 };
 
 /// Builds the BDD of f_T(., ., v) for every node v of \p adt (memoized over
 /// the DAG, so shared subtrees are translated once) and returns the per-node
 /// roots indexed by NodeId. The manager must have order.num_vars()
-/// variables.
+/// variables. Throws DeadlineError or CancelledError when a guard of
+/// \p options trips.
 [[nodiscard]] std::vector<Ref> build_all(Manager& manager, const Adt& adt,
                                          const VarOrder& order,
                                          const BuildOptions& options = {});

@@ -293,6 +293,8 @@ BasicFront<P> run_bdd_bu(const AugmentedAdt& aadt, const BddBuOptions& options,
   Stopwatch watch;
   bdd::BuildOptions build;
   build.pool = pool;
+  build.deadline = run.deadline;
+  build.cancel = run.cancel;
   if (trace != nullptr) build.stats = &trace->sched;
   const bdd::Ref root =
       bdd::build_structure_function(manager, aadt.adt(), order, build);

@@ -36,6 +36,7 @@
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -825,16 +826,18 @@ class BasicFront {
     return true;
   }
 
-  /// True iff both fronts contain exactly the same value doubles in
-  /// order (bitwise-for-practical-purposes: == on every coordinate;
-  /// witness payloads are ignored). This is the determinism contract of
-  /// the intra-model thread knobs - the differential fuzz suite and the
-  /// scaling benches all gate on this one predicate.
+  /// True iff both fronts hold the same value doubles in order, bit for
+  /// bit: every coordinate's bit pattern is compared, so -0.0 differs
+  /// from +0.0 and a NaN matches a NaN of the same payload (witness
+  /// payloads are ignored). This is the determinism contract of the
+  /// thread counts and the memo (docs/CONTRACTS.md): the fuzz suites, the
+  /// scaling benches and the edit oracles all gate on this one predicate.
   [[nodiscard]] bool bit_identical_values(const BasicFront& other) const {
     if (points_.size() != other.points_.size()) return false;
+    const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
     for (std::size_t i = 0; i < points_.size(); ++i) {
-      if (points_[i].def != other.points_[i].def) return false;
-      if (points_[i].att != other.points_[i].att) return false;
+      if (bits(points_[i].def) != bits(other.points_[i].def)) return false;
+      if (bits(points_[i].att) != bits(other.points_[i].att)) return false;
     }
     return true;
   }

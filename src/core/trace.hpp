@@ -43,7 +43,8 @@ class NodeFrontMemo;  // core/node_memo.hpp
 /// identical for every value of every field.
 struct RunContext {
   /// Wall-clock guard, checked once per enumerated defense vector, gate
-  /// or propagated BDD node; throws DeadlineError (a LimitError).
+  /// or propagated BDD node, and every 256 tasks of a BDD build; throws
+  /// DeadlineError (a LimitError).
   const Deadline* deadline = nullptr;
 
   /// Cooperative cancellation, checked where the deadline is; throws

@@ -335,5 +335,73 @@ TEST(AdtModel, MutatingACopyLeavesTheOriginal) {
   EXPECT_EQ(original.defense_index(original.at("d1")), 0u);
 }
 
+TEST(AdtModel, CopiesOfAFrozenModelShareItsStorage) {
+  const Adt original = small_tree();
+  const Adt copy = original;
+  EXPECT_EQ(&copy.nodes(), &original.nodes());
+  EXPECT_EQ(&copy.topological_order(), &original.topological_order());
+  EXPECT_EQ(&copy.attack_steps(), &original.attack_steps());
+  EXPECT_EQ(copy.parents(copy.at("band")).data(),
+            original.parents(original.at("band")).data());
+  Adt assigned;
+  assigned = copy;
+  EXPECT_EQ(&assigned.nodes(), &original.nodes());
+
+  // Mutating a copy moves it onto storage of its own (copy-on-write).
+  assigned.add_basic("extra", Agent::Attacker);
+  EXPECT_NE(&assigned.nodes(), &original.nodes());
+  EXPECT_EQ(&copy.nodes(), &original.nodes());
+  EXPECT_EQ(original.size(), 5u);
+}
+
+TEST(AdtModel, FreezeWritesAnUnfrozenModelInPlace) {
+  Adt adt;
+  const NodeId a = adt.add_basic("a", Agent::Attacker);
+  const NodeId d = adt.add_basic("d", Agent::Defender);
+  adt.add_inhibit("top", a, d);
+  // An unfrozen model is copied, not shared, so freezing either one
+  // writes its own storage.
+  const Adt copy = adt;
+  EXPECT_NE(&copy.nodes(), &adt.nodes());
+  const std::vector<Node>* storage = &adt.nodes();
+  adt.freeze();
+  EXPECT_EQ(&adt.nodes(), storage);
+  EXPECT_FALSE(copy.frozen());
+}
+
+TEST(AdtModel, MovedFromModelIsEmptyAndCanBeBuiltAgain) {
+  Adt source = small_tree();
+  const std::vector<Node>* storage = &source.nodes();
+  const Adt moved = std::move(source);
+  EXPECT_EQ(&moved.nodes(), storage);
+  ASSERT_EQ(moved.size(), 5u);
+
+  // The moved-from model holds nothing.
+  EXPECT_EQ(source.size(), 0u);
+  EXPECT_TRUE(source.nodes().empty());
+  EXPECT_FALSE(source.frozen());
+  EXPECT_FALSE(source.find("a1").has_value());
+  EXPECT_THROW((void)source.node(0), ModelError);
+  EXPECT_THROW((void)source.root(), ModelError);
+  EXPECT_THROW(source.freeze(), ModelError);
+
+  // ... and builds and freezes again, with a fresh name table.
+  const NodeId a = source.add_basic("a1", Agent::Attacker);
+  const NodeId b = source.add_basic("b", Agent::Attacker);
+  source.add_gate("top", GateType::Or, Agent::Attacker, {a, b});
+  source.freeze();
+  EXPECT_EQ(source.size(), 3u);
+  EXPECT_EQ(source.attack_index(b), 1u);
+  EXPECT_FALSE(source.find("band").has_value());
+  EXPECT_TRUE(source.is_tree());
+  EXPECT_EQ(moved.size(), 5u);
+  EXPECT_EQ(moved.name(moved.root()), "inh");
+
+  Adt target = small_tree();
+  target = std::move(source);
+  EXPECT_EQ(target.size(), 3u);
+  EXPECT_EQ(source.size(), 0u);
+}
+
 }  // namespace
 }  // namespace adtp

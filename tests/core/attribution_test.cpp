@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
+#include "core/analyzer.hpp"
 #include "core/front_cache.hpp"
 #include "core/node_memo.hpp"
 #include "gen/catalog.hpp"
@@ -136,6 +139,76 @@ TEST(AugmentedAdt, FreezesUnfrozenInput) {
   EXPECT_EQ(aadt.adt().num_attacks(), 1u);
 }
 
+
+TEST(AugmentedAdt, FreezingAMovedInModelDoesNotClone) {
+  Adt adt;
+  const NodeId a = adt.add_basic("a", Agent::Attacker);
+  const NodeId d = adt.add_basic("d", Agent::Defender);
+  adt.add_inhibit("top", a, d);
+  const std::vector<Node>* storage = &adt.nodes();
+  Attribution beta;
+  beta.set("a", 3);
+  beta.set("d", 2);
+  const AugmentedAdt aadt(std::move(adt), std::move(beta),
+                          Semiring::min_cost(), Semiring::min_cost());
+  EXPECT_TRUE(aadt.adt().frozen());
+  EXPECT_EQ(&aadt.adt().nodes(), storage);
+  EXPECT_EQ(adt.size(), 0u);
+}
+
+TEST(AugmentedAdt, ReattributedModelsShareTheStructure) {
+  const AugmentedAdt model = catalog::fig4_forest(3, 5);
+  const Adt& adt = model.adt();
+  Attribution beta = model.attribution();
+  beta.set(adt.name(adt.attack_steps().front()), 99);
+  const AugmentedAdt edited(adt, std::move(beta), model.defender_domain(),
+                            model.attacker_domain());
+  EXPECT_EQ(&edited.adt().nodes(), &adt.nodes());
+  EXPECT_EQ(&edited.adt().defense_steps(), &adt.defense_steps());
+  EXPECT_EQ(edited.attack_value(0), 99);
+  EXPECT_NE(model.attack_value(0), 99);
+}
+
+TEST(AugmentedAdt, ConcurrentRebuildsFromOneModelMatchSerialRuns) {
+  // Eight threads rebuild models over one shared structure - a tree and
+  // a DAG - and analyze them; each copy of the Adt only bumps the
+  // shared State's reference count, so this is clean under TSan.
+  for (const AugmentedAdt& shared :
+       {catalog::fig4_forest(3, 5), catalog::money_theft_dag()}) {
+    const Adt& adt = shared.adt();
+    constexpr std::size_t kThreads = 8;
+    auto rebuilt = [&](std::size_t i) {
+      const NodeId leaf = i % 2 == 0
+                              ? adt.attack_steps()[i % adt.num_attacks()]
+                              : adt.defense_steps()[i % adt.num_defenses()];
+      Attribution beta = shared.attribution();
+      beta.set(adt.name(leaf), static_cast<double>(7 + 3 * i));
+      return AugmentedAdt(adt, std::move(beta), shared.defender_domain(),
+                          shared.attacker_domain());
+    };
+    std::vector<Front> serial;
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      serial.push_back(analyze(rebuilt(i)).front);
+    }
+    std::vector<int> identical(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      threads.emplace_back([&, i] {
+        bool same = true;
+        for (int round = 0; round < 20; ++round) {
+          const AugmentedAdt model = rebuilt(i);
+          same = same && &model.adt().nodes() == &adt.nodes() &&
+                 analyze(model).front.bit_identical_values(serial[i]);
+        }
+        identical[i] = same ? 1 : 0;
+      });
+    }
+    for (std::thread& t : threads) t.join();
+    for (std::size_t i = 0; i < kThreads; ++i) {
+      EXPECT_EQ(identical[i], 1) << adt.size() << " nodes, thread " << i;
+    }
+  }
+}
 
 TEST(AugmentedAdt, DomainRangeValidation) {
   auto build = [](double attack_value, double defense_value,

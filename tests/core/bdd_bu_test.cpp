@@ -2,15 +2,87 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+#include <thread>
+
 #include "adt/structure.hpp"
 #include "bdd/build.hpp"
 #include "core/analyzer.hpp"
 #include "core/naive.hpp"
 #include "gen/catalog.hpp"
+#include "util/cancel.hpp"
 #include "util/error.hpp"
+#include "util/timer.hpp"
 
 namespace adtp {
 namespace {
+
+/// An attacker-AND chain g_i = AND(g_{i-1}, a_i) over a small shared blob
+/// (two ANDs sharing a leaf, under an OR), so the model is a DAG. Each
+/// gate lists the previous one first, so the default Dfs order puts every
+/// chain leaf below everything built so far and each AND copies the
+/// previous function: the build grows quadratically with \p depth
+/// (about 2M manager nodes at depth 2,000).
+AugmentedAdt and_chain_over_blob(int depth) {
+  Adt adt;
+  Attribution beta;
+  auto leaf = [&](const std::string& name) {
+    beta.set(name, 1);
+    return adt.add_basic(name, Agent::Attacker);
+  };
+  const NodeId shared = leaf("s");
+  const NodeId left = adt.add_gate("l", GateType::And, Agent::Attacker,
+                                   {shared, leaf("x")});
+  const NodeId right = adt.add_gate("r", GateType::And, Agent::Attacker,
+                                    {shared, leaf("y")});
+  NodeId chain =
+      adt.add_gate("g0", GateType::Or, Agent::Attacker, {left, right});
+  for (int i = 1; i <= depth; ++i) {
+    const NodeId a = leaf("a" + std::to_string(i));
+    chain = adt.add_gate("g" + std::to_string(i), GateType::And,
+                         Agent::Attacker, {chain, a});
+  }
+  return AugmentedAdt(std::move(adt), std::move(beta), Semiring::min_cost(),
+                      Semiring::min_cost());
+}
+
+TEST(BddBu, DeadlineStopsAQuadraticBuild) {
+  const AugmentedAdt chain = and_chain_over_blob(2000);
+  ASSERT_FALSE(chain.adt().is_tree());
+  // Sequentially and on a scheduler: the build checks the deadline every
+  // 256 tasks, not only before and after it (a full build takes several
+  // seconds in Release).
+  for (const unsigned threads : {1u, 4u}) {
+    AnalysisOptions options;
+    options.algorithm = Algorithm::BddBu;
+    options.intra_model_threads = threads;
+    const Deadline deadline(0.25);
+    options.run.deadline = &deadline;
+    const Stopwatch watch;
+    EXPECT_THROW((void)analyze(chain, options), DeadlineError) << threads;
+    EXPECT_LT(watch.seconds(), 2.0) << threads;
+  }
+}
+
+TEST(BddBu, CancelStopsAQuadraticBuild) {
+  const AugmentedAdt chain = and_chain_over_blob(2000);
+  for (const unsigned threads : {1u, 4u}) {
+    AnalysisOptions options;
+    options.algorithm = Algorithm::BddBu;
+    options.intra_model_threads = threads;
+    CancelToken cancel;
+    options.run.cancel = &cancel;
+    std::thread canceller([&cancel] {
+      std::this_thread::sleep_for(std::chrono::milliseconds(250));
+      cancel.cancel();
+    });
+    const Stopwatch watch;
+    EXPECT_THROW((void)analyze(chain, options), CancelledError) << threads;
+    EXPECT_LT(watch.seconds(), 2.0) << threads;
+    canceller.join();
+  }
+}
 
 TEST(BddBu, MoneyTheftDagFront) {
   // The paper's Section VI-A BDDBU result on the DAG-shaped model.

@@ -89,6 +89,25 @@ TEST(Front, SameValues) {
   EXPECT_FALSE(a.same_values(c, kCost, kCost));
 }
 
+TEST(Front, BitIdenticalValuesComparesBitPatterns) {
+  // Signed zeros are equal under == but are different doubles.
+  const Front negative = Front::singleton({-0.0, 1});
+  const Front positive = Front::singleton({+0.0, 1});
+  EXPECT_FALSE(negative.bit_identical_values(positive));
+  EXPECT_FALSE(positive.bit_identical_values(negative));
+  EXPECT_TRUE(negative.bit_identical_values(Front::singleton({-0.0, 1})));
+
+  // A NaN is unequal to itself under ==, but the same bits are identical.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Front with_nan = Front::from_staircase({{0, 5}, {4, nan}});
+  EXPECT_TRUE(with_nan.bit_identical_values(with_nan));
+  EXPECT_TRUE(with_nan.bit_identical_values(
+      Front::from_staircase({{0, 5}, {4, nan}})));
+  EXPECT_FALSE(with_nan.bit_identical_values(
+      Front::from_staircase({{0, 5}, {4, 10}})));
+  EXPECT_FALSE(with_nan.bit_identical_values(Front::from_staircase({{0, 5}})));
+}
+
 TEST(Front, ProbabilityOrderReversed) {
   // Attacker domain probability: higher is better for the attacker, so a
   // point with *lower* success probability is better for the defender.
